@@ -1,8 +1,8 @@
 """Per-unit null hypotheses, criterion verdicts, and reproduction oracles.
 
-The sharp null, sharper null, and monotonicity statuses are decided by
-exhaustive enumeration over positive-probability units; criterion verdicts
-then compare any effect value against the status of its premises. The
+The sharp null, sharper null, and monotonicity statuses are decided over
+every positive-probability unit of the engine's profile columns; criterion
+verdicts then compare any effect value against the status of its premises. The
 reproduce operation cross-checks enumerated contrasts against closed forms
 for the built-in counterexample families.
 """
@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from . import effects, engine, identify
 from .errors import DomainError, ReproductionError
@@ -72,50 +74,24 @@ def _unit_desc(p: engine.UnitProfile) -> str:
 def null_status(model: Model) -> NullStatus:
     """Decide the sharp null, sharper null, monotonicity direction, and the
     overlap condition by checking every positive-weight unit."""
-    profs = engine.profiles(model)
+    p = engine.profiles(model)
     a_star, a = model.exposure_levels
-    msup = engine.m_support(model)
-    arms = (a_star, a)
-
-    sharp = True
-    sharper = True
-    dir_down = True   # Y{a', M(a)} <= Y{a', M(a*)} for every unit and arm
-    dir_up = True     # >= everywhere
+    # diffs[k] = Y{a', M(a)} - Y{a', M(a*)} for a' = arms[k], per unit
+    diffs = np.stack([p.nested(ap, a) - p.nested(ap, a_star) for ap in (a_star, a)])
+    nested_moved = (diffs != 0).any(axis=0)
+    m_moved = p.m_cf[p.arm(a)] != p.m_cf[p.arm(a_star)]
+    y_flat = (p.y_cf == p.y_cf[:, :1]).all(axis=(0, 1))
+    broken = {"sharp_null": nested_moved, "sharper_null": m_moved & ~y_flat}
+    first_unit = {key: int(np.argmax(units)) for key, units in broken.items() if units.any()}
     witnesses: dict[str, str] = {}
-    any_m_moved = False
-    any_y_moved_treated = False
-    any_nested_gap_treated = False
+    # in the order a scan over the units meets them
+    for key in sorted(first_unit, key=first_unit.get):
+        witnesses[key] = _unit_desc(p[first_unit[key]])
+    sharp = "sharp_null" not in first_unit
+    sharper = "sharper_null" not in first_unit
 
-    for p in profs:
-        diffs = [p.nested(ap, a) - p.nested(ap, a_star) for ap in arms]
-        if any(d != 0 for d in diffs):
-            if sharp:
-                witnesses.setdefault("sharp_null", _unit_desc(p))
-            sharp = False
-        if any(d > 0 for d in diffs):
-            dir_down = False
-        if any(d < 0 for d in diffs):
-            dir_up = False
-        m_moved = p.m_cf[a] != p.m_cf[a_star]
-        y_flat = all(
-            p.y_cf[(ap, m1)] == p.y_cf[(ap, m2)]
-            for ap in arms
-            for m1, m2 in itertools.combinations(msup, 2)
-        )
-        if m_moved and not y_flat:
-            if sharper:
-                witnesses.setdefault("sharper_null", _unit_desc(p))
-            sharper = False
-        if m_moved:
-            any_m_moved = True
-        if any(
-            p.y_cf[(a, m1)] != p.y_cf[(a, m2)]
-            for m1, m2 in itertools.combinations(msup, 2)
-        ):
-            any_y_moved_treated = True
-        if p.nested(a, a) != p.nested(a, a_star):
-            any_nested_gap_treated = True
-
+    dir_down = not (diffs > 0).any()   # Y{a', M(a)} <= Y{a', M(a*)} for every unit and arm
+    dir_up = not (diffs < 0).any()     # >= everywhere
     if dir_down and dir_up:
         mono = MONO_BOTH
     elif dir_down:
@@ -124,20 +100,17 @@ def null_status(model: Model) -> NullStatus:
         mono = MONO_NONDECREASING
     else:
         mono = MONO_NEITHER
-        for p in profs:
-            diffs = [p.nested(ap, a) - p.nested(ap, a_star) for ap in arms]
-            if any(d > 0 for d in diffs) or any(d < 0 for d in diffs):
-                witnesses.setdefault("monotonicity", _unit_desc(p))
-                break
+        witnesses["monotonicity"] = _unit_desc(p[int(np.argmax(nested_moved))])
 
-    overlap_premise = any_m_moved and any_y_moved_treated
-    overlap = (not overlap_premise) or any_nested_gap_treated
+    treated = p.y_cf[p.arm(a)]
+    any_y_moved_treated = not (treated == treated[:1]).all()
+    overlap_premise = bool(m_moved.any()) and any_y_moved_treated
+    overlap = (not overlap_premise) or bool((diffs[1] != 0).any())
     if not overlap:
-        witnesses.setdefault(
-            "overlap_condition",
+        witnesses["overlap_condition"] = (
             "exposure moves the mediator for some unit and the mediator moves the "
             "treated-arm outcome for some unit, yet no unit has a treated-arm "
-            "nested contrast",
+            "nested contrast"
         )
     return NullStatus(sharp, sharper, mono, overlap, witnesses)
 
@@ -183,43 +156,27 @@ def criterion_verdicts(
 def no_interaction_check(model: Model, tol: float = NULL_TOL) -> bool:
     """True iff the exposure-mediator mean interaction on the outcome is zero
     within every positive-probability stratum of (M(a*), C)."""
-    profs = engine.profiles(model)
+    p = engine.profiles(model)
     a_star, a = model.exposure_levels
-    msup = engine.m_support(model)
-    strata: dict = {}
-    for p in profs:
-        strata.setdefault((p.m_cf[a_star], p.c), []).append(p)
-    for members in strata.values():
-        w = sum(p.weight for p in members)
-        for m1, m2 in itertools.combinations(msup, 2):
-            contrast = (
-                sum(
-                    p.weight
-                    * (
-                        p.y_cf[(a, m1)]
-                        - p.y_cf[(a, m2)]
-                        - p.y_cf[(a_star, m1)]
-                        + p.y_cf[(a_star, m2)]
-                    )
-                    for p in members
-                )
-                / w
-            )
-            if abs(contrast) > tol:
-                return False
+    stratum, first = engine.group_ids(p.m_cf[p.arm(a_star)], p.stratum)
+    w = np.bincount(stratum, weights=p.weight, minlength=first.size)
+    for m1, m2 in itertools.combinations(p.m_levels, 2):
+        interaction = p.y_at(a, m1) - p.y_at(a, m2) - p.y_at(a_star, m1) + p.y_at(a_star, m2)
+        contrast = np.bincount(stratum, weights=p.weight * interaction, minlength=first.size) / w
+        if (np.abs(contrast) > tol).any():
+            return False
     return True
 
 
 def m_always_affects_y_check(model: Model) -> bool:
     """True iff every positive-weight unit's outcome is moved by the mediator
     in at least one exposure arm, for every pair of mediator levels."""
-    profs = engine.profiles(model)
+    p = engine.profiles(model)
     a_star, a = model.exposure_levels
-    msup = engine.m_support(model)
-    for p in profs:
-        for m1, m2 in itertools.combinations(msup, 2):
-            if p.y_cf[(a_star, m1)] == p.y_cf[(a_star, m2)] and p.y_cf[(a, m1)] == p.y_cf[(a, m2)]:
-                return False
+    for m1, m2 in itertools.combinations(p.m_levels, 2):
+        unmoved = (p.y_at(a_star, m1) == p.y_at(a_star, m2)) & (p.y_at(a, m1) == p.y_at(a, m2))
+        if unmoved.any():
+            return False
     return True
 
 

@@ -1,8 +1,9 @@
 """Counterfactual-side effect measures on the difference scale.
 
 Everything here is an exact weighted sum over the enumerated units of a
-model; no observational quantity enters except through the randomized-draw
-operations, whose stratum conditioning is documented in the engine.
+model, read from the engine's profile columns; no observational quantity
+enters except through the randomized-draw operations, whose stratum
+conditioning is documented in the engine.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Mapping
 from . import engine
 from .engine import COND_C, COND_C_L_DRAW, COND_C_L_OBSERVED
 from .errors import DomainError, InternalConsistencyError, ShapeError
-from .model import FfrcistgSpec, Model
+from .model import Model
 
 DECOMPOSITION_TOL = 1e-12
 
@@ -92,26 +93,26 @@ def _arms(model: Model) -> tuple[int, int]:
 def total_effect(model: Model) -> float:
     """E[Y(a)] - E[Y(a*)]."""
     a_star, a = _arms(model)
-    profs = engine.profiles(model)
-    return sum(p.weight * (p.nested(a, a) - p.nested(a_star, a_star)) for p in profs)
+    p = engine.profiles(model)
+    return engine.unit_sum(p.weight * (p.nested(a, a) - p.nested(a_star, a_star)))
 
 
 def controlled_direct_effect(model: Model, m: int) -> float:
     """E[Y(a, m)] - E[Y(a*, m)]."""
-    if m not in engine.m_support(model):
+    if m not in model.m_support:
         raise DomainError(f"mediator level {m} outside support")
     a_star, a = _arms(model)
-    profs = engine.profiles(model)
-    return sum(p.weight * (p.y_cf[(a, m)] - p.y_cf[(a_star, m)]) for p in profs)
+    p = engine.profiles(model)
+    return engine.unit_sum(p.weight * (p.y_at(a, m) - p.y_at(a_star, m)))
 
 
 def natural_effects(model: Model) -> tuple[float, float]:
     """(nie, nde) from the nested counterfactual means."""
     a_star, a = _arms(model)
-    profs = engine.profiles(model)
-    e_aa = sum(p.weight * p.nested(a, a) for p in profs)
-    e_as = sum(p.weight * p.nested(a, a_star) for p in profs)
-    e_ss = sum(p.weight * p.nested(a_star, a_star) for p in profs)
+    p = engine.profiles(model)
+    e_aa = engine.unit_sum(p.weight * p.nested(a, a))
+    e_as = engine.unit_sum(p.weight * p.nested(a, a_star))
+    e_ss = engine.unit_sum(p.weight * p.nested(a_star, a_star))
     return e_aa - e_as, e_as - e_ss
 
 
@@ -127,7 +128,7 @@ def randomized_effects(model: Model) -> tuple[float, float, float]:
 def l_conditioned_randomized_effects(model: Model) -> tuple[float, float]:
     """(nie_r_L, nie_r_La): indirect contrasts with the draw stratified on the
     observed confounder and on the counterfactual confounder respectively."""
-    if isinstance(model, FfrcistgSpec) or not model.has_l:
+    if not model.has_l:
         raise ShapeError("confounder-conditioned contrasts require an induced confounder")
     a_star, a = _arms(model)
     nie_r_l = (
@@ -143,24 +144,15 @@ def l_conditioned_randomized_effects(model: Model) -> tuple[float, float]:
 
 def reference_interaction(model: Model, m: int, m_prime: int) -> float:
     """E[{Y(a,m) - Y(a,m') - Y(a*,m) + Y(a*,m')} * M(a*)] for binary M."""
-    msup = engine.m_support(model)
+    msup = model.m_support
     if len(msup) != 2:
         raise DomainError("reference interaction is defined for binary mediators only")
     if m not in msup or m_prime not in msup:
         raise DomainError(f"mediator levels ({m}, {m_prime}) outside support")
     a_star, a = _arms(model)
-    profs = engine.profiles(model)
-    return sum(
-        p.weight
-        * (
-            p.y_cf[(a, m)]
-            - p.y_cf[(a, m_prime)]
-            - p.y_cf[(a_star, m)]
-            + p.y_cf[(a_star, m_prime)]
-        )
-        * p.m_cf[a_star]
-        for p in profs
-    )
+    p = engine.profiles(model)
+    interaction = p.y_at(a, m) - p.y_at(a, m_prime) - p.y_at(a_star, m) + p.y_at(a_star, m_prime)
+    return engine.unit_sum(p.weight * interaction * p.m_cf[p.arm(a_star)])
 
 
 def h_contrast(model: Model) -> float:
@@ -172,7 +164,7 @@ def h_contrast(model: Model) -> float:
 def effect_report(model: Model) -> EffectReport:
     """Compute every effect measure and enforce the decomposition identities."""
     a_star, a = _arms(model)
-    msup = engine.m_support(model)
+    msup = model.m_support
     te = total_effect(model)
     nie, nde = natural_effects(model)
     nie_r, nde_r, te_r = randomized_effects(model)
@@ -186,7 +178,7 @@ def effect_report(model: Model) -> EffectReport:
             for mp in msup
         }
     nie_r_l = nie_r_la = None
-    if not isinstance(model, FfrcistgSpec) and model.has_l:
+    if model.has_l:
         nie_r_l, nie_r_la = l_conditioned_randomized_effects(model)
     report = EffectReport(
         te=te,

@@ -4,17 +4,21 @@ The functionals consume an ObservedLaw only, never a model, which enforces
 the identification boundary at the type level: anything counterfactual must
 arrive through the engine's enumeration instead. Assumption checks go the
 other way; they interrogate the full counterfactual joint of a model by
-exact factorization tests.
+exact factorization tests, each a grouped contingency table over the
+engine's profile columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from . import engine
 from .engine import ObservedLaw
 from .errors import DegenerateStratumError, DomainError, ShapeError
-from .model import FfrcistgSpec, Model
+from .model import Model
 
 INDEPENDENCE_TOL = 1e-9
 
@@ -194,44 +198,53 @@ FUNCTIONALS = {
 # ---------------------------------------------------------------------------
 
 
-def _max_dependence(pairs: list[tuple[int, int, float]]) -> tuple[float, str]:
-    """Max |P(x,z) - P(x)P(z)| over cells of a weighted discrete pair."""
-    total = sum(w for _x, _z, w in pairs)
-    if total <= 0.0:
-        return 0.0, ""
-    joint: dict[tuple[int, int], float] = {}
-    px: dict[int, float] = {}
-    pz: dict[int, float] = {}
-    for x, z, w in pairs:
-        joint[(x, z)] = joint.get((x, z), 0.0) + w / total
-        px[x] = px.get(x, 0.0) + w / total
-        pz[z] = pz.get(z, 0.0) + w / total
-    worst = 0.0
-    witness = ""
-    for x in px:
-        for z in pz:
-            dev = abs(joint.get((x, z), 0.0) - px[x] * pz[z])
-            if dev > worst:
-                worst = dev
-                witness = f"cell (x={x}, z={z})"
-    return worst, witness
-
-
 def _conditional_independence(
-    profs, x_fn, z_fn, stratum_fn, member_fn=lambda p: True
+    p: engine.Profiles,
+    x: np.ndarray,
+    z: np.ndarray,
+    strata: tuple[np.ndarray, np.ndarray],
+    key_of: Callable[[int], object],
+    members: np.ndarray | None = None,
 ) -> tuple[float, str]:
-    strata: dict = {}
-    for p in profs:
-        if member_fn(p):
-            strata.setdefault(stratum_fn(p), []).append(p)
-    worst = 0.0
-    witness = ""
-    for key, members in strata.items():
-        dev, cell = _max_dependence([(x_fn(p), z_fn(p), p.weight) for p in members])
-        if dev > worst:
-            worst = dev
-            witness = f"stratum {key!r}, {cell}"
-    return worst, witness
+    """Max |P(x,z | s) - P(x | s) P(z | s)| over strata s (among members) and
+    the cells (x, z) whose values both occur in s, as one grouped contingency
+    table; the witness names the first stratum and cell attaining it, strata
+    and values in order of first occurrence. strata is (stratum of every
+    unit, first unit of every stratum); key_of(unit) names a stratum."""
+    s, first = strata
+    w = p.weight
+    if members is not None:
+        unit = np.flatnonzero(members)
+        if unit.size == 0:
+            return 0.0, ""
+        x, z, w = x[unit], z[unit], w[unit]
+        s, first = engine.group_ids(s[unit])
+        first = unit[first]
+    x_levels, xc = np.unique(x, return_inverse=True)
+    z_levels, zc = np.unique(z, return_inverse=True)
+    n, ns, nx, nz = w.size, first.size, x_levels.size, z_levels.size
+    share = w / np.bincount(s, weights=w, minlength=ns)[s]
+    sx = s * nx + xc
+    px = np.bincount(sx, weights=share, minlength=ns * nx).reshape(ns, nx, 1)
+    pz = np.bincount(s * nz + zc, weights=share, minlength=ns * nz).reshape(ns, 1, nz)
+    joint = np.bincount(sx * nz + zc, weights=share, minlength=ns * nx * nz)
+    dev = np.abs(joint.reshape(ns, nx, nz) - px * pz)
+    dev[(px == 0.0) | (pz == 0.0)] = 0.0   # values absent from the stratum
+    worst = float(dev.max())
+    if worst <= 0.0:
+        return 0.0, ""
+    k = int(np.argmax(dev.max(axis=(1, 2)) == worst))
+    # cells of stratum k in visit order: by first occurrence of x, then of z
+    in_k = s == k
+    x_seen, z_seen = np.full(nx, n), np.full(nz, n)
+    for seen, code in ((x_seen, xc[in_k]), (z_seen, zc[in_k])):
+        codes, at = np.unique(code, return_index=True)
+        seen[codes] = at
+    visit = x_seen[:, None] * n + z_seen[None, :]
+    visit[dev[k] != worst] = visit.max() + 1
+    xi, zi = np.unravel_index(np.argmin(visit), visit.shape)
+    cell = f"cell (x={int(x_levels[xi])}, z={int(z_levels[zi])})"
+    return worst, f"stratum {key_of(int(first[k]))!r}, {cell}"
 
 
 def check_assumption(model: Model, which: str) -> AssumptionVerdict:
@@ -239,97 +252,68 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
     model's full counterfactual joint."""
     if which not in ASSUMPTIONS:
         raise DomainError(f"unknown assumption {which!r}; expected one of {ASSUMPTIONS}")
-    profs = engine.profiles(model)
-    arms = model.exposure_levels
-    msup = engine.m_support(model)
-    has_l = not isinstance(model, FfrcistgSpec) and model.has_l
-
+    p = engine.profiles(model)
     if which == "A6":
-        return _check_positivity(model)
+        return _check_positivity(p)
+    a_star, a = arms = model.exposure_levels
+    levels = p.m_levels
+    by_c = ((p.stratum, p.stratum_first), p.c_key)   # (strata, stratum name)
+    if which == "A1":
+        # Y(a', m) independent of the factual exposure given C
+        checks = [(f"Y({ap},{m}) vs A", p.y_at(ap, m), p.a, by_c, None)
+                  for ap in arms for m in levels]
+    elif which == "A2":
+        # Y(a', m) independent of the factual mediator given C within arm a'
+        checks = [(f"Y({ap},{m}) vs M | A={ap}", p.y_at(ap, m), p.m, by_c, p.a == ap)
+                  for ap in arms for m in levels]
+    elif which == "A3":
+        checks = [(f"M({ap}) vs A", p.m_cf[p.arm(ap)], p.a, by_c, None) for ap in arms]
+    elif which == "A4":
+        # the cross-world independence: Y(a, m) vs M(a*) given C
+        checks = [(f"Y({a},{m}) vs M({a_star})", p.y_at(a, m), p.m_cf[p.arm(a_star)], by_c, None)
+                  for m in levels]
+    else:
+        # A7: Y(a', m) vs the factual mediator given (C, L) within arm a'; with
+        # no induced confounder this coincides with A2
+        if model.has_l:
+            by_c = (engine.group_ids(p.stratum, p.l), lambda u: (p.c_key(u), int(p.l[u])))
+        checks = [(f"Y({ap},{m}) vs M | L, A={ap}", p.y_at(ap, m), p.m, by_c, p.a == ap)
+                  for ap in arms for m in levels]
 
     worst = 0.0
     witness = ""
-
-    def fold(dev: float, cell: str, tag: str) -> None:
-        nonlocal worst, witness
+    for tag, x, z, (strata, key_of), members in checks:
+        dev, cell = _conditional_independence(p, x, z, strata, key_of, members)
         if dev > worst:
             worst = dev
             witness = f"{tag}: {cell}"
-
-    if which == "A1":
-        # Y(a', m) independent of the factual exposure given C
-        for ap in arms:
-            for m in msup:
-                dev, cell = _conditional_independence(
-                    profs, lambda p: p.y_cf[(ap, m)], lambda p: p.a, lambda p: p.c
-                )
-                fold(dev, cell, f"Y({ap},{m}) vs A")
-    elif which == "A2":
-        # Y(a', m) independent of the factual mediator given C within arm a'
-        for ap in arms:
-            for m in msup:
-                dev, cell = _conditional_independence(
-                    profs,
-                    lambda p: p.y_cf[(ap, m)],
-                    lambda p: p.m,
-                    lambda p: p.c,
-                    member_fn=lambda p: p.a == ap,
-                )
-                fold(dev, cell, f"Y({ap},{m}) vs M | A={ap}")
-    elif which == "A3":
-        for ap in arms:
-            dev, cell = _conditional_independence(
-                profs, lambda p: p.m_cf[ap], lambda p: p.a, lambda p: p.c
-            )
-            fold(dev, cell, f"M({ap}) vs A")
-    elif which == "A4":
-        # the cross-world independence: Y(a, m) vs M(a*) given C
-        a_star, a = arms
-        for m in msup:
-            dev, cell = _conditional_independence(
-                profs, lambda p: p.y_cf[(a, m)], lambda p: p.m_cf[a_star], lambda p: p.c
-            )
-            fold(dev, cell, f"Y({a},{m}) vs M({a_star})")
-    elif which == "A7":
-        # Y(a', m) vs the factual mediator given (C, L) within arm a'; with no
-        # induced confounder this coincides with A2
-        for ap in arms:
-            for m in msup:
-                dev, cell = _conditional_independence(
-                    profs,
-                    lambda p: p.y_cf[(ap, m)],
-                    lambda p: p.m,
-                    (lambda p: (p.c, p.l)) if has_l else (lambda p: p.c),
-                    member_fn=lambda p: p.a == ap,
-                )
-                fold(dev, cell, f"Y({ap},{m}) vs M | L, A={ap}")
-
     return AssumptionVerdict(which, worst <= INDEPENDENCE_TOL, worst, witness)
 
 
-def _check_positivity(model: Model) -> AssumptionVerdict:
-    profs = engine.profiles(model)
-    arms = model.exposure_levels
-    law = engine.observational_law(model)
-    required: list[tuple[str, float]] = []
-    for c, w_c in law.c_strata():
-        if w_c <= 0.0:
-            continue
-        for ap in arms:
-            required.append((f"Pr(A={ap} | c={c!r})", law.prob(c=c, a=ap) / w_c))
+def _check_positivity(p: engine.Profiles) -> AssumptionVerdict:
+    # Cell probabilities of the exact observed law, summed cell by cell in
+    # law order as ObservedLaw.prob does.
+    cell, first = engine.law_cells(p)
+    mass = np.bincount(cell, weights=p.weight)
+    s, a, m = p.stratum[first], p.a[first], p.m[first]
+    ns = p.stratum_first.size
+    w_c = np.bincount(s, weights=mass, minlength=ns)
+    w_arm = [np.bincount(s, weights=mass * (a == ap), minlength=ns) for ap in p.arms]
+    c_repr = [repr(p.c_key(int(u))) for u in p.stratum_first]
+    required: list[tuple[np.ndarray, Callable[[str], str]]] = [
+        (w_arm[i] / w_c, lambda c, ap=ap: f"Pr(A={ap} | c={c})") for i, ap in enumerate(p.arms)
+    ]
     # mediator levels that must be observable in each arm: the factual support
     # united with the counterfactual support of M(a') for that arm
-    observed_m = {p.m for p in profs}
-    for ap in arms:
-        needed = observed_m | {p.m_cf[ap] for p in profs}
-        for c, w_c in law.c_strata():
-            if w_c <= 0.0:
-                continue
-            w_arm = law.prob(c=c, a=ap)
-            for m in sorted(needed):
-                cell = law.prob(c=c, a=ap, m=m) / w_arm if w_arm > 0.0 else 0.0
-                required.append((f"f(M={m} | A={ap}, c={c!r})", cell))
-    min_cell, min_name = min(((p, name) for name, p in required), default=(1.0, ""))
+    for i, ap in enumerate(p.arms):
+        for lv in np.union1d(p.m, p.m_cf[i]).tolist():
+            w_cell = np.bincount(s, weights=mass * ((a == ap) & (m == lv)), minlength=ns)
+            f_cell = np.divide(w_cell, w_arm[i], out=np.zeros(ns), where=w_arm[i] > 0.0)
+            required.append((f_cell, lambda c, ap=ap, lv=lv: f"f(M={lv} | A={ap}, c={c})"))
+    min_cell = min(float(values.min()) for values, _name in required)
+    min_name = min(
+        name(c_repr[k]) for values, name in required for k in np.flatnonzero(values == min_cell)
+    )
     if min_cell <= 0.0:
         return AssumptionVerdict("A6", False, 1.0, f"empty required cell {min_name}")
     return AssumptionVerdict("A6", True, -min_cell, f"smallest required cell {min_name}")

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, EnumerationSizeError
 
 PROB_TOL = 1e-12
 
@@ -207,6 +210,93 @@ class Scm:
                 ordered.append(name)
         return tuple(ordered)
 
+    # -- evaluation ---------------------------------------------------------
+    # units/solve evaluate one unit at a time and are the reference; grid is
+    # their vectorised twin over every unit at once, in the same unit order.
+
+    @property
+    def grid_size(self) -> int:
+        """Number of joint noise configurations, zero-mass ones included."""
+        return math.prod(len(n.pmf) for n in self.noise)
+
+    def units(self, cap: int) -> list[tuple[dict[str, int], float]]:
+        """Positive-mass joint noise configurations with product weights, in
+        the canonical order: the product of each variable's noise levels,
+        variables in topological order."""
+        size = 1
+        for n in self.noise:
+            size *= len(n.pmf)
+            if size > cap:
+                raise EnumerationSizeError(
+                    f"noise product space exceeds cap ({size} > {cap})"
+                )
+        specs = [self.noise_for(name) for name in self.topo_order]
+        names = [s.name for s in specs]
+        out = []
+        for combo in itertools.product(*(s.levels() for s in specs)):
+            w = 1.0
+            for spec, level in zip(specs, combo):
+                w *= spec.pmf[level]
+            if w > 0.0:
+                out.append((dict(zip(names, combo)), w))
+        return out
+
+    def solve(self, noise: Mapping[str, int], fixed: Mapping[str, int]) -> dict[str, int]:
+        """Topological evaluation of the structural tables; intervened
+        variables bypass their tables."""
+        assignment: dict[str, int] = {}
+        for name in self.topo_order:
+            if name in fixed:
+                assignment[name] = fixed[name]
+                continue
+            t = self.table_for(name)
+            pv = tuple(assignment[p] for p in t.parents)
+            assignment[name] = t.value(pv, noise[t.noise])
+        return assignment
+
+    def grid(self) -> tuple[np.ndarray, Callable[[Mapping[str, int]], dict]]:
+        """The units of units() as arrays: their weights, and a solver giving
+        each variable's values over all units under one intervention (an
+        intervened variable comes back as its fixed level).
+
+        Weights are the same left-to-right products, so they are bitwise
+        equal to the scalar ones. Tables become mixed-radix lookups over
+        (parent positions..., noise position), the scheme draw_samples uses.
+        """
+        order = self.topo_order
+        specs = [self.noise_for(name) for name in order]
+        weight = np.ones(1)
+        for spec in specs:
+            weight = np.multiply.outer(weight, [spec.pmf[lv] for lv in spec.levels()]).ravel()
+        flat = np.flatnonzero(weight > 0.0)
+        weight = weight[flat]
+        noise_pos: dict[str, np.ndarray] = {}
+        for spec in reversed(specs):
+            flat, noise_pos[spec.name] = np.divmod(flat, len(spec.pmf))
+        supports = {v.name: tuple(sorted(v.support)) for v in self.variables}
+        values = {name: np.asarray(sup) for name, sup in supports.items()}
+        index = {name: {v: i for i, v in enumerate(sup)} for name, sup in supports.items()}
+        steps = [
+            (t, len(spec.pmf), _position_lookup(t, supports, spec.levels()))
+            for t, spec in zip((self.table_for(name) for name in order), specs)
+        ]
+
+        def solve_all(fixed: Mapping[str, int]) -> dict:
+            pos: dict = {}
+            for t, radix, lookup in steps:
+                name = t.variable
+                if name in fixed:
+                    pos[name] = index[name][fixed[name]]
+                    continue
+                idx = 0
+                for p in t.parents:
+                    idx = idx * len(supports[p]) + pos[p]
+                pos[name] = lookup[idx * radix + noise_pos[t.noise]]
+            return {name: fixed[name] if name in fixed else values[name][pos[name]]
+                    for name in order}
+
+        return weight, solve_all
+
 
 @dataclass(frozen=True, eq=False)
 class FfrcistgSpec:
@@ -235,6 +325,19 @@ class FfrcistgSpec:
     def has_l(self) -> bool:
         return False
 
+    # the role names Scm offers; the variables are A, M and Y
+    covariate_names = ()
+    exposure_name = "A"
+    induced_name = None
+    mediator_name = "M"
+    outcome_name = "Y"
+
+    def var(self, name: str) -> VariableSpec:
+        supports = {"A": self.exposure_levels, "M": self.m_support, "Y": self.y_support}
+        if name not in supports:
+            raise KeyError(name)
+        return VariableSpec(name, supports[name], name)
+
     @property
     def labels(self) -> tuple[str, ...]:
         arms = self.exposure_levels
@@ -257,8 +360,78 @@ class FfrcistgSpec:
         }
         return tuple(sorted(ys))
 
+    # -- evaluation (the same interface as Scm) ------------------------------
+
+    @property
+    def grid_size(self) -> int:
+        return len(self.joint)
+
+    def units(self, cap: int) -> list[tuple[dict[str, int], float]]:
+        """Positive-mass atoms as label -> value maps; the atoms are the
+        units, so the cap does not apply."""
+        labels = self.labels
+        return [(dict(zip(labels, atom)), w) for atom, w in self.joint.items() if w > 0.0]
+
+    def solve(self, atom: Mapping[str, int], fixed: Mapping[str, int]) -> dict[str, int]:
+        """Read A, M and Y off an atom under an intervention on A and/or M."""
+        a_val = fixed.get("A", atom["A"])
+        if a_val not in self.exposure_levels:
+            raise DomainError(
+                f"exposure level {a_val} not represented in the counterfactual joint"
+            )
+        m_val = fixed.get("M", atom[f"M({a_val})"])
+        return {"A": a_val, "M": m_val, "Y": atom[f"Y({a_val},{m_val})"]}
+
+    def grid(self) -> tuple[np.ndarray, Callable[[Mapping[str, int]], dict]]:
+        """The atoms of units() as arrays: their weights, and a solver giving
+        A, M and Y over all atoms under one intervention (an intervened
+        variable comes back as its fixed level)."""
+        atoms = [(atom, w) for atom, w in self.joint.items() if w > 0.0]
+        weight = np.array([w for _atom, w in atoms], dtype=float)
+        cols = np.array([atom for atom, _w in atoms], dtype=np.int64).reshape(
+            len(atoms), len(self.labels)
+        )
+        rows = np.arange(len(atoms))
+        arms, levels = self.exposure_levels, self.m_support
+
+        def solve_all(fixed: Mapping[str, int]) -> dict:
+            a = fixed.get("A", cols[:, 0])
+            arm = level_positions(a, arms)
+            m = fixed["M"] if "M" in fixed else cols[rows, 1 + arm]
+            y = cols[rows, 1 + len(arms) + arm * len(levels) + level_positions(m, levels)]
+            return {"A": a, "M": m, "Y": y}
+
+        return weight, solve_all
+
 
 Model = Scm | FfrcistgSpec
+
+
+def level_positions(values, levels: tuple[int, ...]):
+    """Index of each value within levels (scalar or array alike); a value
+    outside levels is a DomainError."""
+    lv = np.asarray(levels)
+    order = np.argsort(lv, kind="stable")
+    pos = order[np.minimum(np.searchsorted(lv, values, sorter=order), lv.size - 1)]
+    if np.any(lv[pos] != values):
+        raise DomainError(f"a level outside {levels}")
+    return pos
+
+
+def _position_lookup(
+    table: StructuralTable, supports: dict[str, tuple[int, ...]], noise_levels: tuple[int, ...]
+) -> np.ndarray:
+    """A table as a flat array over (parent positions..., noise position),
+    holding the position of each value in the variable's sorted support."""
+    support = supports[table.variable]
+    out = []
+    for pv in itertools.product(*(supports[p] for p in table.parents)):
+        for e in noise_levels:
+            value = table.value(pv, e)
+            if value not in support:
+                raise DomainError(f"table for {table.variable}: value {value} outside support")
+            out.append(support.index(value))
+    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import medscm as M
 from medscm.cli import main
@@ -115,3 +119,23 @@ def test_estimate_degenerate_exit(tmp_path, capsys):
     code, _, err = run(capsys, "estimate", str(path), "--estimand", "psi_nie", "--n-boot", "0")
     assert code == 4
     assert "degenerate" in err
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # the parser is built once per process; no parsed state may carry over
+    sequence = [
+        ["reproduce", "T1", "--pi", "0.5", "--beta", "0.9", "--format", "csv"],
+        ["effects", "t1"],
+        ["criteria", "t2", "--pi1", "0.3", "--format", "csv"],
+        ["reproduce", "T1", "--pi", "1.5"],
+        ["effects", "pe", "--p", "0.3"],
+        ["identify", "t1", "--format", "csv"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(M.__file__).parents[1])}
+    for argv in sequence:
+        in_process = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "medscm.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medscm as M
+from medscm.cli import main
 from medscm.engine import COND_C, COND_C_L_DRAW, COND_C_L_OBSERVED
 from medscm.model import NoiseSpec, Scm
 
@@ -144,3 +145,95 @@ def test_ffrcistg_units_and_worlds():
         forced = M.evaluate(spec, unit, {"A": 1, "M": 0}).assignment["Y"]
         assert forced == atom["Y(1,0)"]
     assert set(idx) == set(spec.labels)
+
+
+# ---------------------------------------------------------------------------
+# Array profiles against the per-unit reference
+# ---------------------------------------------------------------------------
+
+LEVELS = st.integers(2, 3)
+
+MODELS = st.one_of(
+    st.builds(
+        lambda seed, shape, with_c, c, l, m, y: M.random_scm(
+            seed, shape, with_c=with_c, c_levels=c, l_levels=l, m_levels=m, y_levels=y
+        ),
+        st.integers(0, 10**6), st.sampled_from(["basic", "confounded"]), st.booleans(),
+        LEVELS, LEVELS, LEVELS, LEVELS,
+    ),
+    st.builds(
+        lambda seed, with_c, m: M.random_separable_scm(seed, with_c=with_c, m_levels=m),
+        st.integers(0, 10**6), st.booleans(), LEVELS,
+    ),
+    st.builds(
+        lambda seed, shape, with_c: M.random_additive_scm(seed, shape, with_c=with_c),
+        st.integers(0, 10**6), st.sampled_from(["basic", "confounded"]), st.booleans(),
+    ),
+    st.builds(
+        M.thm3_counterexample,
+        st.floats(0.05, 0.95),
+        st.sampled_from([(0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1)]),
+        st.floats(0.05, 0.95),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(model=MODELS)
+def test_profiles_match_scalar_evaluation(model):
+    p = M.engine.profiles(model)
+    units = M.enumerate_units(model)
+    assert len(p) == len(units)
+    assert p.weight.tolist() == [u.weight for u in units]   # bitwise
+    a_name, m_name, y_name = model.exposure_name, model.mediator_name, model.outcome_name
+    l_name, c_names = model.induced_name, model.covariate_names
+    arms, levels = model.exposure_levels, model.m_support
+    strata: dict = {}
+    reference_law: dict = {}
+    for i, unit in enumerate(units):
+        view = p[i]
+        factual = M.evaluate(model, unit).assignment
+        c = tuple(factual[name] for name in c_names)
+        l = factual[l_name] if l_name else None
+        assert (view.c, view.a, view.l, view.m, view.y) == (
+            c, factual[a_name], l, factual[m_name], factual[y_name]
+        )
+        assert p.stratum[i] == strata.setdefault(c, len(strata))
+        key = (c, factual[a_name], l, factual[m_name], factual[y_name])
+        reference_law[key] = reference_law.get(key, 0.0) + unit.weight
+        for k, ap in enumerate(arms):
+            world = M.evaluate(model, unit, {a_name: ap}).assignment
+            assert p.m_cf[k, i] == world[m_name]
+            if l_name:
+                assert p.l_cf[k, i] == world[l_name]
+            for j, m in enumerate(levels):
+                forced = M.evaluate(model, unit, {a_name: ap, m_name: m}).assignment
+                assert p.y_cf[k, j, i] == forced[y_name]
+            for ai in arms:
+                assert p.nested(ap, ai)[i] == M.nested_outcome(model, unit, ap, ai)
+        for j, m in enumerate(levels):
+            assert p.y_mfix[j, i] == M.evaluate(model, unit, {m_name: m}).assignment[y_name]
+    assert [p.c_key(int(u)) for u in p.stratum_first] == list(strata)
+
+    law = M.observational_law(model).pmf
+    assert list(law.items()) == list(reference_law.items())   # keys, order, values
+    for c, a, l, m, y in law:
+        assert all(type(v) is int for v in (*c, a, m, y))
+        assert l is None or type(l) is int
+
+
+def test_profile_byte_budget(monkeypatch, capsys):
+    monkeypatch.setattr(M.engine, "PROFILE_BYTE_BUDGET", 1000)
+    with pytest.raises(M.EnumerationSizeError, match="budget"):
+        M.engine.profiles(M.thm1_counterexample(0.5, 0.5))
+    assert main(["effects", "t1"]) == 5
+    assert "budget" in capsys.readouterr().err
+
+
+def test_profiles_reject_zero_mass_model():
+    scm = M.thm1_counterexample(0.5, 0.5)
+    noise = tuple(
+        NoiseSpec("eps_M", {0: 0.0, 1: 0.0}) if n.name == "eps_M" else n for n in scm.noise
+    )
+    with pytest.raises(M.DomainError, match="no positive-probability unit"):
+        M.engine.profiles(Scm(scm.variables, noise, scm.tables, scm.exposure_levels))
