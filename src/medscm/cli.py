@@ -67,6 +67,16 @@ def _print_rows(rows: list[tuple[str, str]], output_format: str) -> None:
 
 
 def _load_model(args) -> Model:
+    """The model the arguments name; a model file must pass validate, or the
+    command fails with a DomainError (exit 3) listing the violations."""
+    model = _read_model(args)
+    violations = validate(model) if args.scm not in BUILTIN_NAMES else []
+    if violations:
+        raise DomainError(f"{args.scm}: invalid model: " + "; ".join(violations))
+    return model
+
+
+def _read_model(args) -> Model:
     source = args.scm
     if source in BUILTIN_NAMES:
         if source == "t1":
@@ -112,7 +122,7 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_validate(args) -> int:
-    model = _load_model(args)
+    model = _read_model(args)
     violations = validate(model)
     if violations:
         for v in violations:

@@ -9,6 +9,7 @@ for the built-in counterexample families.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -73,9 +74,15 @@ def _unit_desc(p: engine.UnitProfile) -> str:
 
 def null_status(model: Model) -> NullStatus:
     """Decide the sharp null, sharper null, monotonicity direction, and the
-    overlap condition by checking every positive-weight unit."""
+    overlap condition by checking every positive-weight unit; computed once
+    per profile."""
     p = engine.profiles(model)
-    a_star, a = model.exposure_levels
+    status = p.once("null_status", lambda: _null_status(p))
+    return dataclasses.replace(status, witnesses=dict(status.witnesses))   # one dict per caller
+
+
+def _null_status(p: engine.Profiles) -> NullStatus:
+    a_star, a = p.arms
     # diffs[k] = Y{a', M(a)} - Y{a', M(a*)} for a' = arms[k], per unit
     diffs = np.stack([p.nested(ap, a) - p.nested(ap, a_star) for ap in (a_star, a)])
     nested_moved = (diffs != 0).any(axis=0)

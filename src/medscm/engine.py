@@ -19,8 +19,11 @@ the built-in sum the loops used).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import dataclasses
+import math
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -130,7 +133,7 @@ class Profiles:
     stratum numbers the distinct covariate rows in order of first occurrence
     and stratum_first holds the first unit of each. l and l_cf are None
     without an induced confounder. Indexing or iterating yields UnitProfile
-    views.
+    views. Results derived from the columns alone can be kept with once().
     """
 
     arms: tuple[int, int]
@@ -148,6 +151,7 @@ class Profiles:
     y_cf: np.ndarray             # (arm, m, n): Y(a', m)
     y_nested: np.ndarray         # (arm, arm, n): Y{a', M(a'')}
     y_mfix: np.ndarray           # (m, n): Y under do(M=m) only
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.weight.size
@@ -189,6 +193,18 @@ class Profiles:
     def nested(self, a_outer: int, a_inner: int) -> np.ndarray:
         """Y{a_outer, M(a_inner)} of every unit."""
         return self.y_nested[self.arm(a_outer), self.arm(a_inner)]
+
+    def once(self, key, compute: Callable[[], object]):
+        """compute(), evaluated on the first call for each key only."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def cl_strata(self, a_draw: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(c, l) strata as group_ids numbers them, l the observed confounder
+        or, given a_draw, L(a_draw); computed once per profile."""
+        l = self.l if a_draw is None else self.l_cf[self.arm(a_draw)]
+        return self.once(("cl", a_draw), lambda: group_ids(self.stratum, l))
 
 
 def unit_sum(terms: np.ndarray) -> float:
@@ -280,16 +296,70 @@ def profiles(model: Model) -> Profiles:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObservedLaw:
-    """Exact or empirical joint pmf over the factual variables.
+def table_cells(c_cell, c_cells: int, factual, supports) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Flat cell of every row in an ObservedLaw mass table, and the table's
+    shape: c_cell numbers each row's covariate cell (c_cells of them), and
+    the A, L, M and Y columns in factual index the other axes by their
+    positions in supports (L None: one slot). A table over
+    PROFILE_BYTE_BUDGET bytes is an EnumerationSizeError."""
+    shape = (c_cells, *(1 if s is None else len(s) for s in supports))
+    if math.prod(shape) * 8 > PROFILE_BYTE_BUDGET:
+        raise EnumerationSizeError(
+            f"an observed-law table of {shape} cells exceeds the {PROFILE_BYTE_BUDGET}-byte budget"
+        )
+    pos = [0 if s is None else level_positions(v, s) for v, s in zip(factual, supports)]
+    return np.ravel_multi_index([c_cell, *pos], shape), shape
 
-    Keys are (c_tuple, a, l, m, y) with c_tuple empty when there are no
-    covariates and l None when the graph has no induced confounder. This is
-    the only object identification functionals are allowed to consume.
+
+_LEVELS = (list, np.ndarray)   # level arrays; a tuple is a covariate cell
+
+
+def _position(v, index: Mapping):
+    """Axis position of v, elementwise over levels; -1 (a zero slot) off the axis."""
+    if not isinstance(v, _LEVELS):
+        return index.get(v, -1)
+    v = np.asarray(v)
+    return np.array([index.get(x, -1) for x in v.ravel().tolist()], dtype=np.intp).reshape(v.shape)
+
+
+def _require_positive(mass, named: dict, describe: Callable[[dict], str]) -> None:
+    """DegenerateStratumError describing the values in named at the first
+    entry of mass, in C order, that is not positive."""
+    if isinstance(mass, float):
+        if mass <= 0.0:
+            raise DegenerateStratumError(describe(named))
+        return
+    empty = np.flatnonzero(mass <= 0.0)
+    if empty.size:
+        shape = np.shape(mass)
+        raise DegenerateStratumError(describe({
+            k: np.broadcast_to(v, shape).flat[empty[0]].item() if isinstance(v, _LEVELS) else v
+            for k, v in named.items()
+        }))
+
+
+def _scalar(x):
+    return x.item() if np.ndim(x) == 0 else x
+
+
+@dataclass(frozen=True, eq=False)
+class ObservedLaw:
+    """Exact or empirical joint pmf over the factual variables: one dense
+    mass table over (covariate cell c_cells[k], A, L, M, Y), the other axes
+    indexed by the supports (L one slot without an induced confounder), and
+    order, its flat cells in key order (first occurrence over units, or the
+    sorted distinct rows of a dataset). pmf views the positive cells in that
+    order, keyed (c_tuple, a, l, m, y), l None without a confounder.
+
+    Queries read marginal tables built once per law by np.bincount over the
+    cells in key order, so each sum adds the terms a scan of pmf would, in
+    its order. a, l and m may be lists or arrays of levels, which broadcast;
+    c is one covariate tuple. Identification functionals consume only this.
     """
 
-    pmf: Mapping[tuple, float]
+    mass: np.ndarray
+    order: np.ndarray
+    c_cells: tuple[tuple[int, ...], ...]
     c_names: tuple[str, ...]
     c_supports: tuple[tuple[int, ...], ...]
     a_support: tuple[int, ...]
@@ -310,78 +380,112 @@ class ObservedLaw:
     def a(self) -> int:
         return self.exposure_levels[1]
 
+    @cached_property
+    def _cells(self) -> tuple:
+        """Table position (c, a, l, m, y) of every cell in key order, the
+        position of every level on the c, a, l and m axes, and each marginal
+        table's cell of every cell, by the axes it keeps."""
+        axes = (self.c_cells, self.a_support, self.l_support or (), self.m_support)
+        index = tuple({v: i for i, v in enumerate(axis)} for axis in axes)
+        return np.unravel_index(self.order, self.mass.shape), index, {}
+
+    @cached_property
+    def _keyed(self) -> tuple:
+        """Mass of every cell in key order and the marginal tables built so far."""
+        return self.mass.ravel()[self.order], {}
+
+    def with_mass(self, mass: np.ndarray) -> ObservedLaw:
+        """The law of the same cells under another mass table of the same
+        shape, sharing the cell index (a bootstrap replicate)."""
+        if np.shape(mass) != self.mass.shape:
+            raise ShapeError(f"a mass table of shape {np.shape(mass)}, not {self.mass.shape}")
+        law = dataclasses.replace(self, mass=mass)
+        law.__dict__["_cells"] = self._cells
+        return law
+
+    @cached_property
+    def pmf(self) -> Mapping[tuple, float]:
+        (w, _), (pos, _, _) = self._keyed, self._cells
+        axes = (self.c_cells, self.a_support, self.l_support or (None,), self.m_support,
+                self.y_support)
+        keys = zip(*([axis[i] for i in p[w > 0.0].tolist()] for axis, p in zip(axes, pos)))
+        return MappingProxyType(dict(zip(keys, w[w > 0.0].tolist())))
+
     def total(self) -> float:
         return sum(self.pmf.values())
 
     def cells(self) -> Iterable[tuple[tuple, float]]:
         return self.pmf.items()
 
+    @cached_property
+    def _strata(self) -> list[tuple[tuple[int, ...], float]]:
+        (w, _), (pos, _, _) = self._keyed, self._cells
+        w_c = np.bincount(pos[0], weights=w, minlength=len(self.c_cells)).tolist()
+        return [(self.c_cells[k], w_c[k]) for k in dict.fromkeys(pos[0][w > 0.0].tolist())]
+
     def c_strata(self) -> list[tuple[tuple[int, ...], float]]:
-        acc: dict[tuple[int, ...], float] = {}
-        for (c, _a, _l, _m, _y), w in self.pmf.items():
-            acc[c] = acc.get(c, 0.0) + w
-        return list(acc.items())
+        """Covariate strata of positive mass and their mass, in order of
+        first occurrence among the cells."""
+        return list(self._strata)
 
-    def _match(self, key: tuple, c, a, l, m) -> bool:
-        kc, ka, kl, km, _ky = key
-        if c is not None and kc != c:
-            return False
-        if a is not None and ka != a:
-            return False
-        if l is not None and kl != l:
-            return False
-        if m is not None and km != m:
-            return False
-        return True
+    def _query(self, c, a, l, m, *tables: bool) -> list:
+        """Mass (table False) or Y-weighted mass (True) of the cells matching
+        the named values, read off marginal tables over the named axes; each
+        named axis has a trailing zero slot for values off it."""
+        given = (c is not None, a is not None, l is not None, m is not None)
+        (w, built), (pos, (ic, ia, il, im), cells_at) = self._keyed, self._cells
+        if given not in cells_at:
+            dims = tuple(n + 1 if g else 1 for n, g in zip(self.mass.shape, given))
+            at = np.ravel_multi_index([p * g for p, g in zip(pos, given)], dims)
+            cells_at[given] = at, dims
+        for y in tables:
+            if (given, y) not in built:
+                at, dims = cells_at[given]
+                x = w * np.asarray(self.y_support, dtype=float)[pos[4]] if y else w
+                built[given, y] = np.bincount(at, x, math.prod(dims)).reshape(dims)
+        at = (
+            ic.get(c, -1) if given[0] else 0,
+            _position(a, ia) if given[1] else 0,
+            _position(l, il) if given[2] else 0,
+            _position(m, im) if given[3] else 0,
+        )
+        return [built[given, y][at] for y in tables]
 
-    def prob(self, *, c=None, a=None, l=None, m=None) -> float:
-        return sum(w for key, w in self.pmf.items() if self._match(key, c, a, l, m))
+    def prob(self, *, c=None, a=None, l=None, m=None):
+        return _scalar(self._query(c, a, l, m, False)[0])
 
-    def cond_prob(self, *, of: dict, given: dict) -> float:
+    def cond_prob(self, *, of: dict, given: dict):
         denom = self.prob(**given)
-        if denom <= 0.0:
-            raise DegenerateStratumError(repr(given))
+        _require_positive(denom, given, repr)
         return self.prob(**{**given, **of}) / denom
 
-    def mean_y(self, *, c=None, a=None, l=None, m=None) -> float:
-        denom = 0.0
-        num = 0.0
-        for key, w in self.pmf.items():
-            if self._match(key, c, a, l, m):
-                denom += w
-                num += w * key[4]
-        if denom <= 0.0:
-            raise DegenerateStratumError(
-                f"E(Y | c={c!r}, a={a!r}, l={l!r}, m={m!r})"
-            )
-        return num / denom
+    def mean_y(self, *, c=None, a=None, l=None, m=None):
+        denom, num = self._query(c, a, l, m, False, True)
+        _require_positive(denom, dict(c=c, a=a, l=l, m=m),
+                          lambda at: "E(Y | c={c!r}, a={a!r}, l={l!r}, m={m!r})".format(**at))
+        return _scalar(num / denom)
 
 
-def law_cells(p: Profiles) -> tuple[np.ndarray, np.ndarray]:
-    """Observed cell (c, a, l, m, y) of every unit and the first unit of each
-    cell, cells numbered in order of first occurrence."""
-    factual = (p.stratum, p.a) + ((p.l,) if p.l is not None else ()) + (p.m, p.y)
-    return group_ids(*factual)
+def law_cells(model: Model, p: Profiles) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Table cell of every unit (see table_cells), the first unit of each
+    occupied cell in order of first occurrence, and the table's shape."""
+    names = (model.exposure_name, model.induced_name, model.mediator_name, model.outcome_name)
+    supports = [model.var(name).support if name else None for name in names]
+    cell, shape = table_cells(p.stratum, p.stratum_first.size, (p.a, p.l, p.m, p.y), supports)
+    return cell, np.sort(np.unique(cell, return_index=True)[1]), shape
 
 
 def observational_law(model: Model) -> ObservedLaw:
     """Pushforward of unit weights through factual evaluation; exact pmf.
-    Cells are keyed in order of first occurrence and each cell's mass is
-    summed in unit order."""
+    Each cell's mass is summed in unit order, and the cells are keyed in
+    order of first occurrence."""
     p = profiles(model)
-    cell, first = law_cells(p)
-    mass = np.bincount(cell, weights=p.weight)
-    l_values = p.l[first].tolist() if p.l is not None else [None] * first.size
-    keys = zip(
-        map(tuple, p.c[first].tolist()),
-        p.a[first].tolist(),
-        l_values,
-        p.m[first].tolist(),
-        p.y[first].tolist(),
-    )
+    cell, first, shape = law_cells(model, p)
     c_names = model.covariate_names
     return ObservedLaw(
-        pmf=dict(zip(keys, mass.tolist())),
+        mass=np.bincount(cell, weights=p.weight, minlength=math.prod(shape)).reshape(shape),
+        order=cell[first],
+        c_cells=tuple(p.c_key(int(u)) for u in p.stratum_first),
         c_names=c_names,
         c_supports=tuple(model.var(c).support for c in c_names),
         a_support=model.var(model.exposure_name).support,
@@ -464,12 +568,11 @@ def g_draw_mean(model: Model, a_set: int, a_draw: int, conditioning: str = COND_
     if not model.has_l:
         raise ShapeError(f"conditioning {conditioning!r} requires an induced confounder")
     if conditioning == COND_C_L_DRAW:
-        strata = group_ids(p.stratum, p.l_cf[p.arm(a_draw)])
-        return _stratified_draw(p, strata, p.m_cf[p.arm(a_draw)], p.y_cf[p.arm(a_set)])
+        return _stratified_draw(p, p.cl_strata(a_draw), p.m_cf[p.arm(a_draw)], p.y_cf[p.arm(a_set)])
     if conditioning == COND_C_L_OBSERVED:
         return _stratified_draw(
             p,
-            group_ids(p.stratum, p.l),
+            p.cl_strata(),
             p.m_cf[p.arm(a_draw)],
             p.y_cf[p.arm(a_set)],
             arms=(a_draw, a_set),

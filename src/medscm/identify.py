@@ -18,7 +18,7 @@ import numpy as np
 from . import engine
 from .engine import ObservedLaw
 from .errors import DegenerateStratumError, DomainError, ShapeError
-from .model import Model
+from .model import Model, level_positions
 
 INDEPENDENCE_TOL = 1e-9
 
@@ -44,12 +44,17 @@ class AssumptionVerdict:
 # ---------------------------------------------------------------------------
 # Identification functionals
 # ---------------------------------------------------------------------------
+# Loops run over strata only; each query takes every level at once and sums
+# add in level order, so values and errors are those of per-level loops.
+
+
+def _level_sum(terms: np.ndarray):
+    """Sum over the last axis in level order (np.sum would reassociate)."""
+    return np.cumsum(terms, axis=-1)[..., -1] if terms.shape[-1] else np.zeros(terms.shape[:-1])
 
 
 def _check_arm_positivity(law: ObservedLaw) -> None:
-    for c, w_c in law.c_strata():
-        if w_c <= 0.0:
-            continue
+    for c, _w_c in law.c_strata():
         for ap in law.exposure_levels:
             if law.prob(c=c, a=ap) <= 0.0:
                 raise DegenerateStratumError(f"Pr(A={ap} | c={c!r}) = 0")
@@ -60,15 +65,22 @@ def _check_mediator_positivity(law: ObservedLaw) -> None:
     # mediator level must occur in both exposure arms within every covariate
     # stratum.
     _check_arm_positivity(law)
-    for c, w_c in law.c_strata():
-        if w_c <= 0.0:
-            continue
-        for ap in law.exposure_levels:
-            for m in law.m_support:
-                if law.prob(c=c, a=ap, m=m) <= 0.0:
-                    raise DegenerateStratumError(
-                        f"Pr(M={m} | A={ap}, c={c!r}) = 0"
-                    )
+    arms, levels = law.exposure_levels, law.m_support
+    for c, _w_c in law.c_strata():
+        mass = law.prob(c=c, a=[[ap] for ap in arms], m=list(levels))
+        if not (mass > 0.0).all():
+            i, j = np.argwhere(mass <= 0.0)[0]   # the first in (arm, level) order
+            raise DegenerateStratumError(f"Pr(M={levels[j]} | A={arms[i]}, c={c!r}) = 0")
+
+
+def _l_standardised(law: ObservedLaw, c: tuple, ap: int, m) -> np.ndarray:
+    """sum_l Pr(l | ap, c) E(Y | m, l, ap, c) over the levels l of positive
+    weight, for a mediator level m or each of an array of them."""
+    levels = np.array(law.l_support)
+    w_l = law.cond_prob(of={"l": levels}, given={"c": c, "a": ap})
+    keep = w_l > 0.0
+    means = law.mean_y(c=c, a=ap, l=levels[keep], m=np.asarray(m)[..., None])
+    return _level_sum(w_l[keep] * means)
 
 
 def psi_te(law: ObservedLaw) -> float:
@@ -90,20 +102,12 @@ def psi_cde(law: ObservedLaw, m: int) -> float:
     a_star, a = law.exposure_levels
     value = 0.0
     for c, w_c in law.c_strata():
-        if not law.has_l:
-            value += w_c * (law.mean_y(c=c, a=a, m=m) - law.mean_y(c=c, a=a_star, m=m))
-            continue
-        per_arm = []
-        for ap in (a, a_star):
-            acc = 0.0
-            for l in law.l_support:
-                w_l = law.cond_prob(of={"l": l}, given={"c": c, "a": ap})
-                if w_l <= 0.0:
-                    continue
-                acc += w_l * law.mean_y(c=c, a=ap, l=l, m=m)
-            per_arm.append(acc)
-        value += w_c * (per_arm[0] - per_arm[1])
-    return value
+        if law.has_l:
+            y_a, y_star = (_l_standardised(law, c, ap, m) for ap in (a, a_star))
+        else:
+            y_a, y_star = (law.mean_y(c=c, a=ap, m=m) for ap in (a, a_star))
+        value += w_c * (y_a - y_star)
+    return float(value)
 
 
 def psi_pe(law: ObservedLaw, m: int) -> float:
@@ -116,16 +120,14 @@ def psi_nie(law: ObservedLaw) -> float:
     E{E(Y|a,C)} - E[E{E(Y|M,a,C) | a*,C}]."""
     _check_mediator_positivity(law)
     a_star, a = law.exposure_levels
+    levels = np.array(law.m_support)
     value = 0.0
     for c, w_c in law.c_strata():
-        inner = 0.0
-        for m in law.m_support:
-            w_m = law.cond_prob(of={"m": m}, given={"c": c, "a": a_star})
-            if w_m <= 0.0:
-                continue
-            inner += w_m * law.mean_y(c=c, a=a, m=m)
+        w_m = law.cond_prob(of={"m": levels}, given={"c": c, "a": a_star})
+        keep = w_m > 0.0
+        inner = _level_sum(w_m[keep] * law.mean_y(c=c, a=a, m=levels[keep]))
         value += w_c * (law.mean_y(c=c, a=a) - inner)
-    return value
+    return float(value)
 
 
 def psi_nie_r_L(law: ObservedLaw) -> float:
@@ -136,24 +138,14 @@ def psi_nie_r_L(law: ObservedLaw) -> float:
         raise ShapeError("functional requires a law with an induced confounder")
     _check_mediator_positivity(law)
     a_star, a = law.exposure_levels
+    levels = np.array(law.m_support)
     value = 0.0
     for c, w_c in law.c_strata():
-        acc = 0.0
-        for m in law.m_support:
-            delta = law.cond_prob(of={"m": m}, given={"c": c, "a": a}) - law.cond_prob(
-                of={"m": m}, given={"c": c, "a": a_star}
-            )
-            if delta == 0.0:
-                continue
-            inner = 0.0
-            for l in law.l_support:
-                w_l = law.cond_prob(of={"l": l}, given={"c": c, "a": a})
-                if w_l <= 0.0:
-                    continue
-                inner += w_l * law.mean_y(c=c, a=a, l=l, m=m)
-            acc += delta * inner
-        value += w_c * acc
-    return value
+        w_a, w_star = law.cond_prob(of={"m": levels}, given={"c": c, "a": [[a], [a_star]]})
+        delta = w_a - w_star
+        moved = delta != 0.0
+        value += w_c * _level_sum(delta[moved] * _l_standardised(law, c, a, levels[moved]))
+    return float(value)
 
 
 def psi_nie_rl(law: ObservedLaw) -> float:
@@ -164,23 +156,19 @@ def psi_nie_rl(law: ObservedLaw) -> float:
     if not law.has_l:
         raise ShapeError("functional requires a law with an induced confounder")
     a_star, a = law.exposure_levels
+    levels = np.array(law.m_support)
     value = 0.0
-    for c, w_c in law.c_strata():
-        if w_c <= 0.0:
-            continue
+    for c, _w_c in law.c_strata():
         for l in law.l_support:
             w_cl = law.prob(c=c, l=l)
             if w_cl <= 0.0:
                 continue
             first = law.mean_y(c=c, a=a, l=l)
-            second = 0.0
-            for m in law.m_support:
-                w_m = law.cond_prob(of={"m": m}, given={"c": c, "a": a_star, "l": l})
-                if w_m <= 0.0:
-                    continue
-                second += w_m * law.mean_y(c=c, a=a, l=l, m=m)
+            w_m = law.cond_prob(of={"m": levels}, given={"c": c, "a": a_star, "l": l})
+            keep = w_m > 0.0
+            second = _level_sum(w_m[keep] * law.mean_y(c=c, a=a, l=l, m=levels[keep]))
             value += w_cl * (first - second)
-    return value
+    return float(value)
 
 
 FUNCTIONALS = {
@@ -200,8 +188,8 @@ FUNCTIONALS = {
 
 def _conditional_independence(
     p: engine.Profiles,
-    x: np.ndarray,
-    z: np.ndarray,
+    x: tuple[np.ndarray, tuple[int, ...]],
+    z: tuple[np.ndarray, tuple[int, ...]],
     strata: tuple[np.ndarray, np.ndarray],
     key_of: Callable[[int], object],
     members: np.ndarray | None = None,
@@ -209,20 +197,19 @@ def _conditional_independence(
     """Max |P(x,z | s) - P(x | s) P(z | s)| over strata s (among members) and
     the cells (x, z) whose values both occur in s, as one grouped contingency
     table; the witness names the first stratum and cell attaining it, strata
-    and values in order of first occurrence. strata is (stratum of every
-    unit, first unit of every stratum); key_of(unit) names a stratum."""
+    and values in order of first occurrence. x and z are (column, support),
+    coded by support position. strata is (stratum of every unit, first unit
+    of every stratum), renumbered among the members when members (the
+    member units) is given; key_of(unit) names a stratum."""
+    (x, x_levels), (z, z_levels) = x, z
     s, first = strata
     w = p.weight
     if members is not None:
-        unit = np.flatnonzero(members)
-        if unit.size == 0:
+        if members.size == 0:
             return 0.0, ""
-        x, z, w = x[unit], z[unit], w[unit]
-        s, first = engine.group_ids(s[unit])
-        first = unit[first]
-    x_levels, xc = np.unique(x, return_inverse=True)
-    z_levels, zc = np.unique(z, return_inverse=True)
-    n, ns, nx, nz = w.size, first.size, x_levels.size, z_levels.size
+        x, z, w = x[members], z[members], w[members]
+    xc, zc = level_positions(x, x_levels), level_positions(z, z_levels)
+    n, ns, nx, nz = w.size, first.size, len(x_levels), len(z_levels)
     share = w / np.bincount(s, weights=w, minlength=ns)[s]
     sx = s * nx + xc
     px = np.bincount(sx, weights=share, minlength=ns * nx).reshape(ns, nx, 1)
@@ -243,8 +230,18 @@ def _conditional_independence(
     visit = x_seen[:, None] * n + z_seen[None, :]
     visit[dev[k] != worst] = visit.max() + 1
     xi, zi = np.unravel_index(np.argmin(visit), visit.shape)
-    cell = f"cell (x={int(x_levels[xi])}, z={int(z_levels[zi])})"
+    cell = f"cell (x={x_levels[xi]}, z={z_levels[zi]})"
     return worst, f"stratum {key_of(int(first[k]))!r}, {cell}"
+
+
+def _members(mask: np.ndarray, by: tuple) -> tuple[tuple, np.ndarray]:
+    """(strata renumbered among the units in mask, stratum name) and those units."""
+    (strata, first), key_of = by
+    unit = np.flatnonzero(mask)
+    if unit.size:
+        strata, first = engine.group_ids(strata[unit])
+        first = unit[first]
+    return ((strata, first), key_of), unit
 
 
 def check_assumption(model: Model, which: str) -> AssumptionVerdict:
@@ -254,34 +251,35 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
         raise DomainError(f"unknown assumption {which!r}; expected one of {ASSUMPTIONS}")
     p = engine.profiles(model)
     if which == "A6":
-        return _check_positivity(p)
+        return _check_positivity(model, p)
     a_star, a = arms = model.exposure_levels
     levels = p.m_levels
+    a_col, m_col = (p.a, model.var(model.exposure_name).support), (p.m, levels)
+    y_lv = model.var(model.outcome_name).support
     by_c = ((p.stratum, p.stratum_first), p.c_key)   # (strata, stratum name)
     if which == "A1":
         # Y(a', m) independent of the factual exposure given C
-        checks = [(f"Y({ap},{m}) vs A", p.y_at(ap, m), p.a, by_c, None)
-                  for ap in arms for m in levels]
-    elif which == "A2":
-        # Y(a', m) independent of the factual mediator given C within arm a'
-        checks = [(f"Y({ap},{m}) vs M | A={ap}", p.y_at(ap, m), p.m, by_c, p.a == ap)
+        checks = [(f"Y({ap},{m}) vs A", (p.y_at(ap, m), y_lv), a_col, by_c, None)
                   for ap in arms for m in levels]
     elif which == "A3":
-        checks = [(f"M({ap}) vs A", p.m_cf[p.arm(ap)], p.a, by_c, None) for ap in arms]
+        checks = [(f"M({ap}) vs A", (p.m_cf[p.arm(ap)], levels), a_col, by_c, None)
+                  for ap in arms]
     elif which == "A4":
         # the cross-world independence: Y(a, m) vs M(a*) given C
-        checks = [(f"Y({a},{m}) vs M({a_star})", p.y_at(a, m), p.m_cf[p.arm(a_star)], by_c, None)
-                  for m in levels]
+        checks = [(f"Y({a},{m}) vs M({a_star})", (p.y_at(a, m), y_lv),
+                   (p.m_cf[p.arm(a_star)], levels), by_c, None) for m in levels]
     else:
-        # A7: Y(a', m) vs the factual mediator given (C, L) within arm a'; with
-        # no induced confounder this coincides with A2
-        if model.has_l:
-            by_c = (engine.group_ids(p.stratum, p.l), lambda u: (p.c_key(u), int(p.l[u])))
-        checks = [(f"Y({ap},{m}) vs M | L, A={ap}", p.y_at(ap, m), p.m, by_c, p.a == ap)
+        # A2: Y(a', m) independent of the factual mediator given C within arm
+        # a'; A7 the same given (C, L), which coincides with A2 when there is
+        # no induced confounder
+        given_l = "L, " if which == "A7" else ""
+        if which == "A7" and model.has_l:
+            by_c = (p.cl_strata(), lambda u: (p.c_key(u), int(p.l[u])))
+        in_arm = {ap: _members(p.a == ap, by_c) for ap in arms}
+        checks = [(f"Y({ap},{m}) vs M | {given_l}A={ap}", (p.y_at(ap, m), y_lv), m_col, *in_arm[ap])
                   for ap in arms for m in levels]
 
-    worst = 0.0
-    witness = ""
+    worst, witness = 0.0, ""
     for tag, x, z, (strata, key_of), members in checks:
         dev, cell = _conditional_independence(p, x, z, strata, key_of, members)
         if dev > worst:
@@ -290,11 +288,11 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
     return AssumptionVerdict(which, worst <= INDEPENDENCE_TOL, worst, witness)
 
 
-def _check_positivity(p: engine.Profiles) -> AssumptionVerdict:
+def _check_positivity(model: Model, p: engine.Profiles) -> AssumptionVerdict:
     # Cell probabilities of the exact observed law, summed cell by cell in
     # law order as ObservedLaw.prob does.
-    cell, first = engine.law_cells(p)
-    mass = np.bincount(cell, weights=p.weight)
+    cell, first, _shape = engine.law_cells(model, p)
+    mass = np.bincount(cell, weights=p.weight)[cell[first]]
     s, a, m = p.stratum[first], p.a[first], p.m[first]
     ns = p.stratum_first.size
     w_c = np.bincount(s, weights=mass, minlength=ns)

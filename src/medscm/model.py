@@ -411,6 +411,11 @@ def level_positions(values, levels: tuple[int, ...]):
     """Index of each value within levels (scalar or array alike); a value
     outside levels is a DomainError."""
     lv = np.asarray(levels)
+    if lv.size and (lv == np.arange(lv[0], lv[0] + lv.size)).all():   # consecutive levels
+        pos = np.subtract(values, lv[0])
+        if pos.size and (pos.min() < 0 or pos.max() >= lv.size):
+            raise DomainError(f"a level outside {levels}")
+        return pos
     order = np.argsort(lv, kind="stable")
     pos = order[np.minimum(np.searchsorted(lv, values, sorter=order), lv.size - 1)]
     if np.any(lv[pos] != values):

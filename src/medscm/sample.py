@@ -9,13 +9,17 @@ interchange as plain integer CSV.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import itertools
+import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import identify
+from . import engine, identify
 from .engine import ObservedLaw
 from .errors import DomainError
 from .model import Scm, scm_to_json
@@ -32,6 +36,12 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.rows.shape[0])
+
+    @cached_property
+    def _indexed(self) -> tuple[np.ndarray, ObservedLaw]:
+        """Table cell of every row and the empirical law with its exposure
+        levels unset, computed once: rows are never modified in place."""
+        return _index_rows(self)
 
 
 @dataclass(frozen=True)
@@ -129,45 +139,52 @@ def _column_roles(columns: tuple[str, ...]) -> tuple[list[int], int, int | None,
     return c_idx, names.index("A"), l_idx, names.index("M"), names.index("Y")
 
 
+def _index_rows(ds: Dataset) -> tuple[np.ndarray, ObservedLaw]:
+    """Table cell of every row (engine.table_cells) and the empirical law,
+    its exposure levels unset."""
+    if ds.n == 0:
+        raise DomainError("cannot build an empirical law from an empty dataset")
+    c_idx, *factual = _column_roles(ds.columns)          # factual: A, L, M, Y columns
+    factual = [-1 if i is None else i for i in factual]
+    cols = [*ds.rows.T, None]                             # cols[-1]: the missing L
+    supports = [tuple(np.unique(col).tolist()) for col in cols[:-1]] + [None]
+    c_cell, c_first = engine.group_ids(*(cols[i] for i in c_idx)) if c_idx else (0, [0])
+    cell, shape = engine.table_cells(
+        c_cell, len(c_first), [cols[i] for i in factual], [supports[i] for i in factual]
+    )
+    counts = np.bincount(cell, minlength=math.prod(shape))
+    occupied = np.flatnonzero(counts)
+    pos = np.unravel_index(occupied, shape)
+    c_values = ds.rows[c_first][:, c_idx]
+    # key order: the distinct rows sorted column by column
+    by_column = dict(zip(factual, pos[1:])) | {i: c_values[pos[0], j] for j, i in enumerate(c_idx)}
+    a, l, m, y = (supports[i] for i in factual)
+    return cell, ObservedLaw(
+        mass=(counts / ds.n).reshape(shape),
+        order=occupied[np.lexsort([by_column[i] for i in reversed(range(len(ds.columns)))])],
+        c_cells=tuple(map(tuple, c_values.tolist())),
+        c_names=tuple(ds.columns[i] for i in c_idx),
+        c_supports=tuple(supports[i] for i in c_idx),
+        a_support=a,
+        l_support=l,
+        m_support=m,
+        y_support=y,
+        exposure_levels=None,
+    )
+
+
 def empirical_law(
     ds: Dataset, exposure_levels: tuple[int, int] | None = None
 ) -> ObservedLaw:
     """Empirical pmf of a dataset; supports are the observed value sets, and
     a required cell that happens to be empty in-sample surfaces later as a
     degenerate-stratum error from whichever functional needs it."""
-    if ds.n == 0:
-        raise DomainError("cannot build an empirical law from an empty dataset")
-    c_idx, a_idx, l_idx, m_idx, y_idx = _column_roles(ds.columns)
-    cells, counts = np.unique(ds.rows, axis=0, return_counts=True)
-    pmf: dict[tuple, float] = {}
-    for cell, count in zip(cells, counts):
-        key = (
-            tuple(int(cell[i]) for i in c_idx),
-            int(cell[a_idx]),
-            int(cell[l_idx]) if l_idx is not None else None,
-            int(cell[m_idx]),
-            int(cell[y_idx]),
-        )
-        pmf[key] = pmf.get(key, 0.0) + count / ds.n
-    a_support = tuple(sorted({int(v) for v in ds.rows[:, a_idx]}))
+    law = ds._indexed[1]
     if exposure_levels is None:
-        if len(a_support) < 2:
+        if len(law.a_support) < 2:
             raise DomainError("exposure takes a single value in-sample; specify exposure_levels")
-        exposure_levels = (a_support[0], a_support[-1])
-    return ObservedLaw(
-        pmf=pmf,
-        c_names=tuple(ds.columns[i] for i in c_idx),
-        c_supports=tuple(
-            tuple(sorted({int(v) for v in ds.rows[:, i]})) for i in c_idx
-        ),
-        a_support=a_support,
-        l_support=(
-            tuple(sorted({int(v) for v in ds.rows[:, l_idx]})) if l_idx is not None else None
-        ),
-        m_support=tuple(sorted({int(v) for v in ds.rows[:, m_idx]})),
-        y_support=tuple(sorted({int(v) for v in ds.rows[:, y_idx]})),
-        exposure_levels=exposure_levels,
-    )
+        exposure_levels = (law.a_support[0], law.a_support[-1])
+    return dataclasses.replace(law, exposure_levels=exposure_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +207,6 @@ def _apply_functional(law: ObservedLaw, estimand: str, m: int | None) -> float:
     return fn(law)
 
 
-def _law_from_cells(
-    template: ObservedLaw, keys: list[tuple], weights: np.ndarray
-) -> ObservedLaw:
-    total = weights.sum()
-    pmf = {
-        key: w / total for key, w in zip(keys, weights.tolist()) if w > 0
-    }
-    return ObservedLaw(
-        pmf=pmf,
-        c_names=template.c_names,
-        c_supports=template.c_supports,
-        a_support=template.a_support,
-        l_support=template.l_support,
-        m_support=template.m_support,
-        y_support=template.y_support,
-        exposure_levels=template.exposure_levels,
-    )
-
-
 def estimate(
     ds: Dataset,
     estimand: str,
@@ -220,33 +218,21 @@ def estimate(
 ) -> Estimate:
     """Plug-in estimate of an identification functional with a seeded,
     counter-based nonparametric bootstrap (rows resampled with replacement;
-    replicate r draws from a Philox stream keyed by (seed, r))."""
+    replicate r draws from a Philox stream keyed by (seed, r) and its law
+    counts the drawn rows' table cells)."""
     law = empirical_law(ds, exposure_levels)
     value = _apply_functional(law, estimand, m)
     label = f"{estimand}({m})" if estimand in _PARAMETRIC else estimand
     if n_boot == 0:
         return Estimate(label, value, None, None, 0)
 
-    c_idx, a_idx, l_idx, m_idx, y_idx = _column_roles(ds.columns)
-    cells, inverse = np.unique(ds.rows, axis=0, return_inverse=True)
-    keys = []
-    for cell in cells:
-        keys.append(
-            (
-                tuple(int(cell[i]) for i in c_idx),
-                int(cell[a_idx]),
-                int(cell[l_idx]) if l_idx is not None else None,
-                int(cell[m_idx]),
-                int(cell[y_idx]),
-            )
-        )
-    n = ds.n
+    cell, n = ds._indexed[0], ds.n
     values = np.empty(n_boot)
     for r in range(n_boot):
         gen = np.random.Generator(np.random.Philox(key=[seed, r]))
         draw = gen.integers(0, n, size=n)
-        weights = np.bincount(inverse[draw], minlength=len(keys)).astype(float)
-        boot_law = _law_from_cells(law, keys, weights)
+        counts = np.bincount(cell[draw], minlength=law.mass.size)
+        boot_law = law.with_mass((counts / n).reshape(law.mass.shape))
         values[r] = _apply_functional(boot_law, estimand, m)
     lo, hi = np.quantile(values, [0.025, 0.975])
     if lo > hi:
@@ -258,23 +244,32 @@ def estimate(
 # CSV interchange
 # ---------------------------------------------------------------------------
 
+CSV_BLOCK = 8192   # rows formatted per write
+
 
 def write_csv(ds: Dataset, path: str) -> None:
+    """The header, then one line of plain integers per row; \\n line ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ds.columns)
-        for row in ds.rows:
-            writer.writerow([int(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(ds.columns)
+        line = ",".join(["%d"] * ds.rows.shape[1]) + "\n"
+        for k in range(0, ds.n, CSV_BLOCK):
+            block = ds.rows[k : k + CSV_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path: str, provenance: tuple[str, int, int] | None = None) -> Dataset:
+    """A header line, then rows of integers as many as its fields; blank
+    lines are skipped. Anything else is a ValueError."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        rows = [[int(v) for v in row] for row in reader if row]
-    arr = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, len(header)), dtype=np.int64)
-    )
-    return Dataset(header, arr, provenance or ("file", arr.shape[0], -1))
+        header = next(csv.reader([fh.readline()]), None)
+        if not header:
+            raise ValueError(f"{path}: no header line")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # no rows
+            rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, quotechar='"',
+                              ndmin=2)
+    if rows.size == 0:
+        rows = np.zeros((0, len(header)), dtype=np.int64)
+    if rows.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {rows.shape[1]} fields, the header {len(header)}")
+    return Dataset(tuple(header), rows, provenance or ("file", rows.shape[0], -1))

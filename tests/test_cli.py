@@ -36,6 +36,42 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "sums to" in out
 
 
+def _thm1_doc_with(edit):
+    doc = json.loads(M.scm_to_json(M.thm1_counterexample(0.5, 0.5)))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def test_invalid_model_files_exit_3_on_every_load_path(tmp_path, capsys):
+    def heavy_pmf(doc):
+        next(n for n in doc["noise"] if n["name"] == "eps_L")["pmf"] = {"0": 0.7, "1": 0.7}
+
+    def missing_row(doc):
+        next(t for t in doc["tables"] if t["variable"] == "Y")["rows"].pop()
+
+    for edit, violation in ((heavy_pmf, "pmf sums to 1.4"), (missing_row, "not total")):
+        path = tmp_path / "model.json"
+        path.write_text(_thm1_doc_with(edit))
+        for argv in (["effects"], ["identify"], ["criteria"],
+                     ["sample", "--n", "5", "--out", str(tmp_path / "d.csv")]):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("error: ") and "invalid model" in err and violation in err
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1 and violation in out
+
+
+def test_malformed_csv_exits_8(tmp_path, capsys):
+    # a non-integer field, a ragged row, a row longer than the header, no
+    # header, a float
+    for body in ("A,M,Y\n0,1,x\n", "A,M,Y\n0,1,1\n0,1\n", "A,M,Y\n0,1,1,1\n", "",
+                 "A,M,Y\n0,1.0,1\n"):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        code, _, err = run(capsys, "estimate", str(path), "--estimand", "psi_te", "--n-boot", "0")
+        assert code == 8 and err.startswith("error: "), body
+
+
 def test_unparseable_file_is_io_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

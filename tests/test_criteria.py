@@ -211,3 +211,18 @@ def test_thm2_family_monotonicity_consistent_with_verdicts():
                 mono = verdicts[("nie_r", "monotonicity")]
                 assert mono.refutes_criterion == (report.nie_r < -1e-9)
                 assert not verdicts[("nie", "monotonicity")].refutes_criterion
+
+
+def test_null_status_computed_once_per_model(monkeypatch, capsys):
+    from medscm.cli import main
+
+    calls = []
+    compute = criteria._null_status
+    monkeypatch.setattr(criteria, "_null_status", lambda p: calls.append(p) or compute(p))
+    assert main(["criteria", "t2", "--format", "csv"]) == 0
+    assert len(calls) == 1
+    assert main(["sweep", "t1", "--grid", "pi=0.25|0.5,beta=0.1|0.9"]) == 0
+    assert len(calls) == 5
+    hits = criteria.search_violations("t1", [{"pi": 0.5, "beta": 0.9}], "nie_r")
+    assert len(hits) == 1 and len(calls) == 6
+    capsys.readouterr()

@@ -237,3 +237,12 @@ def test_profiles_reject_zero_mass_model():
     )
     with pytest.raises(M.DomainError, match="no positive-probability unit"):
         M.engine.profiles(Scm(scm.variables, noise, scm.tables, scm.exposure_levels))
+
+
+def test_cl_strata_grouped_once_per_profile(monkeypatch):
+    scm = M.random_scm(5, "confounded", with_c=True)
+    first = {cond: M.g_draw_mean(scm, 1, 0, cond) for cond in (COND_C_L_OBSERVED, COND_C_L_DRAW)}
+    grouped = []
+    monkeypatch.setattr(M.engine, "group_ids", lambda *cols: grouped.append(cols))
+    again = {cond: M.g_draw_mean(scm, 1, 0, cond) for cond in (COND_C_L_OBSERVED, COND_C_L_DRAW)}
+    assert again == first and grouped == []

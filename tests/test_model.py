@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,3 +176,17 @@ def test_ffrcistg_one_world_violation_detected():
         joint[tuple(forced)] = joint.get(tuple(forced), 0.0) + w
     bad = dataclasses.replace(spec, joint=joint)
     assert any("one-world independence fails" in v for v in M.validate(bad))
+
+
+def test_level_positions_consecutive_gapped_and_unsorted_levels():
+    from medscm.model import level_positions
+
+    values = np.array([[3, 4], [5, 3]])
+    for levels in ((3, 4, 5), (5, 3, 4), (3, 4, 5, 9)):
+        pos = level_positions(values, levels)
+        assert (np.asarray(levels)[pos] == values).all()
+        assert level_positions(4, levels) == levels.index(4)
+        with pytest.raises(M.DomainError):
+            level_positions(np.array([3, 6]), levels)
+        with pytest.raises(M.DomainError):
+            level_positions(2, levels)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -83,12 +86,27 @@ def test_missing_required_cell_raises():
 
 def test_csv_round_trip_bit_exact(tmp_path):
     scm = M.thm2_counterexample(0.2, 0.3, 0.5, 0.9)
-    ds = M.draw_samples(scm, 1000, seed=9)
-    path = tmp_path / "data.csv"
-    M.write_csv(ds, str(path))
+    drawn = M.draw_samples(scm, 20000, seed=9)
+    odd = M.Dataset(("C,1", "A", "M", "Y"), np.array([[-3, 0, 10**12, 1], [7, 1, -1, 0]]),
+                    ("manual", 2, -1))
+    for ds in (drawn, odd, M.draw_samples(scm, 0, seed=9)):
+        path = tmp_path / "data.csv"
+        M.write_csv(ds, str(path))
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(ds.columns)
+        writer.writerows(ds.rows.tolist())
+        assert path.read_bytes() == reference.getvalue().encode()
+        back = M.read_csv(str(path))
+        assert back.columns == ds.columns
+        assert np.array_equal(back.rows, ds.rows) and back.rows.shape == ds.rows.shape
+
+
+def test_csv_blank_lines_skipped(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("A,M,Y\n\n0,1,1\n\n1,0,0\n\n")
     back = M.read_csv(str(path))
-    assert back.columns == ds.columns
-    assert np.array_equal(back.rows, ds.rows)
+    assert back.rows.tolist() == [[0, 1, 1], [1, 0, 0]]
 
 
 def test_estimate_constant_outcome():
