@@ -235,7 +235,6 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
 
 def _cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
-    build = criteria.FAMILIES[args.family]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     names = sorted({k for pt in points for k in pt})
     writer.writerow(
@@ -243,24 +242,16 @@ def _cmd_sweep(args) -> int:
         + ["effect", "value", "sharp_null", "sharper_null", "monotonicity", "refutes"]
     )
     for point in points:
-        model = build(**point)
-        report = effects.effect_report(model)
-        status = criteria.null_status(model)
-        value = report.value(args.effect)
-        refuted = [
-            v.criterion
-            for v in criteria.criterion_verdicts(model, report, tol=args.tol)
-            if v.effect_name == args.effect and v.refutes_criterion
-        ]
+        record = criteria.evaluate_point(args.family, point, args.effect, args.tol)
         writer.writerow(
             [_fmt(point.get(nm, float("nan"))) for nm in names]
             + [
                 args.effect,
-                _fmt(value),
-                status.sharp_null,
-                status.sharper_null,
-                status.monotonicity,
-                "|".join(refuted),
+                _fmt(record.effect_value),
+                record.status.sharp_null,
+                record.status.sharper_null,
+                record.status.monotonicity,
+                "|".join(record.criteria_refuted),
             ]
         )
     return EXIT_OK

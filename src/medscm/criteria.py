@@ -74,14 +74,32 @@ def _unit_desc(p: engine.UnitProfile) -> str:
 
 def null_status(model: Model) -> NullStatus:
     """Decide the sharp null, sharper null, monotonicity direction, and the
-    overlap condition by checking every positive-weight unit; computed once
-    per profile."""
+    overlap condition by checking every positive-weight unit; the units are
+    scanned once per structure and the witnesses, which print weights,
+    written once per profile."""
     p = engine.profiles(model)
     status = p.once("null_status", lambda: _null_status(p))
     return dataclasses.replace(status, witnesses=dict(status.witnesses))   # one dict per caller
 
 
+_OVERLAP_WITNESS = (
+    "exposure moves the mediator for some unit and the mediator moves the "
+    "treated-arm outcome for some unit, yet no unit has a treated-arm "
+    "nested contrast"
+)
+
+
 def _null_status(p: engine.Profiles) -> NullStatus:
+    sharp, sharper, mono, overlap, units = p.shared_once("null_units", lambda: _null_units(p))
+    witnesses = {key: _unit_desc(p[u]) for key, u in units.items()}   # with this model's weights
+    if not overlap:
+        witnesses["overlap_condition"] = _OVERLAP_WITNESS
+    return NullStatus(sharp, sharper, mono, overlap, witnesses)
+
+
+def _null_units(p: engine.Profiles) -> tuple[bool, bool, str, bool, dict[str, int]]:
+    """The statuses of NullStatus and the unit witnessing each failed
+    per-unit null, read off the counterfactual columns (not the weights)."""
     a_star, a = p.arms
     # diffs[k] = Y{a', M(a)} - Y{a', M(a*)} for a' = arms[k], per unit
     diffs = np.stack([p.nested(ap, a) - p.nested(ap, a_star) for ap in (a_star, a)])
@@ -90,10 +108,8 @@ def _null_status(p: engine.Profiles) -> NullStatus:
     y_flat = (p.y_cf == p.y_cf[:, :1]).all(axis=(0, 1))
     broken = {"sharp_null": nested_moved, "sharper_null": m_moved & ~y_flat}
     first_unit = {key: int(np.argmax(units)) for key, units in broken.items() if units.any()}
-    witnesses: dict[str, str] = {}
     # in the order a scan over the units meets them
-    for key in sorted(first_unit, key=first_unit.get):
-        witnesses[key] = _unit_desc(p[first_unit[key]])
+    witnesses = {key: first_unit[key] for key in sorted(first_unit, key=first_unit.get)}
     sharp = "sharp_null" not in first_unit
     sharper = "sharper_null" not in first_unit
 
@@ -107,19 +123,13 @@ def _null_status(p: engine.Profiles) -> NullStatus:
         mono = MONO_NONDECREASING
     else:
         mono = MONO_NEITHER
-        witnesses["monotonicity"] = _unit_desc(p[int(np.argmax(nested_moved))])
+        witnesses["monotonicity"] = int(np.argmax(nested_moved))
 
     treated = p.y_cf[p.arm(a)]
     any_y_moved_treated = not (treated == treated[:1]).all()
     overlap_premise = bool(m_moved.any()) and any_y_moved_treated
     overlap = (not overlap_premise) or bool((diffs[1] != 0).any())
-    if not overlap:
-        witnesses["overlap_condition"] = (
-            "exposure moves the mediator for some unit and the mediator moves the "
-            "treated-arm outcome for some unit, yet no unit has a treated-arm "
-            "nested contrast"
-        )
-    return NullStatus(sharp, sharper, mono, overlap, witnesses)
+    return sharp, sharper, mono, overlap, witnesses
 
 
 def criterion_verdicts(
@@ -128,35 +138,41 @@ def criterion_verdicts(
     """Render, for every effect in the report, its verdict under each of the
     three criteria given the model's null status."""
     status = null_status(model)
+    return [v for name, value in report.rows() for v in _effect_verdicts(name, value, status, tol)]
+
+
+def _effect_verdicts(
+    name: str, value: float, status: NullStatus, tol: float
+) -> list[CriterionVerdict]:
+    """One effect's verdict under each of the three criteria, in CRITERIA order."""
     out: list[CriterionVerdict] = []
-    for name, value in report.rows():
-        for criterion in CRITERIA:
-            if criterion == "sharp-null":
-                premise = status.sharp_null
-                consistent = abs(value) <= tol
-            elif criterion == "sharper-null":
-                premise = status.sharper_null
-                consistent = abs(value) <= tol
+    for criterion in CRITERIA:
+        if criterion == "sharp-null":
+            premise = status.sharp_null
+            consistent = abs(value) <= tol
+        elif criterion == "sharper-null":
+            premise = status.sharper_null
+            consistent = abs(value) <= tol
+        else:
+            if status.monotonicity == MONO_NONINCREASING:
+                premise, consistent = True, value <= tol
+            elif status.monotonicity == MONO_NONDECREASING:
+                premise, consistent = True, value >= -tol
+            elif status.monotonicity == MONO_BOTH:
+                premise, consistent = True, abs(value) <= tol
             else:
-                if status.monotonicity == MONO_NONINCREASING:
-                    premise, consistent = True, value <= tol
-                elif status.monotonicity == MONO_NONDECREASING:
-                    premise, consistent = True, value >= -tol
-                elif status.monotonicity == MONO_BOTH:
-                    premise, consistent = True, abs(value) <= tol
-                else:
-                    premise, consistent = False, True
-            satisfied = consistent if premise else True
-            out.append(
-                CriterionVerdict(
-                    effect_name=name,
-                    effect_value=value,
-                    criterion=criterion,
-                    premise_holds=premise,
-                    satisfied_here=satisfied,
-                    refutes_criterion=premise and not satisfied,
-                )
+                premise, consistent = False, True
+        satisfied = consistent if premise else True
+        out.append(
+            CriterionVerdict(
+                effect_name=name,
+                effect_value=value,
+                criterion=criterion,
+                premise_holds=premise,
+                satisfied_here=satisfied,
+                refutes_criterion=premise and not satisfied,
             )
+        )
     return out
 
 
@@ -397,6 +413,26 @@ class ViolationRecord:
     status: NullStatus
 
 
+def evaluate_point(
+    family: str | Callable[..., Model],
+    point: Mapping[str, float],
+    effect: str,
+    tol: float = NULL_TOL,
+) -> ViolationRecord:
+    """Build the family instance at point and record the chosen effect, the
+    criteria its value refutes (in CRITERIA order; none is no refutation)
+    and the model's null status."""
+    build = FAMILIES[family] if isinstance(family, str) else family
+    model = build(**point)
+    report = effects.effect_report(model)
+    value = report.value(effect)
+    status = null_status(model)
+    refuted = tuple(
+        v.criterion for v in _effect_verdicts(effect, value, status, tol) if v.refutes_criterion
+    )
+    return ViolationRecord(dict(point), effect, value, refuted, status)
+
+
 def search_violations(
     family: str | Callable[..., Model],
     points: Iterable[Mapping[str, float]],
@@ -406,18 +442,7 @@ def search_violations(
     """Evaluate the chosen effect at every parameter point of a family and
     collect the points whose verdict refutes any criterion, sorted by |value|
     descending (the strongest refutations first)."""
-    build = FAMILIES[family] if isinstance(family, str) else family
-    out: list[ViolationRecord] = []
-    for point in points:
-        model = build(**point)
-        report = effects.effect_report(model)
-        value = report.value(effect)
-        refuted = tuple(
-            v.criterion
-            for v in criterion_verdicts(model, report, tol)
-            if v.effect_name == effect and v.refutes_criterion
-        )
-        if refuted:
-            out.append(ViolationRecord(dict(point), effect, value, refuted, null_status(model)))
+    records = (evaluate_point(family, point, effect, tol) for point in points)
+    out = [r for r in records if r.criteria_refuted]
     out.sort(key=lambda r: -abs(r.effect_value))
     return out

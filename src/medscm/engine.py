@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -133,7 +134,12 @@ class Profiles:
     stratum numbers the distinct covariate rows in order of first occurrence
     and stratum_first holds the first unit of each. l and l_cf are None
     without an induced confounder. Indexing or iterating yields UnitProfile
-    views. Results derived from the columns alone can be kept with once().
+    views.
+
+    weight is the model's own; the other columns are read-only and shared by
+    every model of the same structure (see profiles). Results derived from
+    the columns can be kept with once(), per profile, or, when they do not
+    read the weights, with shared_once(), per structure.
     """
 
     arms: tuple[int, int]
@@ -152,6 +158,7 @@ class Profiles:
     y_nested: np.ndarray         # (arm, arm, n): Y{a', M(a'')}
     y_mfix: np.ndarray           # (m, n): Y under do(M=m) only
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _shared_memo: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return self.weight.size
@@ -200,11 +207,18 @@ class Profiles:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def shared_once(self, key, compute: Callable[[], object]):
+        """compute(), evaluated on the first call for each key among the
+        profiles that share these columns; compute must not read weight."""
+        if key not in self._shared_memo:
+            self._shared_memo[key] = compute()
+        return self._shared_memo[key]
+
     def cl_strata(self, a_draw: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(c, l) strata as group_ids numbers them, l the observed confounder
-        or, given a_draw, L(a_draw); computed once per profile."""
+        or, given a_draw, L(a_draw); computed once per structure."""
         l = self.l if a_draw is None else self.l_cf[self.arm(a_draw)]
-        return self.once(("cl", a_draw), lambda: group_ids(self.stratum, l))
+        return self.shared_once(("cl", a_draw), lambda: group_ids(self.stratum, l))
 
 
 def unit_sum(terms: np.ndarray) -> float:
@@ -228,67 +242,111 @@ def group_ids(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[key], first[order]
 
 
+# the weight-free columns of the last few model structures (see profiles)
+STRUCTURE_CACHE_SIZE = 4
+_structures: OrderedDict[tuple, tuple] = OrderedDict()   # key -> (rows, columns)
+
+
 @lru_cache(maxsize=32)
 def profiles(model: Model) -> Profiles:
     """Enumerate units and compute every counterfactual coordinate once.
 
+    The columns depend on the model's structure and on which noise
+    configurations have positive mass, not on the masses themselves, so
+    models that agree on both (the parameter points of one family) share
+    them, read-only; each model gets its own weights and memo. The last
+    STRUCTURE_CACHE_SIZE structures are kept, and cache_clear() empties
+    them with the per-model cache.
+
     Raises EnumerationSizeError, before allocating, when the columns would
     exceed PROFILE_BYTE_BUDGET bytes.
     """
-    arms, levels = model.exposure_levels, model.m_support
-    c_names, a_name, l_name = model.covariate_names, model.exposure_name, model.induced_name
-    m_name, y_name = model.mediator_name, model.outcome_name
+    c_names, levels = model.covariate_names, model.m_support
     # weight, stratum, a, m, y, c..., l and l_cf, m_cf, y_nested, y_cf and y_mfix
-    columns = 5 + len(c_names) + (3 if l_name else 0) + 2 + 4 + 3 * len(levels)
+    columns = 5 + len(c_names) + (3 if model.has_l else 0) + 2 + 4 + 3 * len(levels)
     need = model.grid_size * columns * 8
     if need > PROFILE_BYTE_BUDGET:
         raise EnumerationSizeError(
             f"profile arrays need {need} bytes ({model.grid_size} units x {columns} "
             f"columns), over the {PROFILE_BYTE_BUDGET}-byte budget"
         )
-    weight, solve = model.grid()
-    n = weight.size
-    if n == 0:
+    weight = model.noise_weight()
+    positive = weight > 0.0
+    units = np.flatnonzero(positive)
+    if units.size == 0:
         raise DomainError("the model has no positive-probability unit")
-    factual = solve({})
-    m_cf = np.empty((2, n), dtype=np.int64)
-    l_cf = np.empty((2, n), dtype=np.int64) if l_name else None
-    y_cf = np.empty((2, len(levels), n), dtype=np.int64)
-    y_mfix = np.empty((len(levels), n), dtype=np.int64)
-    for i, ap in enumerate(arms):
-        world = solve({a_name: ap})
-        m_cf[i] = world[m_name]
-        if l_name:
-            l_cf[i] = world[l_name]
-        for j, m in enumerate(levels):
-            y_cf[i, j] = solve({a_name: ap, m_name: m})[y_name]
-    for j, m in enumerate(levels):
-        y_mfix[j] = solve({m_name: m})[y_name]
-    m_pos = level_positions(m_cf, levels)
-    y_nested = np.stack([np.take_along_axis(y_cf[i], m_pos, axis=0) for i in range(2)])
+    key, rows = model.structure
+    key = (key, np.packbits(positive).tobytes())
+    entry = _structures.get(key)
+    if entry is None or entry[0] != rows:
+        entry = _structures[key] = (rows, _counterfactual_columns(model, units))
+    _structures.move_to_end(key)
+    if len(_structures) > STRUCTURE_CACHE_SIZE:
+        _structures.popitem(last=False)
+    return Profiles(weight=weight[units], **entry[1])
+
+
+_clear_model_cache = profiles.cache_clear
+
+
+def _clear_profiles() -> None:
+    """Empty the per-model cache and the shared structure table."""
+    _clear_model_cache()
+    _structures.clear()
+
+
+profiles.cache_clear = _clear_profiles
+
+_FACTUAL = (None, None)
+
+
+def _counterfactual_columns(model: Model, units: np.ndarray) -> dict:
+    """Every Profiles field but the weights, over the noise configurations
+    units, each array read-only."""
+    arms, levels = model.exposure_levels, model.m_support
+    c_names, a_name, l_name = model.covariate_names, model.exposure_name, model.induced_name
+    m_name, y_name = model.mediator_name, model.outcome_name
+    arm_rows = [_FACTUAL] + [(ap, None) for ap in arms]
+    rows = {name: [_FACTUAL] for name in c_names}
+    rows[a_name] = [_FACTUAL]
+    if l_name:
+        rows[l_name] = arm_rows
+    rows[m_name] = arm_rows
+    # Y: factual, Y(a', m) arm-major, then Y under do(M=m) only
+    rows[y_name] = ([_FACTUAL] + [(ap, m) for ap in arms for m in levels]
+                    + [(None, m) for m in levels])
+    solved = model.grid(units, rows)
+    n, k = units.size, len(levels)
+    m_block, y_block = solved[m_name], solved[y_name]
+    y_cf = y_block[1:1 + 2 * k].reshape(2, k, n)
+    m_pos = level_positions(m_block[1:], levels)
     if c_names:
-        c = np.stack([factual[name] for name in c_names], axis=1)
+        c = np.stack([solved[name][0] for name in c_names], axis=1)
         stratum, stratum_first = group_ids(*c.T)
     else:
         c = np.zeros((n, 0), dtype=np.int64)
         stratum, stratum_first = np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    return Profiles(
+    out = dict(
         arms=arms,
         m_levels=levels,
-        weight=weight,
         c=c,
         stratum=stratum,
         stratum_first=stratum_first,
-        a=factual[a_name],
-        l=factual[l_name] if l_name else None,
-        m=factual[m_name],
-        y=factual[y_name],
-        m_cf=m_cf,
-        l_cf=l_cf,
+        a=solved[a_name][0],
+        l=solved[l_name][0] if l_name else None,
+        m=m_block[0],
+        y=y_block[0],
+        m_cf=m_block[1:],
+        l_cf=solved[l_name][1:] if l_name else None,
         y_cf=y_cf,
-        y_nested=y_nested,
-        y_mfix=y_mfix,
+        y_nested=y_cf[np.arange(2)[:, None, None], m_pos, np.arange(n)],
+        y_mfix=y_block[1 + 2 * k:],
     )
+    for value in out.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    out["_shared_memo"] = {}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +526,16 @@ class ObservedLaw:
 
 def law_cells(model: Model, p: Profiles) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Table cell of every unit (see table_cells), the first unit of each
-    occupied cell in order of first occurrence, and the table's shape."""
-    names = (model.exposure_name, model.induced_name, model.mediator_name, model.outcome_name)
-    supports = [model.var(name).support if name else None for name in names]
-    cell, shape = table_cells(p.stratum, p.stratum_first.size, (p.a, p.l, p.m, p.y), supports)
-    return cell, np.sort(np.unique(cell, return_index=True)[1]), shape
+    occupied cell in order of first occurrence, and the table's shape; once
+    per structure (the supports are part of it)."""
+
+    def compute():
+        names = (model.exposure_name, model.induced_name, model.mediator_name, model.outcome_name)
+        supports = [model.var(name).support if name else None for name in names]
+        cell, shape = table_cells(p.stratum, p.stratum_first.size, (p.a, p.l, p.m, p.y), supports)
+        return cell, np.sort(np.unique(cell, return_index=True)[1]), shape
+
+    return p.shared_once("law_cells", compute)
 
 
 def observational_law(model: Model) -> ObservedLaw:

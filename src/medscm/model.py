@@ -21,13 +21,18 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError, EnumerationSizeError
 
 PROB_TOL = 1e-12
+
+# an intervention regime of grid(): (do(A=level), do(M=level)), None leaving
+# the variable to its table
+Regime = tuple[int | None, int | None]
 
 ROLE_COVARIATE = "C"
 ROLE_EXPOSURE = "A"
@@ -116,10 +121,20 @@ class Scm:
                 return n
         raise KeyError(name)
 
-    def _names_with_role(self, role: str) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables if v.role == role)
+    # Role and topology lookups are cached on the (immutable) instance; a
+    # lookup that raises is not cached and raises again on the next access.
 
-    @property
+    @cached_property
+    def _roles(self) -> dict[str, tuple[str, ...]]:
+        roles: dict[str, tuple[str, ...]] = {}
+        for v in self.variables:
+            roles[v.role] = roles.get(v.role, ()) + (v.name,)
+        return roles
+
+    def _names_with_role(self, role: str) -> tuple[str, ...]:
+        return self._roles.get(role, ())
+
+    @cached_property
     def covariate_names(self) -> tuple[str, ...]:
         return self._names_with_role(ROLE_COVARIATE)
 
@@ -127,32 +142,32 @@ class Scm:
         names = self._names_with_role(role)
         return names[0] if names else None
 
-    @property
+    @cached_property
     def exposure_name(self) -> str:
         name = self._single(ROLE_EXPOSURE)
         if name is None:
             raise DomainError("model has no exposure variable")
         return name
 
-    @property
+    @cached_property
     def mediator_name(self) -> str:
         name = self._single(ROLE_MEDIATOR)
         if name is None:
             raise DomainError("model has no mediator variable")
         return name
 
-    @property
+    @cached_property
     def outcome_name(self) -> str:
         name = self._single(ROLE_OUTCOME)
         if name is None:
             raise DomainError("model has no outcome variable")
         return name
 
-    @property
+    @cached_property
     def induced_name(self) -> str | None:
         return self._single(ROLE_INDUCED)
 
-    @property
+    @cached_property
     def has_l(self) -> bool:
         return self.induced_name is not None
 
@@ -164,11 +179,11 @@ class Scm:
     def a(self) -> int:
         return self.exposure_levels[1]
 
-    @property
+    @cached_property
     def m_support(self) -> tuple[int, ...]:
         return self.var(self.mediator_name).support
 
-    @property
+    @cached_property
     def shape(self) -> str:
         if self._single(ROLE_SEP_MEDIATOR_PATH) or self._single(ROLE_SEP_DIRECT_PATH):
             return "separable"
@@ -181,7 +196,7 @@ class Scm:
         """Parent lists per variable, derived from the structural tables."""
         return {t.variable: t.parents for t in self.tables}
 
-    @property
+    @cached_property
     def topo_order(self) -> tuple[str, ...]:
         """Covariates first (mutually topo-sorted), then A, N, O, L, M, Y."""
         cov = list(self.covariate_names)
@@ -254,48 +269,88 @@ class Scm:
             assignment[name] = t.value(pv, noise[t.noise])
         return assignment
 
-    def grid(self) -> tuple[np.ndarray, Callable[[Mapping[str, int]], dict]]:
-        """The units of units() as arrays: their weights, and a solver giving
-        each variable's values over all units under one intervention (an
-        intervened variable comes back as its fixed level).
+    @property
+    def structure(self) -> tuple[tuple, tuple]:
+        """Everything grid() reads except the noise masses, as (key, rows):
+        key, hashable and cheap, holds the variables, the exposure levels,
+        each table's variable, parents, noise and size, and each noise's
+        levels; rows holds the table mappings, to compare with ==."""
+        key = (
+            self.variables,
+            self.exposure_levels,
+            tuple((t.variable, t.parents, t.noise, len(t.table)) for t in self.tables),
+            tuple((n.name, n.levels()) for n in self.noise),
+        )
+        return key, tuple(t.table for t in self.tables)
 
-        Weights are the same left-to-right products, so they are bitwise
-        equal to the scalar ones. Tables become mixed-radix lookups over
-        (parent positions..., noise position), the scheme draw_samples uses.
+    def noise_weight(self) -> np.ndarray:
+        """Mass of every joint noise configuration in the order of units(),
+        zero-mass ones included: the same left-to-right products, so the
+        positive ones are bitwise equal to the scalar weights."""
+        weight = np.ones(1)
+        for spec in (self.noise_for(name) for name in self.topo_order):
+            weight = np.multiply.outer(weight, [spec.pmf[lv] for lv in spec.levels()]).ravel()
+        return weight
+
+    def grid(self, units: np.ndarray, rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
+        """Values of the variables named in rows over the noise configurations
+        units (flat positions in noise_weight()), one row per regime listed
+        for the variable; an intervened variable takes its fixed level.
+
+        Tables become mixed-radix lookups over (parent positions..., noise
+        position), the scheme draw_samples uses. A variable is solved once
+        per distinct regime of the interventions upstream of it, so the
+        covariates are solved once and A, L and M once per exposure arm.
         """
         order = self.topo_order
-        specs = [self.noise_for(name) for name in order]
-        weight = np.ones(1)
-        for spec in specs:
-            weight = np.multiply.outer(weight, [spec.pmf[lv] for lv in spec.levels()]).ravel()
-        flat = np.flatnonzero(weight > 0.0)
-        weight = weight[flat]
-        noise_pos: dict[str, np.ndarray] = {}
-        for spec in reversed(specs):
-            flat, noise_pos[spec.name] = np.divmod(flat, len(spec.pmf))
+        a_name, m_name = self.exposure_name, self.mediator_name
         supports = {v.name: tuple(sorted(v.support)) for v in self.variables}
-        values = {name: np.asarray(sup) for name, sup in supports.items()}
         index = {name: {v: i for i, v in enumerate(sup)} for name, sup in supports.items()}
-        steps = [
-            (t, len(spec.pmf), _position_lookup(t, supports, spec.levels()))
-            for t, spec in zip((self.table_for(name) for name in order), specs)
-        ]
+        noise_pos: dict[str, np.ndarray] = {}
+        flat = units
+        for name in reversed(order):   # the last variable's noise varies fastest
+            flat, noise_pos[name] = np.divmod(flat, len(self.noise_for(name).pmf))
+        steps: dict[str, tuple] = {}
+        moved: dict[str, tuple[bool, bool]] = {}   # downstream of do(A), of do(M)
+        for name in order:
+            t, noise = self.table_for(name), self.noise_for(name)
+            strided, stride = [], len(noise.pmf)
+            for p in reversed(t.parents):   # the last parent varies fastest, after the noise
+                strided.append((p, stride))
+                stride *= len(supports[p])
+            steps[name] = (strided, noise_pos[name] if len(noise.pmf) > 1 else 0,
+                           _position_lookup(t, supports, noise.levels()))
+            moved[name] = (name == a_name or any(moved[p][0] for p in t.parents),
+                           name == m_name or any(moved[p][1] for p in t.parents))
+        solved: dict[tuple, np.ndarray | int] = {}
 
-        def solve_all(fixed: Mapping[str, int]) -> dict:
-            pos: dict = {}
-            for t, radix, lookup in steps:
-                name = t.variable
-                if name in fixed:
-                    pos[name] = index[name][fixed[name]]
-                    continue
-                idx = 0
-                for p in t.parents:
-                    idx = idx * len(supports[p]) + pos[p]
-                pos[name] = lookup[idx * radix + noise_pos[t.noise]]
-            return {name: fixed[name] if name in fixed else values[name][pos[name]]
-                    for name in order}
+        def key(name: str, regime: Regime) -> tuple:
+            on_a, on_m = moved[name]
+            return name, regime[0] if on_a else None, regime[1] if on_m else None
 
-        return weight, solve_all
+        def solve(name: str, regime: Regime):
+            """Positions of name under regime, its parents already solved."""
+            fixed = regime[0] if name == a_name else regime[1] if name == m_name else None
+            if fixed is not None:
+                return index[name][fixed]
+            # lookup position: the noise position plus each parent's position
+            # times its stride (plain ints while every term is fixed)
+            parents, idx, lookup = steps[name]
+            for p, stride in parents:
+                idx = idx + solved[key(p, regime)] * stride
+            return lookup[idx]
+
+        out = {}
+        for name, regimes in rows.items():
+            values = np.asarray(supports[name])
+            out[name] = np.empty((len(regimes), units.size), dtype=np.int64)
+            for i, regime in enumerate(regimes):
+                for v in order[: order.index(name) + 1]:   # parents before children
+                    at = key(v, regime)
+                    if at not in solved:
+                        solved[at] = solve(v, regime)
+                out[name][i] = values[solved[at]]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +393,7 @@ class FfrcistgSpec:
             raise KeyError(name)
         return VariableSpec(name, supports[name], name)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         arms = self.exposure_levels
         out = ["A"]
@@ -349,7 +404,7 @@ class FfrcistgSpec:
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    @property
+    @cached_property
     def y_support(self) -> tuple[int, ...]:
         idx = self.label_index()
         ys = {
@@ -382,26 +437,40 @@ class FfrcistgSpec:
         m_val = fixed.get("M", atom[f"M({a_val})"])
         return {"A": a_val, "M": m_val, "Y": atom[f"Y({a_val},{m_val})"]}
 
-    def grid(self) -> tuple[np.ndarray, Callable[[Mapping[str, int]], dict]]:
-        """The atoms of units() as arrays: their weights, and a solver giving
-        A, M and Y over all atoms under one intervention (an intervened
-        variable comes back as its fixed level)."""
-        atoms = [(atom, w) for atom, w in self.joint.items() if w > 0.0]
-        weight = np.array([w for _atom, w in atoms], dtype=float)
-        cols = np.array([atom for atom, _w in atoms], dtype=np.int64).reshape(
-            len(atoms), len(self.labels)
-        )
-        rows = np.arange(len(atoms))
-        arms, levels = self.exposure_levels, self.m_support
+    @property
+    def structure(self) -> tuple[tuple, list]:
+        """Everything grid() reads except the atom masses, as Scm.structure
+        gives it: the atoms, in order, are the rows."""
+        return (self.m_support, self.exposure_levels, len(self.joint)), list(self.joint)
 
-        def solve_all(fixed: Mapping[str, int]) -> dict:
-            a = fixed.get("A", cols[:, 0])
+    def noise_weight(self) -> np.ndarray:
+        """Mass of every atom in the order of units(), zero-mass ones included."""
+        return np.array(list(self.joint.values()), dtype=float)
+
+    def grid(self, units: np.ndarray, rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
+        """A, M and Y over the atoms units (positions in noise_weight()), one
+        row per regime listed for the variable, as Scm.grid gives them."""
+        cols = np.array(list(self.joint), dtype=np.int64).reshape(len(self.joint), len(self.labels))
+        cols = cols[units]
+        at = np.arange(units.size)
+        arms, levels = self.exposure_levels, self.m_support
+        worlds: dict[Regime, dict] = {}
+
+        def world(a_fix: int | None, m_fix: int | None) -> dict:
+            a = cols[:, 0] if a_fix is None else a_fix
             arm = level_positions(a, arms)
-            m = fixed["M"] if "M" in fixed else cols[rows, 1 + arm]
-            y = cols[rows, 1 + len(arms) + arm * len(levels) + level_positions(m, levels)]
+            m = cols[at, 1 + arm] if m_fix is None else m_fix
+            y = cols[at, 1 + len(arms) + arm * len(levels) + level_positions(m, levels)]
             return {"A": a, "M": m, "Y": y}
 
-        return weight, solve_all
+        out = {}
+        for name, regimes in rows.items():
+            out[name] = np.empty((len(regimes), units.size), dtype=np.int64)
+            for i, regime in enumerate(regimes):
+                if regime not in worlds:
+                    worlds[regime] = world(*regime)
+                out[name][i] = worlds[regime][name]
+        return out
 
 
 Model = Scm | FfrcistgSpec
@@ -428,14 +497,14 @@ def _position_lookup(
 ) -> np.ndarray:
     """A table as a flat array over (parent positions..., noise position),
     holding the position of each value in the variable's sorted support."""
-    support = supports[table.variable]
+    position = {v: i for i, v in enumerate(supports[table.variable])}
     out = []
     for pv in itertools.product(*(supports[p] for p in table.parents)):
         for e in noise_levels:
-            value = table.value(pv, e)
-            if value not in support:
+            value = table.table[pv, e]
+            if value not in position:
                 raise DomainError(f"table for {table.variable}: value {value} outside support")
-            out.append(support.index(value))
+            out.append(position[value])
     return np.array(out, dtype=np.int64)
 
 

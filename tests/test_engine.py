@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 import medscm as M
 from medscm.cli import main
 from medscm.engine import COND_C, COND_C_L_DRAW, COND_C_L_OBSERVED
-from medscm.model import NoiseSpec, Scm
+from medscm.criteria import FAMILIES, default_grid
+from medscm.model import NoiseSpec, Scm, StructuralTable
 
 
 def grid(lo, hi, n):
@@ -246,3 +248,97 @@ def test_cl_strata_grouped_once_per_profile(monkeypatch):
     monkeypatch.setattr(M.engine, "group_ids", lambda *cols: grouped.append(cols))
     again = {cond: M.g_draw_mean(scm, 1, 0, cond) for cond in (COND_C_L_OBSERVED, COND_C_L_DRAW)}
     assert again == first and grouped == []
+
+
+COLUMNS = ("stratum", "stratum_first", "a", "l", "m", "y", "m_cf", "l_cf", "y_cf", "y_nested",
+           "y_mfix")
+
+
+def test_family_models_share_columns_not_weights():
+    M.engine.profiles.cache_clear()
+    t1 = [M.thm1_counterexample(0.3, 0.6), M.thm1_counterexample(0.8, 0.25)]
+    p, q = (M.engine.profiles(model) for model in t1)
+    for name in COLUMNS:
+        assert np.shares_memory(getattr(p, name), getattr(q, name)), name
+        assert not getattr(p, name).flags.writeable, name
+    for model, prof in zip(t1, (p, q)):
+        assert prof.weight.tolist() == [u.weight for u in M.enumerate_units(model)]
+    assert p.weight.tolist() != q.weight.tolist()
+    assert p._memo is not q._memo
+    # null-status witnesses print unit weights, so each model keeps its own
+    t2 = [M.thm2_counterexample(0.3, 0.3, 0.4, 0.5), M.thm2_counterexample(0.5, 0.2, 0.3, 0.9)]
+    shared = [M.null_status(model) for model in t2]
+    assert np.shares_memory(M.engine.profiles(t2[0]).y_cf, M.engine.profiles(t2[1]).y_cf)
+    assert shared[0].witnesses != shared[1].witnesses
+    for model, status in zip(t2, shared):
+        M.engine.profiles.cache_clear()
+        assert M.null_status(model) == status
+
+
+def _with_table_entry(scm, variable, key, value):
+    tables = tuple(
+        StructuralTable(t.variable, t.parents, t.noise, {**t.table, key: value})
+        if t.variable == variable else t
+        for t in scm.tables
+    )
+    return Scm(scm.variables, scm.noise, tables, scm.exposure_levels)
+
+
+def _with_outcome_noise_levels(scm, pmf):
+    noise = tuple(NoiseSpec("eps_Y", pmf) if n.name == "eps_Y" else n for n in scm.noise)
+    tables = tuple(
+        StructuralTable(t.variable, t.parents, t.noise,
+                        {(pv, e): v for (pv, _e), v in t.table.items() for e in pmf})
+        if t.variable == "Y" else t
+        for t in scm.tables
+    )
+    return Scm(scm.variables, noise, tables, scm.exposure_levels)
+
+
+def test_models_of_different_structure_do_not_share():
+    M.engine.profiles.cache_clear()
+    base = M.thm1_counterexample(0.3, 0.6)
+    p = M.engine.profiles(base)
+    flipped = _with_table_entry(base, "Y", ((1, 1, 0), 0), 0)   # Y(1, l=1, m=0) was 1
+    two_level = _with_outcome_noise_levels(base, {0: 0.5, 1: 0.5})
+    for other in (flipped, two_level):
+        q = M.engine.profiles(other)
+        assert not any(np.shares_memory(getattr(p, n), getattr(q, n)) for n in COLUMNS)
+    assert M.engine.profiles(flipped).y.tolist() != p.y.tolist()
+    assert len(M.engine.profiles(two_level)) == 2 * len(p)
+    # T2 without the third confounder level has fewer positive units
+    with_l2 = M.engine.profiles(M.thm2_counterexample(0.3, 0.3, 0.4, 0.5))
+    without = M.engine.profiles(M.thm2_counterexample(0.5, 0.5, 0.0, 0.5))
+    assert len(without) < len(with_l2)
+    assert not any(np.shares_memory(getattr(with_l2, n), getattr(without, n)) for n in COLUMNS)
+
+
+def test_structure_table_bounded_and_cleared():
+    M.engine.profiles.cache_clear()
+    for seed in range(100):   # of more than STRUCTURE_CACHE_SIZE shapes and sizes
+        M.engine.profiles(M.random_scm(
+            seed, ("basic", "confounded")[seed % 2], with_c=seed % 3 == 0,
+            m_levels=2 + seed // 2 % 3, y_levels=2 + seed // 6 % 2,
+        ))
+    assert len(M.engine._structures) == M.engine.STRUCTURE_CACHE_SIZE
+    M.engine.profiles.cache_clear()
+    assert len(M.engine._structures) == 0
+    assert M.engine.profiles.cache_info().currsize == 0
+
+
+def _outputs(model):
+    law = M.observational_law(model)
+    status = M.null_status(model)
+    return M.effect_report(model).rows(), list(law.pmf.items()), status, status.witnesses
+
+
+def test_shared_columns_bitwise_equal_to_cold_builds():
+    points = [("t1", pt) for pt in default_grid("T1")] + [("t2", pt) for pt in default_grid("T2")]
+    M.engine.profiles.cache_clear()
+    shared = [_outputs(FAMILIES[family](**pt)) for family, pt in points]
+    cold = []
+    for family, pt in points:
+        M.engine.profiles.cache_clear()
+        cold.append(_outputs(FAMILIES[family](**pt)))
+    assert len(shared) == 616
+    assert [repr(o) for o in shared] == [repr(o) for o in cold]

@@ -190,3 +190,29 @@ def test_level_positions_consecutive_gapped_and_unsorted_levels():
             level_positions(np.array([3, 6]), levels)
         with pytest.raises(M.DomainError):
             level_positions(2, levels)
+
+
+def test_cyclic_covariates_reported_and_lookups_cached():
+    scm = M.random_scm(3, "basic", with_c=True)
+    assert scm.topo_order is scm.topo_order   # computed once per instance
+    assert scm.m_support is scm.m_support
+    b = (0, 1)
+    variables = (
+        M.VariableSpec("C1", b, "C"), M.VariableSpec("C2", b, "C"),
+        M.VariableSpec("A", b, "A"), M.VariableSpec("M", b, "M"), M.VariableSpec("Y", b, "Y"),
+    )
+    tables = (
+        StructuralTable("C1", ("C2",), "eps_C1", {((c,), 0): c for c in b}),
+        StructuralTable("C2", ("C1",), "eps_C2", {((c,), 0): c for c in b}),
+        StructuralTable("A", (), "eps_A", {((), e): e for e in b}),
+        StructuralTable("M", ("A",), "eps_M", {((a,), 0): a for a in b}),
+        StructuralTable("Y", ("M",), "eps_Y", {((m,), 0): m for m in b}),
+    )
+    noise = (NoiseSpec("eps_C1", {0: 1.0}), NoiseSpec("eps_C2", {0: 1.0}),
+             NoiseSpec("eps_A", {0: 0.5, 1: 0.5}), NoiseSpec("eps_M", {0: 1.0}),
+             NoiseSpec("eps_Y", {0: 1.0}))
+    cyclic = Scm(variables, noise, tables, (0, 1))
+    assert "covariate subgraph is cyclic" in M.validate(cyclic)
+    for _ in range(2):   # a lookup that raises is not cached
+        with pytest.raises(M.DomainError, match="cyclic"):
+            cyclic.topo_order
