@@ -2,8 +2,8 @@
 
 Subcommands: validate, effects, identify, criteria, reproduce, sweep,
 sample, estimate. Models come either from a JSON file or from a builtin
-family name (t1, t2, t3, pe, additive, separable) plus its parameters.
-Every module error maps to a distinct nonzero exit code (see README).
+family of criteria.FAMILIES plus its parameters, whose flags the registry
+generates. Each package error carries its exit code (see README).
 """
 
 from __future__ import annotations
@@ -12,41 +12,14 @@ import argparse
 import csv
 import functools
 import io
-import json
+import itertools
 import sys
+from collections.abc import Iterable
 
 from . import criteria, effects, identify, sample
 from .engine import observational_law
-from .errors import (
-    DegenerateStratumError,
-    DomainError,
-    EnumerationSizeError,
-    InternalConsistencyError,
-    ReproductionError,
-    ShapeError,
-)
-from .model import (
-    Model,
-    pe_counterexample,
-    random_additive_scm,
-    random_separable_scm,
-    scm_from_json,
-    thm1_counterexample,
-    thm2_counterexample,
-    thm3_counterexample,
-    validate,
-)
-
-EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_DOMAIN = 3
-EXIT_DEGENERATE = 4
-EXIT_SIZE = 5
-EXIT_REPRODUCTION = 6
-EXIT_INTERNAL = 7
-EXIT_IO = 8
-
-BUILTIN_NAMES = ("t1", "t2", "t3", "pe", "additive", "separable")
+from .errors import PARSE_EXIT_CODE, DomainError, MedscmError
+from .model import Model, scm_from_json, validate
 
 
 def _fmt(v: float) -> str:
@@ -66,59 +39,58 @@ def _print_rows(rows: list[tuple[str, str]], output_format: str) -> None:
         print(f"{k:<{width}}  {v}")
 
 
+def _given(args, names) -> dict:
+    """The named arguments the user gave, in the order of names."""
+    return {name: value for name in names if (value := getattr(args, name)) is not None}
+
+
 def _load_model(args) -> Model:
     """The model the arguments name; a model file must pass validate, or the
     command fails with a DomainError (exit 3) listing the violations."""
     model = _read_model(args)
-    violations = validate(model) if args.scm not in BUILTIN_NAMES else []
+    violations = validate(model) if args.scm not in criteria.FAMILIES else []
     if violations:
         raise DomainError(f"{args.scm}: invalid model: " + "; ".join(violations))
     return model
 
 
 def _read_model(args) -> Model:
-    source = args.scm
-    if source in BUILTIN_NAMES:
-        if source == "t1":
-            return thm1_counterexample(args.pi, args.beta)
-        if source == "t2":
-            pi0 = args.pi0 if args.pi0 is not None else 1.0 - args.pi1 - args.pi2
-            return thm2_counterexample(pi0, args.pi1, args.pi2, args.beta)
-        if source == "t3":
-            return thm3_counterexample(
-                args.pi3, (args.beta1, args.beta2, args.beta3, args.beta4), args.gamma
-            )
-        if source == "pe":
-            return pe_counterexample(args.p)
-        if source == "additive":
-            return random_additive_scm(args.seed, shape=args.shape)
-        return random_separable_scm(args.seed)
-    with open(source) as fh:
+    params = _given(args, args.family_params)
+    if args.scm in criteria.FAMILIES:
+        return criteria.FAMILIES[args.scm](**params)
+    if params:
+        flags = ", ".join(f"--{name}" for name in params)
+        raise DomainError(f"{args.scm}: family parameters ({flags}) given with a model file")
+    with open(args.scm) as fh:
         return scm_from_json(fh.read())
+
+
+def _add_family_args(parser: argparse.ArgumentParser, families: Iterable[str]) -> None:
+    """One flag per parameter name of the families; each family reads its own."""
+    takers: dict[str, list[tuple[str, criteria.Param]]] = {}
+    for family in families:
+        for p in criteria.FAMILIES[family].params:
+            takers.setdefault(p.name, []).append((family, p))
+    for name, declared in takers.items():
+        first = declared[0][1]
+        parser.add_argument(
+            f"--{name}", type=first.type, choices=first.choices or None, default=None,
+            help="; ".join(f"{family}: {p.help} (default {p.default_text})"
+                           for family, p in declared),
+        )
+    parser.set_defaults(family_params=tuple(takers))
+
+
+def _add_format_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", dest="output_format", choices=("table", "csv"),
+                        default="table")
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("scm", help="path to an SCM JSON file, or a builtin family name: "
-                                    + ", ".join(BUILTIN_NAMES))
-    parser.add_argument("--pi", type=float, default=0.5, help="t1: confounder noise probability")
-    parser.add_argument("--beta", type=float, default=0.9, help="t1/t2: mediator noise probability")
-    parser.add_argument("--pi0", type=float, default=None, help="t2: P(eps_L = 0); default 1-pi1-pi2")
-    parser.add_argument("--pi1", type=float, default=0.3, help="t2: P(eps_L = 1)")
-    parser.add_argument("--pi2", type=float, default=0.2, help="t2: P(eps_L = 2)")
-    parser.add_argument("--pi3", type=float, default=0.1, help="t3: P(M(a) = 1)")
-    parser.add_argument("--beta1", type=float, default=0.1, help="t3: P(Y(a,.) = (0,0))")
-    parser.add_argument("--beta2", type=float, default=0.2, help="t3: P(Y(a,.) = (0,1))")
-    parser.add_argument("--beta3", type=float, default=0.4, help="t3: P(Y(a,.) = (1,0))")
-    parser.add_argument("--beta4", type=float, default=0.3, help="t3: P(Y(a,.) = (1,1))")
-    parser.add_argument("--gamma", type=float, default=0.5, help="t3: P(Y(a*,.) = (1,1))")
-    parser.add_argument("--p", type=float, default=0.5, help="pe: mediator probability")
-    parser.add_argument("--seed", type=int, default=0, help="additive/separable: instance seed")
-    parser.add_argument("--shape", choices=("basic", "confounded"), default="basic",
-                        help="additive: graph shape")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="null-value tolerance for criterion verdicts")
-    parser.add_argument("--format", dest="output_format", choices=("table", "csv"),
-                        default="table")
+                                    + ", ".join(criteria.FAMILIES))
+    _add_family_args(parser, criteria.FAMILIES)
+    _add_format_arg(parser)
 
 
 def _cmd_validate(args) -> int:
@@ -127,16 +99,16 @@ def _cmd_validate(args) -> int:
     if violations:
         for v in violations:
             print(v)
-        return EXIT_VALIDATION
+        return 1
     print("valid")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_effects(args) -> int:
     model = _load_model(args)
     report = effects.effect_report(model)
     _print_rows([(k, _fmt(v)) for k, v in report.rows()], args.output_format)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_identify(args) -> int:
@@ -160,7 +132,7 @@ def _cmd_identify(args) -> int:
             )
         )
     _print_rows(rows, args.output_format)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_criteria(args) -> int:
@@ -181,70 +153,60 @@ def _cmd_criteria(args) -> int:
             (f"{v.effect_name} / {v.criterion}", f"{_fmt(v.effect_value)} {tag}")
         )
     _print_rows(rows, args.output_format)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_reproduce(args) -> int:
     tid = args.theorem.upper()
-    explicit = {
-        k: v
-        for k, v in (
-            ("pi", args.pi), ("beta", args.beta),
-            ("pi0", args.pi0), ("pi1", args.pi1), ("pi2", args.pi2),
-            ("beta1", args.beta1), ("beta2", args.beta2),
-            ("beta3", args.beta3), ("beta4", args.beta4),
-            ("gamma", args.gamma), ("p", args.p), ("m", args.m),
-        )
-        if v is not None
-    }
+    explicit = _given(args, [*args.family_params, "m"])
     if explicit:
         record = criteria.reproduce(tid, explicit)
         _print_rows(record.rows(), args.output_format)
-        return EXIT_OK
+        return 0
     grid = criteria.default_grid(tid)
     worst = 0.0
     for point in grid:
         record = criteria.reproduce(tid, point)
         worst = max(worst, record.difference)
     print(f"{tid}: {len(grid)} grid points reproduced; worst |closed - enumerated| = {worst:.3e}")
-    return EXIT_OK
+    return 0
 
 
 def _parse_grid(spec: str) -> list[dict[str, float]]:
-    axes: list[tuple[str, list[float]]] = []
+    axes: dict[str, list[float]] = {}
     for part in spec.split(","):
         name, _, rng = part.partition("=")
+        name = name.strip()
         if not rng:
             raise DomainError(f"bad grid axis {part!r}; expected name=lo:hi:count or name=v1|v2")
-        if "|" in rng:
-            values = [float(v) for v in rng.split("|")]
-        else:
-            pieces = rng.split(":")
-            if len(pieces) != 3:
-                raise DomainError(f"bad grid axis {part!r}; expected name=lo:hi:count")
-            lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
-            values = [lo] if count == 1 else [
-                lo + (hi - lo) * i / (count - 1) for i in range(count)
-            ]
-        axes.append((name.strip(), values))
-    points: list[dict[str, float]] = [{}]
-    for name, values in axes:
-        points = [dict(pt, **{name: v}) for pt in points for v in values]
-    return points
+        if name in axes:
+            raise DomainError(f"grid axis {name!r} given twice")
+        pieces = rng.split(":")
+        if "|" not in rng and len(pieces) != 3:
+            raise DomainError(f"bad grid axis {part!r}; expected name=lo:hi:count")
+        try:
+            if "|" in rng:
+                axes[name] = [float(v) for v in rng.split("|")]
+            else:
+                axes[name] = criteria._grid(float(pieces[0]), float(pieces[1]), int(pieces[2]))
+        except ValueError as exc:
+            raise DomainError(f"bad grid axis {part!r}: {exc}") from None
+    return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
 def _cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
+    # every point is evaluated before any output, so a failing point prints no partial table
+    records = [criteria.evaluate_point(args.family, pt, args.effect, args.tol) for pt in points]
+    names = sorted(points[0])
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    names = sorted({k for pt in points for k in pt})
     writer.writerow(
         names
         + ["effect", "value", "sharp_null", "sharper_null", "monotonicity", "refutes"]
     )
-    for point in points:
-        record = criteria.evaluate_point(args.family, point, args.effect, args.tol)
+    for record in records:
         writer.writerow(
-            [_fmt(point.get(nm, float("nan"))) for nm in names]
+            [_fmt(record.params[nm]) for nm in names]
             + [
                 args.effect,
                 _fmt(record.effect_value),
@@ -254,7 +216,7 @@ def _cmd_sweep(args) -> int:
                 "|".join(record.criteria_refuted),
             ]
         )
-    return EXIT_OK
+    return 0
 
 
 def _cmd_sample(args) -> int:
@@ -262,10 +224,12 @@ def _cmd_sample(args) -> int:
     ds = sample.draw_samples(model, args.n, args.sample_seed)
     sample.write_csv(ds, args.out)
     print(f"wrote {ds.n} rows to {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_estimate(args) -> int:
+    if (args.a_star is None) != (args.a is None):
+        raise DomainError("--a-star and --a must be given together")
     ds = sample.read_csv(args.data)
     est = sample.estimate(
         ds,
@@ -273,18 +237,14 @@ def _cmd_estimate(args) -> int:
         n_boot=args.n_boot,
         seed=args.sample_seed,
         m=args.m,
-        exposure_levels=(
-            (args.a_star, args.a)
-            if args.a_star is not None and args.a is not None
-            else None
-        ),
+        exposure_levels=None if args.a is None else (args.a_star, args.a),
     )
     rows = [("estimand", est.estimand), ("value", _fmt(est.value)), ("n", str(ds.n))]
     if est.ci_low is not None:
         rows += [("ci_low", _fmt(est.ci_low)), ("ci_high", _fmt(est.ci_high)),
                  ("n_boot", str(est.n_boot))]
     _print_rows(rows, args.output_format)
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,13 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_model_args(p)
         p.set_defaults(fn=fn)
+    # criteria, the last of them, is the one that reads a tolerance
+    p.add_argument("--tol", type=float, default=criteria.NULL_TOL,
+                   help="null-value tolerance for criterion verdicts")
 
-    p = sub.add_parser("reproduce", help="cross-check closed forms against enumeration")
-    p.add_argument("theorem", choices=("T1", "T2", "T3", "S1", "PE", "t1", "t2", "t3", "s1", "pe"))
-    for flag in ("pi", "beta", "pi0", "pi1", "pi2", "beta1", "beta2", "beta3", "beta4",
-                 "gamma", "p", "m"):
-        p.add_argument(f"--{flag}", type=float, default=None)
-    p.add_argument("--format", dest="output_format", choices=("table", "csv"), default="table")
+    p = sub.add_parser("reproduce", help="cross-check closed forms against enumeration",
+                       description="With no parameter, run the theorem's default grid. A "
+                       "point must give every parameter its closed form reads; of the "
+                       "defaults below only t2's pi0 and --m apply.")
+    theorems = criteria.THEOREM_FAMILIES
+    p.add_argument("theorem", choices=[*theorems, *map(str.lower, theorems)])
+    _add_family_args(p, dict.fromkeys(theorems.values()))
+    p.add_argument("--m", type=float, default=None, help="PE: mediator level (default 0)")
+    _add_format_arg(p)
     p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("sweep", help="evaluate a family over a parameter grid as CSV")
@@ -317,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True,
                    help="comma-separated axes, e.g. pi=0.05:0.95:21,beta=0.1|0.5|0.9")
     p.add_argument("--effect", default="nie_r")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=criteria.NULL_TOL,
                    help="null-value tolerance for the refutation column")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -337,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--a-star", type=int, default=None)
     p.add_argument("--a", type=int, default=None)
-    p.add_argument("--format", dest="output_format", choices=("table", "csv"), default="table")
+    _add_format_arg(p)
     p.set_defaults(fn=_cmd_estimate)
     return parser
 
@@ -352,24 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, ShapeError) as exc:
+    except (MedscmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DegenerateStratumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except EnumerationSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except ReproductionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REPRODUCTION
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return exc.exit_code if isinstance(exc, MedscmError) else PARSE_EXIT_CODE
 
 
 if __name__ == "__main__":

@@ -4,15 +4,19 @@ The sharp null, sharper null, and monotonicity statuses are decided over
 every positive-probability unit of the engine's profile columns; criterion
 verdicts then compare any effect value against the status of its premises. The
 reproduce operation cross-checks enumerated contrasts against closed forms
-for the built-in counterexample families.
+for the built-in counterexample families. FAMILIES is the one registry of
+those families and the seeded generators: each family's parameters, with
+their types, defaults and help, and its builder.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -207,6 +211,8 @@ def m_always_affects_y_check(model: Model) -> bool:
 # Theorem reproduction records
 # ---------------------------------------------------------------------------
 
+# the theorems reproduce and default_grid take, and the family each builds on
+THEOREM_FAMILIES = {"T1": "t1", "T2": "t2", "T3": "t3", "S1": "t1", "PE": "pe"}
 BOUNDARY_MARGIN = 1e-6
 INTERIOR_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
@@ -264,7 +270,7 @@ def reproduce(theorem_id: str, params: Mapping[str, float]) -> ReproductionRecor
 def _reproduce(tid: str, params: dict) -> "ReproductionRecord":
     if tid == "T1":
         pi, beta = params["pi"], params["beta"]
-        model: Model = thm1_counterexample(pi, beta)
+        model = _theorem_model(tid, params)
         closed = pi * (1.0 - pi) * (2.0 * beta - 1.0)
         enumerated = effects.randomized_effects(model)[0]
         effect_name = "nie_r"
@@ -272,23 +278,19 @@ def _reproduce(tid: str, params: dict) -> "ReproductionRecord":
         status = null_status(model)
         _expect(status.sharp_null and status.sharper_null, tid, "sharp and sharper nulls must hold")
     elif tid == "T2":
-        pi0 = params.get("pi0")
         pi1, pi2, beta = params["pi1"], params["pi2"], params["beta"]
-        if pi0 is None:
-            pi0 = 1.0 - pi1 - pi2
-            params["pi0"] = pi0
-        model = thm2_counterexample(pi0, pi1, pi2, beta)
+        model = _theorem_model(tid, params)
         closed = _t2_closed_form(pi1, pi2, beta)
         enumerated = effects.randomized_effects(model)[0]
         effect_name = "nie_r"
-        tol = BOUNDARY_TOL if _near_boundary(pi0, pi1, pi2, beta) else INTERIOR_TOL
+        tol = BOUNDARY_TOL if _near_boundary(params["pi0"], pi1, pi2, beta) else INTERIOR_TOL
         status = null_status(model)
         expected_mono = MONO_NONDECREASING if pi2 > 0.0 else MONO_BOTH
         _expect(status.monotonicity == expected_mono, tid, f"monotonicity must be {expected_mono}")
     elif tid == "T3":
         pi, gamma = params["pi"], params["gamma"]
         betas = (params["beta1"], params["beta2"], params["beta3"], params["beta4"])
-        model = thm3_counterexample(pi, betas, gamma)
+        model = _theorem_model(tid, params)
         b1, b2, b3, b4 = betas
         closed = ((1.0 - pi) * b4 - pi * b1) * (b3 - b2)
         enumerated = effects.randomized_effects(model)[0]
@@ -301,7 +303,7 @@ def _reproduce(tid: str, params: dict) -> "ReproductionRecord":
             _expect(not a4.holds, tid, "the cross-world independence must fail at interior points")
     elif tid == "S1":
         pi, beta = params["pi"], params["beta"]
-        model = thm1_counterexample(pi, beta)
+        model = _theorem_model(tid, params)
         closed = beta - 0.5
         enumerated = effects.l_conditioned_randomized_effects(model)[0]
         effect_name = "nie_r_L"
@@ -309,8 +311,11 @@ def _reproduce(tid: str, params: dict) -> "ReproductionRecord":
         status = null_status(model)
         _expect(status.sharp_null, tid, "the sharp null must hold")
     elif tid == "PE":
-        p, m = params["p"], int(params.get("m", 0))
-        model = pe_counterexample(p)
+        p, m = params["p"], params.get("m", 0)
+        if m not in (0, 1):
+            raise DomainError(f"PE: the mediator level m must be 0 or 1, got {m!r}")
+        m = int(m)
+        model = _theorem_model(tid, {k: v for k, v in params.items() if k != "m"})
         closed = p - m
         report = effects.effect_report(model)
         enumerated = report.pe[m]
@@ -339,6 +344,8 @@ def _expect(condition: bool, tid: str, message: str) -> None:
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
+    if n < 1:
+        raise DomainError(f"a grid needs at least one point, got a count of {n}")
     if n == 1:
         return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
@@ -387,22 +394,117 @@ def default_grid(theorem_id: str) -> list[dict[str, float]]:
 
 
 # ---------------------------------------------------------------------------
-# Violation search over model families
+# The family registry
 # ---------------------------------------------------------------------------
 
-FAMILIES: dict[str, Callable[..., Model]] = {
-    "t1": lambda pi, beta: thm1_counterexample(pi, beta),
-    "t2": lambda pi1, pi2, beta, pi0=None: thm2_counterexample(
-        (1.0 - pi1 - pi2) if pi0 is None else pi0, pi1, pi2, beta
-    ),
-    "t3": lambda pi, beta1, beta2, beta3, beta4, gamma: thm3_counterexample(
-        pi, (beta1, beta2, beta3, beta4), gamma
-    ),
-    "pe": lambda p: pe_counterexample(p),
-    "additive": lambda seed, shape="basic": random_additive_scm(int(seed), shape=shape),
-    "separable": lambda seed: random_separable_scm(int(seed)),
-}
 
+class Param(NamedTuple):
+    """One family parameter. default is a value, or a function of the
+    family's other parameters whose docstring shows the derivation."""
+
+    name: str
+    type: type   # float, int or str
+    default: object
+    help: str
+    choices: tuple[str, ...] = ()
+
+    @property
+    def default_text(self) -> str:
+        return self.default.__doc__ if callable(self.default) else str(self.default)
+
+    def check(self, family: str, value: object) -> object:
+        """value as this parameter takes it; DomainError if it is outside its type."""
+        if self.choices:
+            ok, expected = value in self.choices, "one of " + ", ".join(self.choices)
+        else:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value) and (
+                self.type is float or value == int(value))
+            expected = "a finite number" if self.type is float else "an integer"
+        if not ok:
+            raise DomainError(f"{family}: {self.name} must be {expected}, got {value!r}")
+        return int(value) if self.type is int else value
+
+
+class Family(NamedTuple):
+    """A counterexample family or seeded generator: its parameters, and a
+    builder that calls the model factory by its module-global name, so that
+    a wrapper installed on the factory sees the call."""
+
+    name: str
+    build: Callable[..., Model]
+    params: tuple[Param, ...]
+
+    def resolve(self, given: Mapping[str, object]) -> dict[str, object]:
+        """The given parameters, checked and in their order, then the
+        defaults of the others: plain defaults first, then derived ones."""
+        declared = {p.name: p for p in self.params}
+        unknown = [k for k in given if k not in declared]
+        if unknown:
+            raise DomainError(
+                f"{self.name}: unknown parameter {unknown[0]!r}; expected one of "
+                + ", ".join(declared)
+            )
+        out = {k: declared[k].check(self.name, v) for k, v in given.items()}
+        for p in sorted(self.params, key=lambda q: callable(q.default)):
+            if p.name not in out:
+                out[p.name] = p.default(out) if callable(p.default) else p.default
+        return out
+
+    def __call__(self, **params: object) -> Model:
+        return self.build(**self.resolve(params))
+
+
+def _t2_pi0(params: Mapping[str, float]) -> float:
+    """1-pi1-pi2"""
+    return 1.0 - params["pi1"] - params["pi2"]
+
+
+FAMILIES: dict[str, Family] = {f.name: f for f in (
+    Family("t1", lambda pi, beta: thm1_counterexample(pi, beta), (
+        Param("pi", float, 0.5, "confounder noise probability"),
+        Param("beta", float, 0.9, "mediator noise probability"),
+    )),
+    Family("t2", lambda pi0, pi1, pi2, beta: thm2_counterexample(pi0, pi1, pi2, beta), (
+        Param("pi0", float, _t2_pi0, "P(eps_L = 0)"),
+        Param("pi1", float, 0.3, "P(eps_L = 1)"),
+        Param("pi2", float, 0.2, "P(eps_L = 2)"),
+        Param("beta", float, 0.9, "mediator noise probability"),
+    )),
+    Family("t3", lambda pi, beta1, beta2, beta3, beta4, gamma: thm3_counterexample(
+        pi, (beta1, beta2, beta3, beta4), gamma
+    ), (
+        Param("pi", float, 0.1, "P(M(a) = 1)"),
+        Param("beta1", float, 0.1, "P(Y(a,.) = (0,0))"),
+        Param("beta2", float, 0.2, "P(Y(a,.) = (0,1))"),
+        Param("beta3", float, 0.4, "P(Y(a,.) = (1,0))"),
+        Param("beta4", float, 0.3, "P(Y(a,.) = (1,1))"),
+        Param("gamma", float, 0.5, "P(Y(a*,.) = (1,1))"),
+    )),
+    Family("pe", lambda p: pe_counterexample(p), (
+        Param("p", float, 0.5, "mediator probability"),
+    )),
+    Family("additive", lambda seed, shape: random_additive_scm(seed, shape=shape), (
+        Param("seed", int, 0, "instance seed"),
+        Param("shape", str, "basic", "graph shape", ("basic", "confounded")),
+    )),
+    Family("separable", lambda seed: random_separable_scm(seed), (
+        Param("seed", int, 0, "instance seed"),
+    )),
+)}
+
+
+def _theorem_model(tid: str, params: dict) -> Model:
+    """The model of the theorem's family at params; params gains any default
+    the family derived (t2's pi0), after the given entries."""
+    family = FAMILIES[THEOREM_FAMILIES[tid]]
+    resolved = family.resolve(params)
+    params.update(resolved)
+    return family.build(**resolved)
+
+
+# ---------------------------------------------------------------------------
+# Violation search over model families
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ViolationRecord:
@@ -425,7 +527,11 @@ def evaluate_point(
     build = FAMILIES[family] if isinstance(family, str) else family
     model = build(**point)
     report = effects.effect_report(model)
-    value = report.value(effect)
+    try:
+        value = report.value(effect)
+    except KeyError:
+        names = ", ".join(name for name, _ in report.rows())
+        raise DomainError(f"unknown effect {effect!r}; this model has {names}") from None
     status = null_status(model)
     refuted = tuple(
         v.criterion for v in _effect_verdicts(effect, value, status, tol) if v.refutes_criterion

@@ -72,11 +72,6 @@ class EffectReport:
                 return v
         raise KeyError(name)
 
-    def to_text(self, fmt=lambda v: f"{v:.12g}") -> str:
-        rows = self.rows()
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {fmt(v)}" for name, v in rows)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -89,6 +89,8 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
         raise DomainError("sampling requires a structural-table model")
     if n < 0:
         raise DomainError("n must be nonnegative")
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     order, header = _canonical_columns(scm)
     gen = np.random.Generator(np.random.Philox(key=seed))
     uniforms = gen.random((n, len(order)))
@@ -220,6 +222,8 @@ def estimate(
     counter-based nonparametric bootstrap (rows resampled with replacement;
     replicate r draws from a Philox stream keyed by (seed, r) and its law
     counts the drawn rows' table cells)."""
+    if n_boot < 0:
+        raise DomainError(f"n_boot must be nonnegative, got {n_boot}")
     law = empirical_law(ds, exposure_levels)
     value = _apply_functional(law, estimand, m)
     label = f"{estimand}({m})" if estimand in _PARAMETRIC else estimand

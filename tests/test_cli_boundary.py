@@ -1,0 +1,274 @@
+"""The command line's input boundary: every argument the registry does not
+expect ends in a documented exit code, never in a traceback or an ignored
+value; each error class carries its exit code; the README's family and
+exit-code tables match the code."""
+
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import medscm as M
+from medscm import criteria, effects, errors
+from medscm.cli import main
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_domain_error(capsys, *argv, says: str):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, ""), argv
+    assert err.startswith("error: ") and says in err, (argv, err)
+
+
+@pytest.mark.parametrize("cls", [
+    errors.DomainError, errors.ShapeError, errors.EnumerationSizeError,
+    errors.ReproductionError, errors.InternalConsistencyError, OSError, ValueError,
+])
+def test_each_error_class_exits_with_its_code(cls, monkeypatch, capsys):
+    def fail(model):
+        raise cls("boom")
+
+    monkeypatch.setattr(effects, "effect_report", fail)
+    code, out, err = run(capsys, "effects", "t1")
+    expected = getattr(cls, "exit_code", errors.PARSE_EXIT_CODE)
+    assert (code, out, err) == (expected, "", "error: boom\n")
+
+
+def test_error_exit_codes():
+    assert {cls.__name__: cls.exit_code for cls in (
+        errors.DomainError, errors.ShapeError, errors.DegenerateStratumError,
+        errors.EnumerationSizeError, errors.ReproductionError,
+        errors.InternalConsistencyError,
+    )} == {"DomainError": 3, "ShapeError": 3, "DegenerateStratumError": 4,
+           "EnumerationSizeError": 5, "ReproductionError": 6, "InternalConsistencyError": 7}
+    assert errors.PARSE_EXIT_CODE == 8
+
+
+# -- sweep ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, says", [
+    (["t1", "--grid", "pi=0.5|0.6,gamma=0.3|0.4"], "unknown parameter 'gamma'"),
+    (["t1", "--grid", "pi=0.5|0.6", "--effect", "bogus"],
+     "unknown effect 'bogus'; this model has te, nde"),
+    (["additive", "--grid", "seed=1.5|2.5"], "seed must be an integer, got 1.5"),
+    (["t1", "--grid", "pi=0.2:0.8:0"], "at least one point, got a count of 0"),
+    (["t1", "--grid", "pi=0.2:0.8:-2"], "at least one point"),
+    (["t1", "--grid", "pi=0.2:0.8:2.5"], "bad grid axis 'pi=0.2:0.8:2.5'"),
+    (["t1", "--grid", "pi=a:b:3"], "bad grid axis 'pi=a:b:3'"),
+    (["additive", "--grid", "shape=confounded|basic"], "bad grid axis 'shape=confounded|basic'"),
+    (["t1", "--grid", "pi=0.1|nan"], "pi must be a finite number, got nan"),
+    (["t1", "--grid", "pi=0.1|0.2,pi=0.3|0.4"], "grid axis 'pi' given twice"),
+])
+def test_sweep_rejects_bad_grids_and_effects(argv, says, capsys):
+    assert_domain_error(capsys, "sweep", *argv, says=says)
+
+
+def test_sweep_missing_axis_takes_the_registry_default(capsys):
+    code, out, _ = run(capsys, "sweep", "t1", "--grid", "pi=0.5|0.6")
+    _, explicit, _ = run(capsys, "sweep", "t1", "--grid", "pi=0.5|0.6,beta=0.9:0.9:1")
+    assert code == 0
+    assert out.splitlines() == [line.partition(",")[2] for line in explicit.splitlines()]
+
+
+def test_effect_report_value_still_raises_key_error():
+    with pytest.raises(KeyError):
+        M.effect_report(M.thm1_counterexample(0.5, 0.9)).value("bogus")
+
+
+# -- ignored or mis-coded arguments -------------------------------------------
+
+def test_arguments_a_command_would_ignore_exit_3(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(M.scm_to_json(M.thm1_counterexample(0.4, 0.6)))
+    assert_domain_error(capsys, "effects", "t1", "--gamma", "0.3",
+                        says="t1: unknown parameter 'gamma'; expected one of pi, beta")
+    assert_domain_error(capsys, "validate", "separable", "--shape", "basic",
+                        says="unknown parameter 'shape'")
+    assert_domain_error(capsys, "effects", str(model), "--pi", "0.3",
+                        says="family parameters (--pi) given with a model file")
+    assert_domain_error(capsys, "reproduce", "T1", "--pi", "0.5", "--beta", "0.9",
+                        "--gamma", "0.2", says="unknown parameter 'gamma'")
+    assert_domain_error(capsys, "reproduce", "T1", "--pi", "0.5", "--beta", "0.9", "--m", "1",
+                        says="unknown parameter 'm'")
+    assert_domain_error(capsys, "reproduce", "PE", "--p", "0.5", "--m", "0.7",
+                        says="m must be 0 or 1, got 0.7")
+    assert_domain_error(capsys, "reproduce", "PE", "--p", "0.5", "--m", "2",
+                        says="m must be 0 or 1, got 2.0")
+    sample = tmp_path / "d.csv"
+    assert_domain_error(capsys, "sample", "t1", "--n", "5", "--sample-seed", "-1",
+                        "--out", str(sample), says="seed must lie in [0, 2**128), got -1")
+    assert run(capsys, "sample", "t1", "--n", "200", "--out", str(sample))[0] == 0
+    assert_domain_error(capsys, "estimate", str(sample), "--estimand", "psi_te",
+                        "--n-boot", "-3", says="n_boot must be nonnegative, got -3")
+    for lone in (["--a-star", "1"], ["--a", "0"]):
+        assert_domain_error(capsys, "estimate", str(sample), "--estimand", "psi_te", *lone,
+                            says="--a-star and --a must be given together")
+
+
+def test_reproduce_point_missing_a_closed_form_parameter(capsys):
+    assert_domain_error(capsys, "reproduce", "T3", "--pi", "0.3", "--gamma", "0.5",
+                        says="T3: missing parameter 'beta1'")
+    assert_domain_error(capsys, "reproduce", "T2", "--pi0", "0.5", "--pi1", "0.3",
+                        says="T2: missing parameter 'pi2'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["effects", "t3", "--pi3", "0.3"],
+    ["effects", "t1", "--tol", "0.1"],
+    ["validate", "t1", "--tol", "0.1"],
+    ["identify", "t1", "--tol", "0.1"],
+    ["sample", "t1", "--n", "5", "--out", "x.csv", "--tol", "0.1"],
+])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_t3_reads_pi(capsys):
+    default = run(capsys, "effects", "t3")
+    assert run(capsys, "effects", "t3", "--pi", "0.1") == default
+    assert run(capsys, "effects", "t3", "--pi", "0.3") != default
+
+
+def test_registry_checks_parameters():
+    t2 = criteria.FAMILIES["t2"]
+    assert t2.resolve({"pi1": 0.25}) == {"pi1": 0.25, "pi2": 0.2, "beta": 0.9,
+                                        "pi0": 1.0 - 0.25 - 0.2}
+    assert criteria.FAMILIES["additive"].resolve({"seed": 3.0}) == {"seed": 3, "shape": "basic"}
+    for family, params, says in (
+        ("t1", {"gamma": 0.1}, "unknown parameter 'gamma'"),
+        ("separable", {"seed": 1.5}, "seed must be an integer"),
+        ("separable", {"seed": float("inf")}, "seed must be an integer, got inf"),
+        ("additive", {"shape": "separable"}, "shape must be one of basic, confounded"),
+        ("pe", {"p": "0.5"}, "p must be a finite number"),
+    ):
+        with pytest.raises(M.DomainError, match=re.escape(says)):
+            criteria.FAMILIES[family](**params)
+
+
+# -- fuzz -----------------------------------------------------------------------
+
+PARAMETERS = list(dict.fromkeys(p.name for f in criteria.FAMILIES.values() for p in f.params))
+FOREIGN = ["m", "pi3", "tol", "bogus"]
+PROBABILITIES = st.floats(0.05, 0.95).map(repr)
+NUMBERS = st.one_of(
+    PROBABILITIES, PROBABILITIES,
+    st.sampled_from(["nan", "inf", "-1", "0", "1", "1.5", "2", "1e-300"]),
+    st.floats(-0.5, 1.5, allow_nan=False).map(repr),
+    st.integers(-3, 5).map(str),
+)
+VALUES = st.one_of(*[NUMBERS] * 4, st.sampled_from(["abc", "basic", "confounded", ""]))
+
+
+def _names(family: str | None):
+    """Mostly the family's own parameters, sometimes another's or none's."""
+    own = [p.name for p in criteria.FAMILIES[family].params] if family in criteria.FAMILIES else []
+    return st.one_of(*[st.sampled_from(own)] * 4 * bool(own),
+                     st.sampled_from([*PARAMETERS, *FOREIGN]))
+
+
+def _flags(draw, family: str | None) -> list[str]:
+    pairs = draw(st.lists(st.tuples(_names(family), VALUES), max_size=3))
+    return [s for name, value in pairs for s in (f"--{name}", value)]
+
+
+def _axis(draw, name: str) -> str:
+    if draw(st.booleans()):
+        return f"{name}=" + "|".join(draw(st.lists(VALUES, min_size=2, max_size=2)))
+    count = draw(st.sampled_from(["2", "3", "1", "0", "2.5"]))
+    return f"{name}={draw(NUMBERS)}:{draw(NUMBERS)}:{count}"
+
+
+@st.composite
+def argvs(draw) -> tuple[str, list[str]]:
+    command = draw(st.sampled_from(
+        ["validate", "effects", "identify", "criteria", "reproduce", "sweep"]))
+    if command == "sweep":
+        family = draw(st.sampled_from(list(criteria.FAMILIES)))
+        names = st.one_of(_names(family), st.sampled_from(["", " pi"]))
+        grid = ",".join(_axis(draw, name) for name in draw(st.lists(names, min_size=1,
+                                                                    max_size=2, unique=True)))
+        effect = draw(st.sampled_from(["nie_r", "nie", "nie_r_L", "pe(0)", "bogus"]))
+        tol = draw(st.sampled_from([[], ["--tol", "0.01"], ["--tol", "nan"]]))
+        return command, ["sweep", family, "--grid", grid, "--effect", effect, *tol]
+    if command == "reproduce":
+        theorem = draw(st.sampled_from([*criteria.THEOREM_FAMILIES, "s1", "T9"]))
+        # a grid point to perturb: with no flags reproduce runs a whole grid
+        tid = theorem.upper() if theorem.upper() in criteria.THEOREM_FAMILIES else "T1"
+        point = draw(st.sampled_from(criteria.default_grid(tid)[::7]))
+        flags = [s for k, v in point.items() for s in (f"--{k}", repr(v))]
+        return command, ["reproduce", theorem, *flags, *_flags(draw, None)]
+    scm = draw(st.sampled_from([*criteria.FAMILIES, "model.json", "missing.json"]))
+    fmt = draw(st.sampled_from([[], ["--format", "csv"]]))
+    return command, [command, scm, *_flags(draw, scm), *fmt]
+
+
+def test_cli_boundary_fuzz(monkeypatch):
+    with tempfile.TemporaryDirectory() as tmp:
+        monkeypatch.chdir(tmp)
+        Path(tmp, "model.json").write_text(M.scm_to_json(M.thm1_counterexample(0.4, 0.6)))
+
+        @settings(max_examples=400, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(argvs())
+        def exits_with_a_documented_code(case):
+            command, argv = case
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 2, 3, 4, 5, 6, 8) or (code == 1 and command == "validate"), argv
+            assert "Traceback" not in err.getvalue(), argv
+
+        exits_with_a_documented_code()
+
+
+# -- README ---------------------------------------------------------------------
+
+def _table_rows(heading: str) -> list[list[str]]:
+    section = README.read_text().split(heading, 1)[1]
+    rows = []
+    for line in section.splitlines()[1:]:
+        if line.startswith("#"):
+            break
+        if line.startswith("|") and not set(line) <= set("|- "):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows[1:]   # without the header row
+
+
+def test_readme_family_table_matches_registry():
+    expected = [
+        [f"`{f.name}`", f"`--{p.name}`",
+         " or ".join(p.choices) if p.choices else p.type.__name__, p.default_text, p.help]
+        for f in criteria.FAMILIES.values() for p in f.params
+    ]
+    assert _table_rows("### Family parameters") == expected
+
+
+def test_readme_exit_code_table_matches_error_classes():
+    by_name = {"OSError": errors.PARSE_EXIT_CODE, "ValueError": errors.PARSE_EXIT_CODE}
+    by_name |= {cls.__name__: cls.exit_code for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, errors.MedscmError)
+                and cls is not errors.MedscmError}
+    seen = set()
+    for code, raised_by, _ in _table_rows("### Exit codes"):
+        for name in re.findall(r"`(\w+)`", raised_by):
+            assert by_name[name] == int(code), name
+            seen.add(name)
+    assert seen == set(by_name)
