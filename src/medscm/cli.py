@@ -168,7 +168,11 @@ def _cmd_reproduce(args) -> int:
     for point in grid:
         record = criteria.reproduce(tid, point)
         worst = max(worst, record.difference)
-    print(f"{tid}: {len(grid)} grid points reproduced; worst |closed - enumerated| = {worst:.3e}")
+    if args.output_format == "csv":
+        _print_rows([("theorem", tid), ("points", str(len(grid))),
+                     ("worst_difference", f"{worst:.3e}")], "csv")
+    else:
+        print(f"{tid}: {len(grid)} grid points reproduced; worst |closed - enumerated| = {worst:.3e}")
     return 0
 
 
@@ -182,10 +186,11 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
         if name in axes:
             raise DomainError(f"grid axis {name!r} given twice")
         pieces = rng.split(":")
-        if "|" not in rng and len(pieces) != 3:
+        listed = "|" in rng or len(pieces) == 1   # v1|v2|..., or one value v
+        if not listed and len(pieces) != 3:
             raise DomainError(f"bad grid axis {part!r}; expected name=lo:hi:count")
         try:
-            if "|" in rng:
+            if listed:
                 axes[name] = [float(v) for v in rng.split("|")]
             else:
                 axes[name] = criteria._grid(float(pieces[0]), float(pieces[1]), int(pieces[2]))
@@ -281,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a family over a parameter grid as CSV")
     p.add_argument("family", choices=sorted(criteria.FAMILIES))
     p.add_argument("--grid", required=True,
-                   help="comma-separated axes, e.g. pi=0.05:0.95:21,beta=0.1|0.5|0.9")
+                   help="comma-separated axes name=lo:hi:count, name=v1|v2|... or name=v, "
+                        "e.g. pi=0.05:0.95:21,beta=0.1|0.5|0.9")
     p.add_argument("--effect", default="nie_r")
     p.add_argument("--tol", type=float, default=criteria.NULL_TOL,
                    help="null-value tolerance for the refutation column")

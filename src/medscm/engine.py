@@ -369,35 +369,75 @@ def table_cells(c_cell, c_cells: int, factual, supports) -> tuple[np.ndarray, tu
     return np.ravel_multi_index([c_cell, *pos], shape), shape
 
 
-_LEVELS = (list, np.ndarray)   # level arrays; a tuple is a covariate cell
+_LEVELS = (list, np.ndarray)   # level (or cell) arrays; a tuple is a covariate cell
+
+TABLE_AXES = 5                 # an ObservedLaw table: (c, a, l, m, y)
+
+MEAN_Y_TEXT = "E(Y | c={c!r}, a={a!r}, l={l!r}, m={m!r})"
+
+
+def running_sum(terms) -> np.ndarray:
+    """Sums over the last axis, each a running sum from 0.0 in axis order
+    (np.sum would reassociate). A running sum from the first term differs
+    from it only in the sign of a zero, which adding 0.0 at the end clears."""
+    terms = np.asarray(terms, dtype=float)
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    return terms.cumsum(axis=-1)[..., -1] + 0.0
+
+
+def _cells(c):
+    """A covariate cell (a tuple) or an array of cells as is; a sequence of
+    cells as an object array, nested lists nesting axes."""
+    if c is None or isinstance(c, (tuple, np.ndarray)):
+        return c
+    if all(isinstance(x, tuple) for x in c):
+        return np.fromiter(c, dtype=object, count=len(c))
+    return np.stack([_cells(x) for x in c])
+
+
+def _named(values: dict) -> dict:
+    return {k: _cells(v) if k == "c" else v for k, v in values.items()}
 
 
 def _position(v, index: Mapping):
-    """Axis position of v, elementwise over levels; -1 (a zero slot) off the axis."""
+    """Axis position of v, elementwise over levels or cells; -1 (a zero slot)
+    off the axis."""
     if not isinstance(v, _LEVELS):
         return index.get(v, -1)
+    if isinstance(v, list) and not (v and isinstance(v[0], _LEVELS)):   # a flat list
+        return np.array([index.get(x, -1) for x in v], dtype=np.intp)
     v = np.asarray(v)
     return np.array([index.get(x, -1) for x in v.ravel().tolist()], dtype=np.intp).reshape(v.shape)
 
 
-def _require_positive(mass, named: dict, describe: Callable[[dict], str]) -> None:
+def _require_positive(mass: np.ndarray, named: dict, describe: Callable[[dict], str],
+                      where=True) -> None:
     """DegenerateStratumError describing the values in named at the first
-    entry of mass, in C order, that is not positive."""
-    if isinstance(mass, float):
-        if mass <= 0.0:
-            raise DegenerateStratumError(describe(named))
-        return
-    empty = np.flatnonzero(mass <= 0.0)
-    if empty.size:
-        shape = np.shape(mass)
+    entry, in C order, where mass is not positive and where allows; mass and
+    where broadcast, and so do the values in named against their trailing axes."""
+    bad = mass <= 0.0
+    if where is not True:
+        bad = bad & where
+    if bad.any():
+        first = int(np.argmax(bad))
+        at = slice(first, first + 1)
         raise DegenerateStratumError(describe({
-            k: np.broadcast_to(v, shape).flat[empty[0]].item() if isinstance(v, _LEVELS) else v
+            k: np.broadcast_to(v, bad.shape).flat[at].tolist()[0] if isinstance(v, _LEVELS) else v
             for k, v in named.items()
         }))
 
 
-def _scalar(x):
-    return x.item() if np.ndim(x) == 0 else x
+def _allowing(where):
+    """True for a where that allows every entry (the cheaper path), else where."""
+    return True if where is True or np.all(where) else where
+
+
+def _divide(num: np.ndarray, denom: np.ndarray, where) -> np.ndarray:
+    """num / denom where allows, 0.0 elsewhere, in the broadcast shape."""
+    if where is True:
+        return num / denom
+    return np.divide(num, denom, out=np.zeros(np.broadcast(num, denom, where).shape), where=where)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,10 +449,17 @@ class ObservedLaw:
     sorted distinct rows of a dataset). pmf views the positive cells in that
     order, keyed (c_tuple, a, l, m, y), l None without a confounder.
 
-    Queries read marginal tables built once per law by np.bincount over the
-    cells in key order, so each sum adds the terms a scan of pmf would, in
-    its order. a, l and m may be lists or arrays of levels, which broadcast;
-    c is one covariate tuple. Identification functionals consume only this.
+    The table may carry a leading replicate axis, (B, C, A, L, M, Y): a batch
+    of B laws over the same cells, such as bootstrap replicates. Every query
+    then answers for all B laws at once along a leading axis; a single law
+    answers without it, and a scalar query with a float.
+
+    Queries read marginal tables built once per batch by one np.bincount over
+    row * table cells + cell, in key order, so each sum adds the terms a scan
+    of one law's pmf would, in its order. c may be one covariate tuple or a
+    sequence of them, such as strata (nested lists nest axes); a, l and m may
+    be lists or arrays of levels; they all broadcast. Identification
+    functionals consume only this.
     """
 
     mass: np.ndarray
@@ -438,6 +485,10 @@ class ObservedLaw:
     def a(self) -> int:
         return self.exposure_levels[1]
 
+    @property
+    def batched(self) -> bool:
+        return self.mass.ndim > TABLE_AXES
+
     @cached_property
     def _cells(self) -> tuple:
         """Table position (c, a, l, m, y) of every cell in key order, the
@@ -445,25 +496,43 @@ class ObservedLaw:
         table's cell of every cell, by the axes it keeps."""
         axes = (self.c_cells, self.a_support, self.l_support or (), self.m_support)
         index = tuple({v: i for i, v in enumerate(axis)} for axis in axes)
-        return np.unravel_index(self.order, self.mass.shape), index, {}
+        return np.unravel_index(self.order, self.mass.shape[-TABLE_AXES:]), index, {}
 
     @cached_property
     def _keyed(self) -> tuple:
-        """Mass of every cell in key order and the marginal tables built so far."""
-        return self.mass.ravel()[self.order], {}
+        """Mass and Y-weighted mass of every cell in key order, one row per
+        law, and the marginal tables built so far."""
+        table = self.mass.shape[-TABLE_AXES:]
+        w = self.mass.reshape(-1, math.prod(table))[:, self.order]
+        return w, w * np.asarray(self.y_support, dtype=float)[self._cells[0][4]], {}
 
     def with_mass(self, mass: np.ndarray) -> ObservedLaw:
         """The law of the same cells under another mass table of the same
-        shape, sharing the cell index (a bootstrap replicate)."""
-        if np.shape(mass) != self.mass.shape:
-            raise ShapeError(f"a mass table of shape {np.shape(mass)}, not {self.mass.shape}")
+        shape, or the batch of laws under a stack of them (bootstrap
+        replicates), sharing the cell index."""
+        table = self.mass.shape[-TABLE_AXES:]
+        if np.shape(mass)[-TABLE_AXES:] != table or np.ndim(mass) not in (TABLE_AXES, TABLE_AXES + 1):
+            raise ShapeError(f"a mass table of shape {np.shape(mass)}, not {table} or (B, *{table})")
         law = dataclasses.replace(self, mass=mass)
         law.__dict__["_cells"] = self._cells
         return law
 
+    def _single(self, what: str) -> None:
+        if self.batched:
+            raise ShapeError(f"{what} is defined for a single law, not a batch of {len(self.mass)}")
+
+    def _out(self, x: np.ndarray):
+        """A query result without the row axis of a single law, a float
+        when it is a scalar."""
+        if self.batched:
+            return x
+        return x.item() if x.ndim == 1 else x[0]
+
     @cached_property
     def pmf(self) -> Mapping[tuple, float]:
-        (w, _), (pos, _, _) = self._keyed, self._cells
+        self._single("pmf")
+        (w, _, _), (pos, _, _) = self._keyed, self._cells
+        w = w[0]
         axes = (self.c_cells, self.a_support, self.l_support or (None,), self.m_support,
                 self.y_support)
         keys = zip(*([axis[i] for i in p[w > 0.0].tolist()] for axis, p in zip(axes, pos)))
@@ -476,52 +545,123 @@ class ObservedLaw:
         return self.pmf.items()
 
     @cached_property
-    def _strata(self) -> list[tuple[tuple[int, ...], float]]:
-        (w, _), (pos, _, _) = self._keyed, self._cells
-        w_c = np.bincount(pos[0], weights=w, minlength=len(self.c_cells)).tolist()
-        return [(self.c_cells[k], w_c[k]) for k in dict.fromkeys(pos[0][w > 0.0].tolist())]
+    def _stratum_order(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Table positions of the covariate cells of positive mass in some
+        law, in order of first occurrence among such cells; in a batch, every
+        law's order of them by first occurrence among its own positive cells,
+        and whether each place in that order holds a stratum the law lacks
+        (those last). A single law holds its strata in the first order."""
+        (w, _, _), (pos, _, _) = self._keyed, self._cells
+        positive = w > 0.0
+        somewhere = positive.any(axis=0) if self.batched else positive[0]
+        union = np.array(list(dict.fromkeys(pos[0][somewhere].tolist())), dtype=np.intp)
+        if not self.batched:
+            return union, None, None
+        n = w.shape[1]
+        by_c = np.argsort(pos[0], kind="stable")     # cells by covariate cell, in key order
+        starts = np.flatnonzero(np.diff(pos[0][by_c], prepend=-1))
+        first = np.minimum.reduceat(np.where(positive, np.arange(n), n)[:, by_c], starts, axis=1)
+        first = first[:, np.searchsorted(pos[0][by_c][starts], union)]
+        order = np.argsort(first, axis=1, kind="stable")
+        return union, order, np.take_along_axis(first, order, axis=1) == n
+
+    @cached_property
+    def strata(self) -> np.ndarray:
+        """Covariate cells of positive mass (in some law of a batch) in order
+        of first occurrence among the positive cells, as a read-only array of
+        cells: query them with c=strata and add over them with stratum_sum."""
+        cells = np.fromiter((self.c_cells[k] for k in self._stratum_order[0].tolist()),
+                            dtype=object, count=len(self._stratum_order[0]))
+        cells.flags.writeable = False
+        return cells
 
     def c_strata(self) -> list[tuple[tuple[int, ...], float]]:
         """Covariate strata of positive mass and their mass, in order of
         first occurrence among the cells."""
-        return list(self._strata)
+        self._single("c_strata")
+        return list(zip(self.strata.tolist(), self.prob(c=self.strata).tolist()))
 
-    def _query(self, c, a, l, m, *tables: bool) -> list:
-        """Mass (table False) or Y-weighted mass (True) of the cells matching
-        the named values, read off marginal tables over the named axes; each
-        named axis has a trailing zero slot for values off it."""
+    def stratum_sum(self, terms):
+        """Sum of per-stratum terms, axis 0 of a law's terms running over
+        strata and any further axes in C order: each law's sum adds them in
+        its own c_strata() order, a running sum from 0.0 that skips the
+        strata the law lacks."""
+        _, order, lacks = self._stratum_order
+        rows = np.asarray(terms, dtype=float)
+        if order is None:
+            return running_sum(rows.ravel()).item()
+        extra = (1,) * (rows.ndim - 2)
+        rows = np.take_along_axis(rows, order.reshape(*order.shape, *extra), axis=1)
+        rows = np.where(lacks.reshape(*lacks.shape, *extra), 0.0, rows)
+        return running_sum(rows.reshape(len(rows), -1))
+
+    def _table(self, given: tuple[bool, ...], y: bool) -> np.ndarray:
+        """The marginal table of mass (y False) or Y-weighted mass (True)
+        over the named (c, a, l, m) axes, one row per law; each named axis has
+        a trailing zero slot for values off it."""
+        built = self._keyed[2]
+        if (given, y) not in built:
+            (w, wy, _), (pos, _, cells_at) = self._keyed, self._cells
+            if given not in cells_at:
+                dims = tuple(n + 1 if g else 1 for n, g in zip(self.mass.shape[-TABLE_AXES:], given))
+                at = np.ravel_multi_index([p if g else 0 for p, g in zip(pos, given)], dims)
+                cells_at[given] = at if any(given) else np.zeros_like(pos[0]), dims
+            at, dims = cells_at[given]
+            rows, size = len(w), math.prod(dims)
+            if rows > 1:
+                at = (np.arange(rows)[:, None] * size + at).ravel()
+            x = wy if y else w
+            built[given, y] = np.bincount(at, x.ravel(), rows * size).reshape(rows, *dims)
+        return built[given, y]
+
+    def _query(self, c, a, l, m, y: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """Mass of the cells matching the named values, one row per law, and
+        with y their Y-weighted mass too."""
+        _, (_, ia, il, im), _ = self._cells
         given = (c is not None, a is not None, l is not None, m is not None)
-        (w, built), (pos, (ic, ia, il, im), cells_at) = self._keyed, self._cells
-        if given not in cells_at:
-            dims = tuple(n + 1 if g else 1 for n, g in zip(self.mass.shape, given))
-            at = np.ravel_multi_index([p * g for p, g in zip(pos, given)], dims)
-            cells_at[given] = at, dims
-        for y in tables:
-            if (given, y) not in built:
-                at, dims = cells_at[given]
-                x = w * np.asarray(self.y_support, dtype=float)[pos[4]] if y else w
-                built[given, y] = np.bincount(at, x, math.prod(dims)).reshape(dims)
         at = (
-            ic.get(c, -1) if given[0] else 0,
-            _position(a, ia) if given[1] else 0,
-            _position(l, il) if given[2] else 0,
-            _position(m, im) if given[3] else 0,
+            slice(None),
+            0 if c is None else self._c_position(c),
+            0 if a is None else _position(a, ia),
+            0 if l is None else _position(l, il),
+            0 if m is None else _position(m, im),
         )
-        return [built[given, y][at] for y in tables]
+        mass = self._table(given, False)[at]
+        return (mass, self._table(given, True)[at]) if y else mass
+
+    def _c_position(self, c):
+        """Table position of a covariate cell, elementwise over cells; those
+        of strata, or of an array that views all of it in order, are known."""
+        strata = isinstance(c, np.ndarray) and (c is self.strata or c.base is self.strata)
+        if strata and c.size == self.strata.size and c.flags.c_contiguous:
+            return self._stratum_order[0].reshape(c.shape)
+        return _position(c, self._cells[1][0])
+
+    def _mass(self, named: dict) -> np.ndarray:
+        get = named.get
+        return self._query(get("c"), get("a"), get("l"), get("m"))
 
     def prob(self, *, c=None, a=None, l=None, m=None):
-        return _scalar(self._query(c, a, l, m, False)[0])
+        return self._out(self._query(_cells(c), a, l, m))
 
-    def cond_prob(self, *, of: dict, given: dict):
-        denom = self.prob(**given)
-        _require_positive(denom, given, repr)
-        return self.prob(**{**given, **of}) / denom
+    def cond_prob(self, *, of: dict, given: dict, where=True):
+        """Pr(of | given); entries outside where are not checked and read
+        0.0, and the result broadcasts against where."""
+        where = _allowing(where)
+        given = _named(given)
+        denom = self._mass(given)
+        _require_positive(denom, given, repr, where)
+        return self._out(_divide(self._mass({**given, **_named(of)}), denom, where))
 
-    def mean_y(self, *, c=None, a=None, l=None, m=None):
-        denom, num = self._query(c, a, l, m, False, True)
-        _require_positive(denom, dict(c=c, a=a, l=l, m=m),
-                          lambda at: "E(Y | c={c!r}, a={a!r}, l={l!r}, m={m!r})".format(**at))
-        return _scalar(num / denom)
+    def mean_y(self, *, c=None, a=None, l=None, m=None, where=True):
+        """E(Y | the named values); entries outside where are not checked and
+        read 0.0, and the result broadcasts against where."""
+        where = _allowing(where)
+        c = _cells(c)
+        denom, num = self._query(c, a, l, m, y=True)
+        _require_positive(denom, dict(c=c, a=a, l=l, m=m), lambda at: MEAN_Y_TEXT.format(**at),
+                          where)
+        return self._out(_divide(num, denom, where))
 
 
 def law_cells(model: Model, p: Profiles) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .engine import ObservedLaw
+from .engine import MEAN_Y_TEXT, ObservedLaw, running_sum
 from .errors import DegenerateStratumError, DomainError, ShapeError
 from .model import Model, level_positions
 
@@ -44,53 +44,66 @@ class AssumptionVerdict:
 # ---------------------------------------------------------------------------
 # Identification functionals
 # ---------------------------------------------------------------------------
-# Loops run over strata only; each query takes every level at once and sums
-# add in level order, so values and errors are those of per-level loops.
+# Each functional is a fixed number of queries over the whole table: the
+# strata on the first axis of every query, levels on the trailing axes. Level
+# sums and stratum sums are running sums from 0.0 in level and c_strata()
+# order, and the first failing entry in C order is the one the per-stratum,
+# per-level loops would meet first, so values and errors are theirs. A batch
+# of laws (bootstrap replicates) is scored at once along a leading axis.
 
 
-def _level_sum(terms: np.ndarray):
-    """Sum over the last axis in level order (np.sum would reassociate)."""
-    return np.cumsum(terms, axis=-1)[..., -1] if terms.shape[-1] else np.zeros(terms.shape[:-1])
+def _strata(law: ObservedLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The law's strata, their mass, and whether each law holds each one."""
+    cells = law.strata
+    w_c = law.prob(c=cells)
+    return cells, w_c, w_c > 0.0
 
 
-def _check_arm_positivity(law: ObservedLaw) -> None:
-    for c, _w_c in law.c_strata():
-        for ap in law.exposure_levels:
-            if law.prob(c=c, a=ap) <= 0.0:
-                raise DegenerateStratumError(f"Pr(A={ap} | c={c!r}) = 0")
+def _raise_first(bad: np.ndarray, describe: Callable[..., str]) -> None:
+    """DegenerateStratumError describing the first bad entry in C order;
+    describe takes its index."""
+    if bad.any():
+        raise DegenerateStratumError(describe(*np.unravel_index(np.argmax(bad), bad.shape)))
 
 
-def _check_mediator_positivity(law: ObservedLaw) -> None:
+def _check_arm_positivity(law: ObservedLaw, cells: np.ndarray, live: np.ndarray,
+                          empty: np.ndarray | None = None) -> None:
+    """Every exposure arm occurs in every stratum; empty, if given, marks
+    the (stratum, arm) cells known to be empty."""
+    arms = law.exposure_levels
+    if empty is None:
+        empty = law.prob(c=cells[:, None], a=list(arms)) <= 0.0
+    _raise_first(empty & live[..., None],
+                 lambda *i: f"Pr(A={arms[i[-1]]} | c={cells[i[-2]]!r}) = 0")
+
+
+def _check_mediator_positivity(law: ObservedLaw, cells: np.ndarray, live: np.ndarray) -> None:
     # In-sample analog of the mediator-density positivity requirement: every
     # mediator level must occur in both exposure arms within every covariate
-    # stratum.
-    _check_arm_positivity(law)
+    # stratum. An arm is empty exactly where all its mediator levels are.
     arms, levels = law.exposure_levels, law.m_support
-    for c, _w_c in law.c_strata():
-        mass = law.prob(c=c, a=[[ap] for ap in arms], m=list(levels))
-        if not (mass > 0.0).all():
-            i, j = np.argwhere(mass <= 0.0)[0]   # the first in (arm, level) order
-            raise DegenerateStratumError(f"Pr(M={levels[j]} | A={arms[i]}, c={c!r}) = 0")
+    empty = law.prob(c=cells[:, None, None], a=[[ap] for ap in arms], m=list(levels)) <= 0.0
+    _check_arm_positivity(law, cells, live, empty.all(axis=-1))
+    _raise_first(empty & live[..., None, None],
+                 lambda *i: f"Pr(M={levels[i[-1]]} | A={arms[i[-2]]}, c={cells[i[-3]]!r}) = 0")
 
 
-def _l_standardised(law: ObservedLaw, c: tuple, ap: int, m) -> np.ndarray:
-    """sum_l Pr(l | ap, c) E(Y | m, l, ap, c) over the levels l of positive
-    weight, for a mediator level m or each of an array of them."""
-    levels = np.array(law.l_support)
-    w_l = law.cond_prob(of={"l": levels}, given={"c": c, "a": ap})
-    keep = w_l > 0.0
-    means = law.mean_y(c=c, a=ap, l=levels[keep], m=np.asarray(m)[..., None])
-    return _level_sum(w_l[keep] * means)
+def _l_standardised(law: ObservedLaw, c: np.ndarray, where: np.ndarray, a, m) -> np.ndarray:
+    """sum_l Pr(l | a, c) E(Y | m, l, a, c) over the levels l of positive
+    weight, where allows; cells c, levels a and m and where broadcast."""
+    c, where, a, m = (np.asarray(x)[..., None] for x in (c, where, a, m))   # l on a new last axis
+    levels = list(law.l_support)
+    w_l = law.cond_prob(of={"l": levels}, given={"c": c, "a": a}, where=where)
+    return running_sum(w_l * law.mean_y(c=c, a=a, l=levels, m=m, where=where & (w_l > 0.0)))
 
 
 def psi_te(law: ObservedLaw) -> float:
     """E{E(Y|a,C)} - E{E(Y|a*,C)} as exact stratum sums."""
-    _check_arm_positivity(law)
+    cells, w_c, live = _strata(law)
+    _check_arm_positivity(law, cells, live)
     a_star, a = law.exposure_levels
-    value = 0.0
-    for c, w_c in law.c_strata():
-        value += w_c * (law.mean_y(c=c, a=a) - law.mean_y(c=c, a=a_star))
-    return value
+    y = law.mean_y(c=cells[:, None], a=[a, a_star], where=live[..., None])
+    return law.stratum_sum(w_c * (y[..., 0] - y[..., 1]))
 
 
 def psi_cde(law: ObservedLaw, m: int) -> float:
@@ -98,16 +111,14 @@ def psi_cde(law: ObservedLaw, m: int) -> float:
     confounder by the per-arm g-formula when the law has one."""
     if m not in law.m_support:
         raise DomainError(f"mediator level {m} outside support")
-    _check_arm_positivity(law)
+    cells, w_c, live = _strata(law)
+    _check_arm_positivity(law, cells, live)
     a_star, a = law.exposure_levels
-    value = 0.0
-    for c, w_c in law.c_strata():
-        if law.has_l:
-            y_a, y_star = (_l_standardised(law, c, ap, m) for ap in (a, a_star))
-        else:
-            y_a, y_star = (law.mean_y(c=c, a=ap, m=m) for ap in (a, a_star))
-        value += w_c * (y_a - y_star)
-    return float(value)
+    if law.has_l:
+        y = _l_standardised(law, cells[:, None], live[..., None], [a, a_star], m)
+    else:
+        y = law.mean_y(c=cells[:, None], a=[a, a_star], m=m, where=live[..., None])
+    return law.stratum_sum(w_c * (y[..., 0] - y[..., 1]))
 
 
 def psi_pe(law: ObservedLaw, m: int) -> float:
@@ -118,16 +129,14 @@ def psi_pe(law: ObservedLaw, m: int) -> float:
 def psi_nie(law: ObservedLaw) -> float:
     """The mediation-formula functional
     E{E(Y|a,C)} - E[E{E(Y|M,a,C) | a*,C}]."""
-    _check_mediator_positivity(law)
+    cells, w_c, live = _strata(law)
+    _check_mediator_positivity(law, cells, live)
     a_star, a = law.exposure_levels
-    levels = np.array(law.m_support)
-    value = 0.0
-    for c, w_c in law.c_strata():
-        w_m = law.cond_prob(of={"m": levels}, given={"c": c, "a": a_star})
-        keep = w_m > 0.0
-        inner = _level_sum(w_m[keep] * law.mean_y(c=c, a=a, m=levels[keep]))
-        value += w_c * (law.mean_y(c=c, a=a) - inner)
-    return float(value)
+    levels = list(law.m_support)
+    w_m = law.cond_prob(of={"m": levels}, given={"c": cells[:, None], "a": a_star},
+                        where=live[..., None])
+    inner = running_sum(w_m * law.mean_y(c=cells[:, None], a=a, m=levels, where=w_m > 0.0))
+    return law.stratum_sum(w_c * (law.mean_y(c=cells, a=a, where=live) - inner))
 
 
 def psi_nie_r_L(law: ObservedLaw) -> float:
@@ -136,16 +145,15 @@ def psi_nie_r_L(law: ObservedLaw) -> float:
     E[ sum_m sum_l E(Y|m,l,a,C) Pr(l|a,C) {Pr(m|a,C) - Pr(m|a*,C)} ]."""
     if not law.has_l:
         raise ShapeError("functional requires a law with an induced confounder")
-    _check_mediator_positivity(law)
+    cells, w_c, live = _strata(law)
+    _check_mediator_positivity(law, cells, live)
     a_star, a = law.exposure_levels
     levels = np.array(law.m_support)
-    value = 0.0
-    for c, w_c in law.c_strata():
-        w_a, w_star = law.cond_prob(of={"m": levels}, given={"c": c, "a": [[a], [a_star]]})
-        delta = w_a - w_star
-        moved = delta != 0.0
-        value += w_c * _level_sum(delta[moved] * _l_standardised(law, c, a, levels[moved]))
-    return float(value)
+    w_m = law.cond_prob(of={"m": list(levels)}, given={"c": cells[:, None, None],
+                        "a": [[a], [a_star]]}, where=live[..., None, None])
+    delta = w_m[..., 0, :] - w_m[..., 1, :]
+    y = _l_standardised(law, cells[:, None], delta != 0.0, a, levels)
+    return law.stratum_sum(w_c * running_sum(delta * y))
 
 
 def psi_nie_rl(law: ObservedLaw) -> float:
@@ -156,19 +164,29 @@ def psi_nie_rl(law: ObservedLaw) -> float:
     if not law.has_l:
         raise ShapeError("functional requires a law with an induced confounder")
     a_star, a = law.exposure_levels
-    levels = np.array(law.m_support)
-    value = 0.0
-    for c, _w_c in law.c_strata():
-        for l in law.l_support:
-            w_cl = law.prob(c=c, l=l)
-            if w_cl <= 0.0:
-                continue
-            first = law.mean_y(c=c, a=a, l=l)
-            w_m = law.cond_prob(of={"m": levels}, given={"c": c, "a": a_star, "l": l})
-            keep = w_m > 0.0
-            second = _level_sum(w_m[keep] * law.mean_y(c=c, a=a, l=l, m=levels[keep]))
-            value += w_cl * (first - second)
-    return float(value)
+    cells = law.strata
+    l_levels, m_levels = list(law.l_support), list(law.m_support)
+    c, c_l, l_m = cells[:, None], cells[:, None, None], np.array(l_levels)[:, None]
+    w_cl = law.prob(c=c, l=l_levels)
+    on = w_cl > 0.0
+    first_mass, draw_mass = (law.prob(c=c, a=ap, l=l_levels) for ap in (a, a_star))
+    w_m = law.cond_prob(of={"m": m_levels}, given={"c": c_l, "a": a_star, "l": l_m},
+                        where=(on & (draw_mass > 0.0))[..., None])
+    second_mass = law.prob(c=c_l, a=a, l=l_m, m=m_levels)
+
+    # each (c, l) in turn: E(Y | c, a, l), then Pr(. | c, a*, l), then E(Y | m, c, a, l)
+    def describe(*i):
+        cell, l, k = cells[i[-3]], l_levels[i[-2]], i[-1]
+        if k == 1:
+            return repr({"c": cell, "a": a_star, "l": l})
+        return MEAN_Y_TEXT.format(c=cell, a=a, l=l, m=None if k == 0 else m_levels[k - 2])
+
+    _raise_first(np.concatenate([(on & (first_mass <= 0.0))[..., None],
+                                 (on & (draw_mass <= 0.0))[..., None],
+                                 (w_m > 0.0) & (second_mass <= 0.0)], axis=-1), describe)
+    first = law.mean_y(c=c, a=a, l=l_levels, where=on)
+    second = running_sum(w_m * law.mean_y(c=c_l, a=a, l=l_m, m=m_levels, where=w_m > 0.0))
+    return law.stratum_sum(w_cl * (first - second))
 
 
 FUNCTIONALS = {

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import engine, identify
 from .engine import ObservedLaw
-from .errors import DomainError
+from .errors import DegenerateStratumError, DomainError
 from .model import Scm, scm_to_json
 
 
@@ -186,6 +186,8 @@ def empirical_law(
         if len(law.a_support) < 2:
             raise DomainError("exposure takes a single value in-sample; specify exposure_levels")
         exposure_levels = (law.a_support[0], law.a_support[-1])
+    if exposure_levels[0] == exposure_levels[1]:
+        raise DomainError("exposure levels a* and a must differ")
     return dataclasses.replace(law, exposure_levels=exposure_levels)
 
 
@@ -195,18 +197,37 @@ def empirical_law(
 
 _PARAMETRIC = {"psi_cde", "psi_pe"}
 
+# one block of bootstrap replicates holds mass tables of at most
+# PROFILE_BYTE_BUDGET / BOOT_TABLE_FACTOR bytes, which leaves room within the
+# budget for the marginal tables the functionals build from them
+BOOT_TABLE_FACTOR = 64
 
-def _apply_functional(law: ObservedLaw, estimand: str, m: int | None) -> float:
+
+def _functional(estimand: str, m: int | None):
+    """The functional an estimand names and the arguments after the law."""
     if estimand not in identify.FUNCTIONALS:
         raise DomainError(
             f"unknown estimand {estimand!r}; expected one of {sorted(identify.FUNCTIONALS)}"
         )
-    fn = identify.FUNCTIONALS[estimand]
-    if estimand in _PARAMETRIC:
-        if m is None:
-            raise DomainError(f"estimand {estimand} requires a mediator level m")
-        return fn(law, m)
-    return fn(law)
+    if estimand not in _PARAMETRIC:
+        if m is not None:
+            raise DomainError(f"estimand {estimand} takes no mediator level m; "
+                              f"only {' and '.join(sorted(_PARAMETRIC))} do")
+        return identify.FUNCTIONALS[estimand], ()
+    if m is None:
+        raise DomainError(f"estimand {estimand} requires a mediator level m")
+    return identify.FUNCTIONALS[estimand], (m,)
+
+
+def _score_batch(fn, law: ObservedLaw, args: tuple) -> np.ndarray:
+    """fn over a batch of replicate laws; a degenerate replicate raises the
+    error of the first one, as scoring them one at a time in order would."""
+    try:
+        return fn(law, *args)
+    except DegenerateStratumError:
+        for mass in law.mass:
+            fn(law.with_mass(mass), *args)
+        raise
 
 
 def estimate(
@@ -221,23 +242,28 @@ def estimate(
     """Plug-in estimate of an identification functional with a seeded,
     counter-based nonparametric bootstrap (rows resampled with replacement;
     replicate r draws from a Philox stream keyed by (seed, r) and its law
-    counts the drawn rows' table cells)."""
+    counts the drawn rows' table cells). Replicates are scored in blocks,
+    each one batch of laws."""
     if n_boot < 0:
         raise DomainError(f"n_boot must be nonnegative, got {n_boot}")
+    fn, args = _functional(estimand, m)
     law = empirical_law(ds, exposure_levels)
-    value = _apply_functional(law, estimand, m)
-    label = f"{estimand}({m})" if estimand in _PARAMETRIC else estimand
+    value = fn(law, *args)
+    label = f"{estimand}({m})" if args else estimand
     if n_boot == 0:
         return Estimate(label, value, None, None, 0)
 
-    cell, n = ds._indexed[0], ds.n
+    cell, n, size = ds._indexed[0], ds.n, law.mass.size
+    block = max(1, engine.PROFILE_BYTE_BUDGET // (8 * size * BOOT_TABLE_FACTOR))
     values = np.empty(n_boot)
-    for r in range(n_boot):
-        gen = np.random.Generator(np.random.Philox(key=[seed, r]))
-        draw = gen.integers(0, n, size=n)
-        counts = np.bincount(cell[draw], minlength=law.mass.size)
-        boot_law = law.with_mass((counts / n).reshape(law.mass.shape))
-        values[r] = _apply_functional(boot_law, estimand, m)
+    for start in range(0, n_boot, block):
+        replicates = range(start, min(start + block, n_boot))
+        counts = np.empty((len(replicates), size), dtype=np.int64)
+        for i, r in enumerate(replicates):
+            gen = np.random.Generator(np.random.Philox(key=[seed, r]))
+            counts[i] = np.bincount(cell[gen.integers(0, n, size=n)], minlength=size)
+        batch = law.with_mass((counts / n).reshape(len(replicates), *law.mass.shape))
+        values[start:replicates.stop] = _score_batch(fn, batch, args)
     lo, hi = np.quantile(values, [0.025, 0.975])
     if lo > hi:
         raise DomainError("bootstrap interval endpoints out of order")

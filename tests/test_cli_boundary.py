@@ -82,6 +82,19 @@ def test_sweep_missing_axis_takes_the_registry_default(capsys):
     assert out.splitlines() == [line.partition(",")[2] for line in explicit.splitlines()]
 
 
+@pytest.mark.parametrize("family, axes, one, spelled", [
+    ("t1", "pi=0.2|0.6", "beta=0.3", "beta=0.3:0.3:1"),
+    ("t2", "pi1=0.1:0.5:3,pi2=0.1|0.2", "beta=0.3", "beta=0.3:0.3:1"),
+    ("t1", "beta=0.9", "pi=0.5", "pi=0.5:0.5:1"),
+    ("t3", "pi=0.2|0.6", "beta1=0.1,beta2=0.2,beta3=0.3,beta4=0.4,gamma=0.5",
+     "beta1=0.1:0.1:1,beta2=0.2:0.2:1,beta3=0.3:0.3:1,beta4=0.4:0.4:1,gamma=0.5:0.5:1"),
+])
+def test_sweep_one_value_axis_is_a_one_point_axis(family, axes, one, spelled, capsys):
+    code, out, err = run(capsys, "sweep", family, "--grid", f"{axes},{one}")
+    assert code == 0 and err == "" and out.count("\n") > 1
+    assert run(capsys, "sweep", family, "--grid", f"{axes},{spelled}") == (code, out, err)
+
+
 def test_effect_report_value_still_raises_key_error():
     with pytest.raises(KeyError):
         M.effect_report(M.thm1_counterexample(0.5, 0.9)).value("bogus")
@@ -115,6 +128,30 @@ def test_arguments_a_command_would_ignore_exit_3(tmp_path, capsys):
     for lone in (["--a-star", "1"], ["--a", "0"]):
         assert_domain_error(capsys, "estimate", str(sample), "--estimand", "psi_te", *lone,
                             says="--a-star and --a must be given together")
+
+
+def test_estimate_rejects_equal_exposure_levels_and_a_level_it_would_ignore(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    assert run(capsys, "sample", "t1", "--n", "200", "--out", str(data))[0] == 0
+    for x in ("0", "1"):
+        assert_domain_error(capsys, "estimate", str(data), "--estimand", "psi_nie_r_L",
+                            "--a-star", x, "--a", x, says="exposure levels a* and a must differ")
+    with pytest.raises(M.DomainError, match=re.escape("exposure levels a* and a must differ")):
+        M.empirical_law(M.read_csv(str(data)), (1, 1))
+    for estimand in ("psi_te", "psi_nie", "psi_nie_r_L", "psi_nie_rl"):
+        assert_domain_error(capsys, "estimate", str(data), "--estimand", estimand, "--m", "1",
+                            says=f"estimand {estimand} takes no mediator level m")
+    for estimand in ("psi_cde", "psi_pe"):
+        assert run(capsys, "estimate", str(data), "--estimand", estimand, "--m", "1",
+                   "--n-boot", "5")[0] == 0
+
+
+def test_reproduce_grid_summary_follows_format(capsys):
+    code, plain, _ = run(capsys, "reproduce", "PE")
+    assert code == 0 and plain.startswith("PE: 18 grid points reproduced; worst ")
+    code, out, _ = run(capsys, "reproduce", "PE", "--format", "csv")
+    worst = plain.rstrip().rpartition(" = ")[2]
+    assert (code, out) == (0, f"key,value\ntheorem,PE\npoints,18\nworst_difference,{worst}\n")
 
 
 def test_reproduce_point_missing_a_closed_form_parameter(capsys):

@@ -5,6 +5,8 @@ one scratch directory (later commands read the files earlier ones write).
 GOLDEN holds the sha256 of each command's exit code, standard output,
 standard error and any file it wrote, as recorded before the family
 registry drove the command line; the registry must reproduce every byte.
+Two sweeps were recorded again when a one-value axis (beta=0.3) stopped
+being an error, and the csv forms of reproduce's grid summary were added.
 """
 
 import hashlib
@@ -83,6 +85,10 @@ OTHER_ARGV = [
     ["reproduce", "t1", "--beta", "0.6", "--pi", "0.3", "--format", "csv"],
     ["reproduce", "PE"],
     ["reproduce", "S1"],
+    # a whole default grid in csv: its summary as key,value rows
+    ["reproduce", "T2", "--format", "csv"],
+    ["reproduce", "PE", "--format", "csv"],
+    ["reproduce", "S1", "--format", "csv"],
     # explicit family parameters
     ["effects", "t2", "--pi0", "0.5", "--pi1", "0.3", "--pi2", "0.2", "--beta", "0.6"],
     ["effects", "t3", "--beta1", "0.25", "--beta2", "0.25", "--beta3", "0.25",
@@ -220,15 +226,18 @@ GOLDEN: dict[str, str] = {
     'reproduce t1 --beta 0.6 --pi 0.3 --format csv': '3969f22c055599c94c79b19a9cff3b0f38e2006e7743a3c38d59ef73bbb888c0',
     'reproduce PE': 'b4f87330b5035b55d6b77b8bc5ad35c8304cdf442b3f36d540b62791a3974426',
     'reproduce S1': 'a7a5053f8da02975fc16e5576afb2adcaf6a558f1dcb03ac190cb7dc359cd59a',
+    'reproduce T2 --format csv': '36c952f5f25f82b6d23eb67e590cbd9426034d866fd6261c6ac9608762b3dbeb',
+    'reproduce PE --format csv': 'bc52c76e12dc9bf23ca94c2f5b2762b4217aff9156e31d305983f6286ad73314',
+    'reproduce S1 --format csv': 'b7cd563d154ebfec5126b8dee4421968ce97d391c4340b43b74e714c7fe12636',
     'effects t2 --pi0 0.5 --pi1 0.3 --pi2 0.2 --beta 0.6': '8a3ef7b86755f9e3a68f0cce9a0913adc2a2579c1f88eac92f91eb13dca2d32e',
     'effects t3 --beta1 0.25 --beta2 0.25 --beta3 0.25 --beta4 0.25 --gamma 0.2': '873e30efacace1cd828e475312bd45ec58cd9a11080f573b08cc722728b93e27',
     'effects additive --seed 3 --shape confounded': '9b74a8edafeebe1e7f4075f83045480cd5a24ab21c2d208092606b4e95bc047d',
     'criteria separable --seed 2 --tol 1e-3 --format csv': 'edce3d71cc04ca9be131e37d76d7401e94e06078f540a6b09d42a5b41ebbe47d',
     'identify pe --p 0.2': '9b542a7a0c15f4c5ca4fa428bbb1a8873f9d3380ea0bd2388e3cb35d41546bf1',
     'validate t2 --pi1 0.5': 'feb2dbcffb22a9c9c74858ce23a7019ae783531ce26da422811967275cb3fe64',
-    'sweep t2 --grid pi1=0.1:0.5:3,pi2=0.1|0.2,beta=0.3 --effect nie_r_L': 'a52c433125ed05d5ae4859b1a922bdb47f869fea4fc79b15cb78f24524712ab3',
+    'sweep t2 --grid pi1=0.1:0.5:3,pi2=0.1|0.2,beta=0.3 --effect nie_r_L': 'c3a6ab6d9713d141ed65625869bacd36d433c07258f68e3ddddbc876c33c5db1',
     'sweep additive --grid seed=0:3:4 --effect nie --tol 0.5': 'bd15181d7be15a23b8970da204fbf1517f2203e812ca15162e24e86405971ae9',
-    'sweep t3 --grid pi=0.2|0.6,beta1=0.1,beta2=0.2,beta3=0.3,beta4=0.4,gamma=0.5': 'af240b9022fea32b9f4a713e645b685cc4d3d35d2c097b9ba9731b80c82187b9',
+    'sweep t3 --grid pi=0.2|0.6,beta1=0.1,beta2=0.2,beta3=0.3,beta4=0.4,gamma=0.5': '0ca0e5bc3391d90d2369997bc29dcc33dcd5c29094c93cd24d12b771e1a71158',
     'reproduce T1 --pi 1.5': 'e851c66f84dda46916e10aeeb2818edaf5c56d1750599c9abfbe63fd3ac4d5cb',
     'reproduce T1 --pi 0.5': 'e851c66f84dda46916e10aeeb2818edaf5c56d1750599c9abfbe63fd3ac4d5cb',
     'reproduce T2 --pi1 0.3': 'db4ce29195c233f53198c23434ff6e2ac58fbd63433a85d4d8e5aa7fe6db5174',

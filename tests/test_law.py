@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medscm as M
+from medscm import sample
 
-TOL = 1e-15
+TOL = 0.0   # the array route adds the terms the scans add, in their order
 
 
 class ScanLaw:
@@ -86,8 +87,10 @@ def _l_standardised(law, c, ap, m):
 def ref_te(law):
     _arm_positivity(law)
     a_star, a = law.exposure_levels
-    return sum(w * (law.mean_y(c=c, a=a) - law.mean_y(c=c, a=a_star))
-               for c, w in law.c_strata())
+    value = 0.0
+    for c, w in law.c_strata():
+        value += w * (law.mean_y(c=c, a=a) - law.mean_y(c=c, a=a_star))
+    return value
 
 
 def ref_cde(law, m):
@@ -262,6 +265,13 @@ def test_level_arrays_broadcast_like_scalar_queries(law):
         first_error = next((v for v in scalar if isinstance(v, str)), None)
         assert _agree(_outcome(lambda: law.mean_y(c=c, a=a, m=m)),
                       first_error or np.reshape(scalar, (len(a), len(m))))
+    # a sequence of cells broadcasts too: here on a leading axis, one off the table
+    cells = [*law.c_cells, (99,) * len(law.c_names)]
+    column = [[[c]] for c in cells]
+    assert (law.prob(c=column, a=a, m=m) == [law.prob(c=c, a=a, m=m) for c in cells]).all()
+    each = [_outcome(lambda c=c: law.mean_y(c=c, a=a, m=m)) for c in cells]
+    first_error = next((v for v in each if isinstance(v, str)), None)
+    assert _agree(_outcome(lambda: law.mean_y(c=column, a=a, m=m)), first_error or np.stack(each))
 
 
 def test_pmf_is_read_only_and_empty_strata_are_skipped():
@@ -317,3 +327,79 @@ def test_functionals_match_scalar_route_on_exact_and_empirical_laws():
         for shape in ("basic", "confounded"):
             _assert_same(_exact(seed, shape, seed % 2 == 0))
             _assert_same(_empirical(seed, shape, seed % 2 == 1, n=400))
+
+
+# ---------------------------------------------------------------------------
+# Batches of replicate laws
+# ---------------------------------------------------------------------------
+
+def _covariates_last(ds):
+    """The dataset with its covariate columns last: its sorted rows, the key
+    order of its law, then interleave the strata."""
+    n_c = sum(c not in ("A", "L", "M", "Y") for c in ds.columns)
+    cols = [*range(n_c, len(ds.columns)), *range(n_c)]
+    return M.Dataset(tuple(ds.columns[i] for i in cols), ds.rows[:, cols], ds.provenance)
+
+
+def _replicates(law, seed, n, count):
+    """count resampled mass tables of law, n draws each."""
+    p = law.mass.ravel()
+    draws = np.random.default_rng(seed).multinomial(n, p / p.sum(), size=count)
+    return list(draws.reshape(count, *law.mass.shape) / n)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 10**6),
+    shape=SHAPES,
+    source=st.sampled_from(["exact", "covariates first", "covariates last"]),
+    n=st.integers(20, 300),
+    emptied=st.integers(0, 4),
+    after=st.integers(1, 3),
+    kind=st.sampled_from(["arm", "mediator", "cla"]),
+)
+def test_batched_functionals_match_per_law_and_scalar_route(seed, shape, source, n, emptied,
+                                                            after, kind):
+    if source == "exact":
+        law = _exact(seed, shape, True)
+    else:
+        ds = M.draw_samples(_model(seed, shape, True), 400, seed)
+        law = M.empirical_law(_covariates_last(ds) if source == "covariates last" else ds)
+    masses = _replicates(law, seed, n, 8)
+    # a replicate that lacks a stratum, and a degenerate one after it
+    thinned = masses[emptied].copy()
+    thinned[seed % len(law.c_cells)] = 0.0
+    if thinned.sum() > 0.0:
+        masses[emptied] = thinned / thinned.sum()
+    masses[emptied + after] = _emptied(law.with_mass(masses[emptied + after]), kind, seed).mass
+    laws = [law.with_mass(mass) for mass in masses]
+    batch = law.with_mass(np.stack(masses))
+    for fn, ref in _functional_pairs(law):
+        each = [_outcome(lambda x=x: fn(x)) for x in laws]
+        assert each == [_outcome(lambda x=x: ref(ScanLaw(x))) for x in laws]
+        failed = [i for i, v in enumerate(each) if isinstance(v, str)]
+        ok = failed[0] if failed else len(laws)
+        if ok:
+            assert fn(law.with_mass(np.stack(masses[:ok]))).tolist() == each[:ok]
+        if failed:
+            with pytest.raises(M.DegenerateStratumError):
+                fn(batch)
+            with pytest.raises(M.DegenerateStratumError) as err:
+                sample._score_batch(fn, batch, ())
+            assert str(err.value) == each[failed[0]]
+
+
+def test_batch_sums_each_law_in_its_own_stratum_order():
+    # rows sorted by A first: the cells of the three strata interleave, and
+    # emptying a stratum's first cell moves that stratum to the end
+    rows = [(a, m, y, c) for a in (0, 1) for m in (0, 1) for y in (0, 1) for c in (0, 1, 2)
+            for _ in range(1 + (a + 2 * m + 3 * y + 5 * c) % 7)]
+    law = M.empirical_law(M.Dataset(("A", "M", "Y", "C"), np.array(rows), ("rows", 0, 0)))
+    moved = law.mass.copy()
+    moved[0, 0, 0, 0, 0] = 0.0                   # the first cell, of stratum c=(0,)
+    masses = [law.mass, moved / moved.sum()]
+    orders = [[c for c, _w in law.with_mass(mass).c_strata()] for mass in masses]
+    assert orders == [[(0,), (1,), (2,)], [(1,), (2,), (0,)]]
+    batch = law.with_mass(np.stack(masses))
+    for fn, _ref in _functional_pairs(law):
+        assert fn(batch).tolist() == [fn(law.with_mass(mass)) for mass in masses]
