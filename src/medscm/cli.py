@@ -18,7 +18,7 @@ from collections.abc import Iterable
 
 from . import criteria, effects, identify, sample
 from .engine import observational_law
-from .errors import PARSE_EXIT_CODE, DomainError, MedscmError
+from .errors import PARSE_EXIT_CODE, DegenerateStratumError, DomainError, MedscmError
 from .model import Model, scm_from_json, validate
 
 
@@ -115,14 +115,23 @@ def _cmd_identify(args) -> int:
     model = _load_model(args)
     law = observational_law(model)
     rows: list[tuple[str, str]] = []
-    rows.append(("psi_te", _fmt(identify.psi_te(law))))
+    undefined: list[DegenerateStratumError] = []
+
+    def functional(name: str, fn, *args) -> None:
+        try:
+            rows.append((name, _fmt(fn(law, *args))))
+        except DegenerateStratumError as exc:
+            undefined.append(exc)
+            rows.append((name, f"undefined ({exc})"))
+
+    functional("psi_te", identify.psi_te)
     for m in law.m_support:
-        rows.append((f"psi_cde({m})", _fmt(identify.psi_cde(law, m))))
-        rows.append((f"psi_pe({m})", _fmt(identify.psi_pe(law, m))))
-    rows.append(("psi_nie", _fmt(identify.psi_nie(law))))
+        functional(f"psi_cde({m})", identify.psi_cde, m)
+        functional(f"psi_pe({m})", identify.psi_pe, m)
+    functional("psi_nie", identify.psi_nie)
     if law.has_l:
-        rows.append(("psi_nie_r_L", _fmt(identify.psi_nie_r_L(law))))
-        rows.append(("psi_nie_rl", _fmt(identify.psi_nie_rl(law))))
+        functional("psi_nie_r_L", identify.psi_nie_r_L)
+        functional("psi_nie_rl", identify.psi_nie_rl)
     for verdict in identify.check_all_assumptions(model):
         rows.append(
             (
@@ -132,6 +141,8 @@ def _cmd_identify(args) -> int:
             )
         )
     _print_rows(rows, args.output_format)
+    if undefined:
+        raise undefined[0]   # exit 4, naming the first undefined functional's stratum
     return 0
 
 
@@ -202,7 +213,7 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
 def _cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
     # every point is evaluated before any output, so a failing point prints no partial table
-    records = [criteria.evaluate_point(args.family, pt, args.effect, args.tol) for pt in points]
+    records = criteria.evaluate_points(args.family, points, args.effect, args.tol)
     names = sorted(points[0])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(

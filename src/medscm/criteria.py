@@ -515,6 +515,32 @@ class ViolationRecord:
     status: NullStatus
 
 
+# points scored in one batch: enough to spread the fixed cost of a batch
+# (about that of one model's report) thin, few enough that the batch's
+# reports (about 1.3 kB of Python objects each) stay small; and a batch's
+# weight rows hold at most PROFILE_BYTE_BUDGET / POINT_BLOCK_FACTOR bytes,
+# which leaves room within the budget for the (points, units) arrays the draw
+# kernel builds from them
+POINT_BLOCK = 128
+POINT_BLOCK_FACTOR = 16
+
+
+def _effect_value(report: effects.EffectReport, effect: str) -> float:
+    try:
+        return report.value(effect)
+    except KeyError:
+        names = ", ".join(name for name, _ in report.rows())
+        raise DomainError(f"unknown effect {effect!r}; this model has {names}") from None
+
+
+def _violation(point: Mapping[str, float], effect: str, value: float, status: NullStatus,
+               tol: float) -> ViolationRecord:
+    refuted = tuple(
+        v.criterion for v in _effect_verdicts(effect, value, status, tol) if v.refutes_criterion
+    )
+    return ViolationRecord(dict(point), effect, value, refuted, status)
+
+
 def evaluate_point(
     family: str | Callable[..., Model],
     point: Mapping[str, float],
@@ -524,19 +550,75 @@ def evaluate_point(
     """Build the family instance at point and record the chosen effect, the
     criteria its value refutes (in CRITERIA order; none is no refutation)
     and the model's null status."""
-    build = FAMILIES[family] if isinstance(family, str) else family
-    model = build(**point)
-    report = effects.effect_report(model)
+    model = _build(family, point)
+    value = _effect_value(effects.effect_report(model), effect)
+    return _violation(point, effect, value, null_status(model), tol)
+
+
+def evaluate_points(
+    family: str | Callable[..., Model],
+    points: Iterable[Mapping[str, float]],
+    effect: str,
+    tol: float = NULL_TOL,
+) -> list[ViolationRecord]:
+    """evaluate_point at every point, in order, the models of each structure
+    scored in one batch (see _evaluate_batch). On any error the points are
+    evaluated one at a time, in order, so the error raised is the first one
+    the per-point loop meets; if that loop meets none, the batch's own error
+    is raised."""
+    points = list(points)
     try:
-        value = report.value(effect)
-    except KeyError:
-        names = ", ".join(name for name, _ in report.rows())
-        raise DomainError(f"unknown effect {effect!r}; this model has {names}") from None
-    status = null_status(model)
-    refuted = tuple(
-        v.criterion for v in _effect_verdicts(effect, value, status, tol) if v.refutes_criterion
-    )
-    return ViolationRecord(dict(point), effect, value, refuted, status)
+        return _evaluate_batch(family, points, effect, tol)
+    except Exception as batch_error:
+        for point in points:
+            evaluate_point(family, point, effect, tol)
+        raise batch_error
+
+
+def _build(family: str | Callable[..., Model], point: Mapping[str, float]) -> Model:
+    build = FAMILIES[family] if isinstance(family, str) else family
+    return build(**point)
+
+
+def _evaluate_batch(family: str | Callable[..., Model], points: list[Mapping[str, float]],
+                    effect: str, tol: float) -> list[ViolationRecord]:
+    """The records of evaluate_points, point i's at out[i].
+
+    Each point's model is built in turn: its null status (whose witnesses
+    print its own weights) and its profile weights are read, and it is
+    dropped. The weights of models that share profile columns are gathered
+    and scored by one effects.effect_reports call per block; the first model
+    of each structure is kept until its block is scored. At most as many
+    structures are gathered at once as the engine keeps columns for; the
+    oldest is scored when one more opens.
+    """
+    out: list = []   # point i's NullStatus until its block is scored, then its record
+    gathering: dict[int, tuple] = {}   # -> (first model, its profiles, points, weight rows)
+
+    def score(key: int) -> None:
+        model, _, at, rows = gathering.pop(key)
+        for i, report in zip(at, effects.effect_reports(model, np.stack(rows))):
+            out[i] = _violation(points[i], effect, _effect_value(report, effect), out[i], tol)
+
+    for i, point in enumerate(points):
+        model = _build(family, point)
+        p = engine.profiles(model)
+        out.append(null_status(model))
+        key = next((k for k, g in gathering.items() if g[1].shares_columns(p)), None)
+        if key is None:
+            if len(gathering) == engine.STRUCTURE_CACHE_SIZE:
+                score(next(iter(gathering)))
+            key = i
+            gathering[key] = (model, p, [], [])
+        _, _, at, rows = gathering[key]
+        at.append(i)
+        rows.append(p.weight)
+        if (len(rows) == POINT_BLOCK
+                or len(rows) * p.weight.nbytes * POINT_BLOCK_FACTOR >= engine.PROFILE_BYTE_BUDGET):
+            score(key)
+    for key in list(gathering):
+        score(key)
+    return out
 
 
 def search_violations(
@@ -548,7 +630,6 @@ def search_violations(
     """Evaluate the chosen effect at every parameter point of a family and
     collect the points whose verdict refutes any criterion, sorted by |value|
     descending (the strongest refutations first)."""
-    records = (evaluate_point(family, point, effect, tol) for point in points)
-    out = [r for r in records if r.criteria_refuted]
+    out = [r for r in evaluate_points(family, points, effect, tol) if r.criteria_refuted]
     out.sort(key=lambda r: -abs(r.effect_value))
     return out

@@ -15,6 +15,10 @@ use unit_sum, a running sum; sums over mediator levels and strata run in the
 same order as the per-unit loops they replace. Results are bitwise identical
 from run to run, and on Python 3.11 to those loops (later versions compensate
 the built-in sum the loops used).
+
+The exact effects take a block of weight rows over one structure's columns,
+one row per model of that structure (the points of a family grid); a model
+on its own is a block of one.
 """
 
 from __future__ import annotations
@@ -214,6 +218,11 @@ class Profiles:
             self._shared_memo[key] = compute()
         return self._shared_memo[key]
 
+    def shares_columns(self, other: Profiles) -> bool:
+        """Whether other reads these very columns: the profiles of another
+        model of the same structure, whose weights form a block with these."""
+        return self._shared_memo is other._shared_memo
+
     def cl_strata(self, a_draw: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(c, l) strata as group_ids numbers them, l the observed confounder
         or, given a_draw, L(a_draw); computed once per structure."""
@@ -221,9 +230,11 @@ class Profiles:
         return self.shared_once(("cl", a_draw), lambda: group_ids(self.stratum, l))
 
 
-def unit_sum(terms: np.ndarray) -> float:
-    """Sum of per-unit terms in unit order (np.sum would reassociate)."""
-    return float(np.cumsum(terms)[-1])
+def unit_sum(terms: np.ndarray) -> np.ndarray:
+    """Sums of per-unit terms over the last axis in unit order (np.sum would
+    reassociate): one per row of a (P, units) block of terms. A copy, which
+    does not hold the running sums alive."""
+    return terms.cumsum(axis=-1)[..., -1].copy()
 
 
 def group_ids(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -706,54 +717,67 @@ def observational_law(model: Model) -> ObservedLaw:
 
 def _stratified_draw(
     p: Profiles,
+    w: np.ndarray,
     strata: tuple[np.ndarray, np.ndarray],
     draw_m: np.ndarray,
     out_y: np.ndarray,
     arms: tuple[int, int] | None = None,
     describe: Callable[[int], str] | None = None,
     out_role: str = "outcome",
-) -> float:
+) -> np.ndarray:
     """Mean outcome when, within each stratum, the mediator is set to a draw
     from the stratum's law of draw_m and the outcome at mediator level
-    m_levels[j] is out_y[j].
+    m_levels[j] is out_y[j], under w: the unit weights of a model, or a
+    (P, units) block of them over p's columns, one mean per row.
 
     strata is (stratum of every unit, first unit of every stratum). With
     arms = (a_draw, a_out) the draw law is taken among units of exposure
     a_draw and the outcome mean among units of exposure a_out, each
     normalised within the stratum, and an empty arm raises
-    DegenerateStratumError naming describe(first unit of the stratum);
-    otherwise the whole stratum feeds both.
+    DegenerateStratumError naming describe(first unit of the stratum), for
+    the first row that has one; otherwise the whole stratum feeds both.
+
+    A block is laid out as rows * units virtual units, row r's unit u at
+    r * units + u, in stratum row * strata + stratum: each np.bincount then
+    adds every row's units in unit order, and each row adds its strata in
+    order with running_sum.
     """
     stratum, first = strata
-    n_s = first.size
-    w = p.weight
-    w_s = np.bincount(stratum, weights=w, minlength=n_s)
+    lead, n_s = w.shape[:-1], first.size
+    a, size = p.a, n_s
+    if lead:
+        rows = len(w)
+        stratum, size = (np.arange(rows)[:, None] * n_s + stratum).ravel(), rows * n_s
+        a, draw_m, out_y = (np.tile(col, rows) for col in (a, draw_m, out_y))
+        w = w.ravel()
+    w_s = np.bincount(stratum, weights=w, minlength=size)
     if arms is None:
         draw_w, out_w = w, w
-        draw_den = out_den = np.ones(n_s)
+        draw_den = out_den = np.ones(size)
     else:
         a_draw, a_out = arms
-        draw_w, out_w = w * (p.a == a_draw), w * (p.a == a_out)
-        draw_den = np.bincount(stratum, weights=draw_w, minlength=n_s)
-        out_den = np.bincount(stratum, weights=out_w, minlength=n_s)
+        draw_w, out_w = w * (a == a_draw), w * (a == a_out)
+        draw_den = np.bincount(stratum, weights=draw_w, minlength=size)
+        out_den = np.bincount(stratum, weights=out_w, minlength=size)
         empty = np.flatnonzero((draw_den <= 0.0) | (out_den <= 0.0))
         if empty.size:
-            s = empty[0]
-            where = describe(int(first[s]))
+            s = empty[0]   # the first row that has one, then its first stratum
+            where = describe(int(first[s % n_s]))
             if draw_den[s] <= 0.0:
                 raise DegenerateStratumError(f"draw arm A={a_draw} within {where}")
             raise DegenerateStratumError(f"{out_role} arm A={a_out} within {where}")
     draw_share = draw_w / draw_den[stratum]
-    inner = np.zeros(n_s)
+    inner = np.zeros(size)
     for j, m in enumerate(p.m_levels):
-        draw = np.bincount(stratum, weights=draw_share * (draw_m == m), minlength=n_s)
-        out = np.bincount(stratum, weights=out_w * out_y[j] / out_den[stratum], minlength=n_s)
+        draw = np.bincount(stratum, weights=draw_share * (draw_m == m), minlength=size)
+        out = np.bincount(stratum, weights=out_w * out_y[j] / out_den[stratum], minlength=size)
         inner = inner + draw * out
     per_stratum = inner / w_s if arms is None else w_s * inner
-    return sum(per_stratum.tolist())
+    return running_sum(per_stratum.reshape(rows, n_s)) if lead else float(running_sum(per_stratum))
 
 
-def g_draw_mean(model: Model, a_set: int, a_draw: int, conditioning: str = COND_C) -> float:
+def g_draw_mean(model: Model, a_set: int, a_draw: int, conditioning: str = COND_C, *,
+                weight: np.ndarray | None = None):
     """Mean outcome under exposure a_set with the mediator set to a random
     draw from the law of the counterfactual mediator under a_draw, the draw
     being independent of the unit within each conditioning stratum.
@@ -763,18 +787,25 @@ def g_draw_mean(model: Model, a_set: int, a_draw: int, conditioning: str = COND_
     draw law and the outcome mean each condition on their own exposure arm,
     matching the corresponding identification functional), or the covariates
     plus the counterfactual confounder under the draw arm.
+
+    A float for the model; given weight, a (P, units) block of unit weights
+    over the model's profile columns (the weights of P models that share
+    them), an array of one mean per row.
     """
     p = profiles(model)
+    w = p.weight if weight is None else weight
     if conditioning == COND_C:
         strata = (p.stratum, p.stratum_first)
-        return _stratified_draw(p, strata, p.m_cf[p.arm(a_draw)], p.y_cf[p.arm(a_set)])
+        return _stratified_draw(p, w, strata, p.m_cf[p.arm(a_draw)], p.y_cf[p.arm(a_set)])
     if not model.has_l:
         raise ShapeError(f"conditioning {conditioning!r} requires an induced confounder")
     if conditioning == COND_C_L_DRAW:
-        return _stratified_draw(p, p.cl_strata(a_draw), p.m_cf[p.arm(a_draw)], p.y_cf[p.arm(a_set)])
+        return _stratified_draw(p, w, p.cl_strata(a_draw), p.m_cf[p.arm(a_draw)],
+                                p.y_cf[p.arm(a_set)])
     if conditioning == COND_C_L_OBSERVED:
         return _stratified_draw(
             p,
+            w,
             p.cl_strata(),
             p.m_cf[p.arm(a_draw)],
             p.y_cf[p.arm(a_set)],
@@ -784,13 +815,15 @@ def g_draw_mean(model: Model, a_set: int, a_draw: int, conditioning: str = COND_
     raise DomainError(f"unknown conditioning {conditioning!r}")
 
 
-def h_draw_mean(model: Model, a_stratum: int, a_draw: int) -> float:
+def h_draw_mean(model: Model, a_stratum: int, a_draw: int, *, weight: np.ndarray | None = None):
     """Mean outcome in the factual exposure stratum a_stratum when the
     mediator is set to a draw from its observed conditional law in arm
-    a_draw, within covariate strata. Only the mediator is intervened on."""
+    a_draw, within covariate strata. Only the mediator is intervened on.
+    A float for the model, or one mean per row of weight (see g_draw_mean)."""
     p = profiles(model)
     return _stratified_draw(
         p,
+        p.weight if weight is None else weight,
         (p.stratum, p.stratum_first),
         p.m,
         p.y_mfix,

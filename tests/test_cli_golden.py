@@ -7,6 +7,10 @@ standard error and any file it wrote, as recorded before the family
 registry drove the command line; the registry must reproduce every byte.
 Two sweeps were recorded again when a one-value axis (beta=0.3) stopped
 being an error, and the csv forms of reproduce's grid summary were added.
+`identify t2` (both formats) was recorded again when it began to print every
+row, an undefined functional as such, before its exit-4 error; its pinned
+output had been the error alone. The whole T1 and T3 grids and a t2 sweep over
+two structures were added, hashed before sweep points were scored in batches.
 """
 
 import hashlib
@@ -89,6 +93,9 @@ OTHER_ARGV = [
     ["reproduce", "T2", "--format", "csv"],
     ["reproduce", "PE", "--format", "csv"],
     ["reproduce", "S1", "--format", "csv"],
+    # the whole T1 grid, and T3's on the atom-joint model type
+    ["reproduce", "T1"],
+    ["reproduce", "T3"],
     # explicit family parameters
     ["effects", "t2", "--pi0", "0.5", "--pi1", "0.3", "--pi2", "0.2", "--beta", "0.6"],
     ["effects", "t3", "--beta1", "0.25", "--beta2", "0.25", "--beta3", "0.25",
@@ -100,6 +107,8 @@ OTHER_ARGV = [
     ["sweep", "t2", "--grid", "pi1=0.1:0.5:3,pi2=0.1|0.2,beta=0.3", "--effect", "nie_r_L"],
     ["sweep", "additive", "--grid", "seed=0:3:4", "--effect", "nie", "--tol", "0.5"],
     ["sweep", "t3", "--grid", "pi=0.2|0.6,beta1=0.1,beta2=0.2,beta3=0.3,beta4=0.4,gamma=0.5"],
+    # pi2=0 empties a level of L: one grid over two structures
+    ["sweep", "t2", "--grid", "pi1=0.1|0.3,pi2=0|0.2,beta=0.3", "--effect", "nie_r"],
     # failures whose exit code and message stay
     ["reproduce", "T1", "--pi", "1.5"],
     ["reproduce", "T1", "--pi", "0.5"],
@@ -188,8 +197,8 @@ GOLDEN: dict[str, str] = {
     'criteria t1 --format csv': '398891990d6668ec92d8e6e8c623db854a29c957d6632e243e804bc56188d602',
     'effects t2': '47bd8b99df6ae94d5703f3b9e1ee02e041b636621113beeab2fe9acabb78adb5',
     'effects t2 --format csv': '7af5f91e4099e90461c66b4997bd31a1397b730a6d29be98f9457c7a5160fee1',
-    'identify t2': 'fc5dbdbd5197dac508dc7c2089c232aaf7c31bb98012a1000a50cca413a3408b',
-    'identify t2 --format csv': 'fc5dbdbd5197dac508dc7c2089c232aaf7c31bb98012a1000a50cca413a3408b',
+    'identify t2': 'e3eebc3c30024202d2fc45dee21e63cc1bf2a676e053588998a20f672f4484a3',
+    'identify t2 --format csv': '7c0567d07792a2c4fe02a35134e1d7abcc0068d3c7d1b69d9fdbe2e866b2728c',
     'criteria t2': 'c884417d510620d59076120988fcfd952afcff3a3bc1f470fc713d07f94ec73e',
     'criteria t2 --format csv': '291bf6109b5c77b9f5f47b6cc5d57815084fdabbd7a7ebbeb76a431bed1ca169',
     'effects t3': '7a54f207837cd03314a0d68b7c26682f9ec9bf83fc10c9d3f41ea6a58d9b3811',
@@ -229,6 +238,8 @@ GOLDEN: dict[str, str] = {
     'reproduce T2 --format csv': '36c952f5f25f82b6d23eb67e590cbd9426034d866fd6261c6ac9608762b3dbeb',
     'reproduce PE --format csv': 'bc52c76e12dc9bf23ca94c2f5b2762b4217aff9156e31d305983f6286ad73314',
     'reproduce S1 --format csv': 'b7cd563d154ebfec5126b8dee4421968ce97d391c4340b43b74e714c7fe12636',
+    'reproduce T1': 'bf04af09bc46efa4553938cb5e25d5b21a49073c6d05d70488faf40e4f9818e0',
+    'reproduce T3': '168a400eba90f80bd2e1d539413082416be391875e9de8b391fa0c761d1f2115',
     'effects t2 --pi0 0.5 --pi1 0.3 --pi2 0.2 --beta 0.6': '8a3ef7b86755f9e3a68f0cce9a0913adc2a2579c1f88eac92f91eb13dca2d32e',
     'effects t3 --beta1 0.25 --beta2 0.25 --beta3 0.25 --beta4 0.25 --gamma 0.2': '873e30efacace1cd828e475312bd45ec58cd9a11080f573b08cc722728b93e27',
     'effects additive --seed 3 --shape confounded': '9b74a8edafeebe1e7f4075f83045480cd5a24ab21c2d208092606b4e95bc047d',
@@ -238,6 +249,7 @@ GOLDEN: dict[str, str] = {
     'sweep t2 --grid pi1=0.1:0.5:3,pi2=0.1|0.2,beta=0.3 --effect nie_r_L': 'c3a6ab6d9713d141ed65625869bacd36d433c07258f68e3ddddbc876c33c5db1',
     'sweep additive --grid seed=0:3:4 --effect nie --tol 0.5': 'bd15181d7be15a23b8970da204fbf1517f2203e812ca15162e24e86405971ae9',
     'sweep t3 --grid pi=0.2|0.6,beta1=0.1,beta2=0.2,beta3=0.3,beta4=0.4,gamma=0.5': '0ca0e5bc3391d90d2369997bc29dcc33dcd5c29094c93cd24d12b771e1a71158',
+    'sweep t2 --grid pi1=0.1|0.3,pi2=0|0.2,beta=0.3 --effect nie_r': '5d18b0ca03e88f23237569ba248eed6b434944040b33ac24ab03bccd3a97401c',
     'reproduce T1 --pi 1.5': 'e851c66f84dda46916e10aeeb2818edaf5c56d1750599c9abfbe63fd3ac4d5cb',
     'reproduce T1 --pi 0.5': 'e851c66f84dda46916e10aeeb2818edaf5c56d1750599c9abfbe63fd3ac4d5cb',
     'reproduce T2 --pi1 0.3': 'db4ce29195c233f53198c23434ff6e2ac58fbd63433a85d4d8e5aa7fe6db5174',
