@@ -21,7 +21,8 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -576,15 +577,7 @@ def _validate_scm(scm: Scm) -> list[str]:
     if len(set(noise_names)) != len(noise_names):
         out.append("duplicate noise names")
     for n in scm.noise:
-        if not n.pmf:
-            out.append(f"noise {n.name}: empty pmf")
-            continue
-        total = sum(n.pmf.values())
-        if abs(total - 1.0) > PROB_TOL:
-            out.append(f"noise {n.name}: pmf sums to {total!r}")
-        for level, p in n.pmf.items():
-            if p < 0:
-                out.append(f"noise {n.name}: negative probability at level {level}")
+        out.extend(_mass_violations(n))
 
     table_vars = [t.variable for t in scm.tables]
     if sorted(table_vars) != sorted(names):
@@ -631,6 +624,23 @@ def _validate_scm(scm: Scm) -> list[str]:
         scm.topo_order
     except DomainError as exc:
         out.append(str(exc))
+    return out
+
+
+def _mass_violations(noise: NoiseSpec) -> list[str]:
+    """The violations of one noise law's masses: each must be finite and
+    non-negative, and they must sum to 1 (written so that a NaN fails)."""
+    if not noise.pmf:
+        return [f"noise {noise.name}: empty pmf"]
+    out = []
+    total = sum(noise.pmf.values())
+    if not abs(total - 1.0) <= PROB_TOL:
+        out.append(f"noise {noise.name}: pmf sums to {total!r}")
+    for level, p in noise.pmf.items():
+        if not math.isfinite(p):
+            out.append(f"noise {noise.name}: non-finite probability at level {level}")
+        elif p < 0:
+            out.append(f"noise {noise.name}: negative probability at level {level}")
     return out
 
 
@@ -688,8 +698,10 @@ def _validate_ffrcistg(spec: FfrcistgSpec) -> list[str]:
         out.append("joint pmf is empty")
         return out
     total = sum(spec.joint.values())
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         out.append(f"joint pmf sums to {total!r}")
+    if not all(math.isfinite(p) for p in spec.joint.values()):
+        out.append("joint pmf has a non-finite mass")
     if any(p < 0 for p in spec.joint.values()):
         out.append("joint pmf has a negative mass")
     width = len(spec.labels)
@@ -766,10 +778,19 @@ def scm_to_dict(scm: Scm) -> dict:
     }
 
 
+def _level(x) -> int:
+    """An integer-coded level of a model document; int() alone would
+    truncate 0.5 to a valid level."""
+    level = int(x)
+    if level != x:
+        raise ValueError(f"level {x!r} is not an integer")
+    return level
+
+
 def scm_from_dict(doc: dict) -> Scm:
     try:
         variables = tuple(
-            VariableSpec(v["name"], tuple(int(x) for x in v["support"]), v["role"])
+            VariableSpec(v["name"], tuple(_level(x) for x in v["support"]), v["role"])
             for v in doc["variables"]
         )
         noise = tuple(
@@ -782,17 +803,18 @@ def scm_from_dict(doc: dict) -> Scm:
                 tuple(t["parents"]),
                 t["noise"],
                 {
-                    (tuple(int(x) for x in row["parents"]), int(row["noise"])): int(row["value"])
+                    (tuple(_level(x) for x in row["parents"]), _level(row["noise"])):
+                        _level(row["value"])
                     for row in t["rows"]
                 },
             )
             for t in doc["tables"]
         )
-        exposure = tuple(int(x) for x in doc["exposure_levels"])
+        exposure = tuple(_level(x) for x in doc["exposure_levels"])
         if len(exposure) != 2:
             raise ValueError("exposure_levels must have exactly two entries")
         scm = Scm(variables, noise, tables, (exposure[0], exposure[1]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # int(inf) overflows
         raise ValueError(f"malformed SCM document: {exc}") from exc
     declared = {name: tuple(parents) for name, parents in doc.get("edges", {}).items()}
     if declared and declared != scm.edges:
@@ -828,13 +850,14 @@ def _table(
     noise_levels: tuple[int, ...],
     fn: Callable[..., int],
 ) -> StructuralTable:
-    """Tabulate fn(*parent_values, noise_level) over the full domain."""
+    """Tabulate fn(*parent_values, noise_level) over the full domain, as a
+    read-only mapping (the family factories share their tables)."""
     rows = {}
     for pv in itertools.product(*parent_supports):
         for e in noise_levels:
             rows[(pv, e)] = int(fn(*pv, e))
     noise_name = f"eps_{variable}"
-    return StructuralTable(variable, parents, noise_name, rows)
+    return StructuralTable(variable, parents, noise_name, MappingProxyType(rows))
 
 
 def _check_open_unit(value: float, name: str) -> None:
@@ -854,27 +877,51 @@ def _check_simplex(values: tuple[float, ...], name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def thm1_counterexample(pi: float, beta: float) -> Scm:
-    """Exposure-induced-confounder model in which the sharper null holds yet
-    the randomized indirect contrast equals pi*(1-pi)*(2*beta-1).
+@dataclass(frozen=True)
+class _FamilyStructure:
+    """A family's variables and tables, built and validated once per process
+    (each table read-only); its models differ only in their noise masses."""
 
-    A = eps_A; L = A*eps_L + (1-A)*(1-eps_L);
-    M = (A+L-AL)*eps_M + (1-A)(1-L)(1-eps_M); Y = (1-A)LM + A(L+M-LM).
-    """
-    _check_open_unit(pi, "pi")
-    _check_open_unit(beta, "beta")
+    context: str
+    variables: tuple[VariableSpec, ...]
+    tables: tuple[StructuralTable, ...]
+    noise_levels: tuple[tuple[str, tuple[int, ...]], ...]
+
+    @classmethod
+    def validated(cls, context: str, variables, tables, noise) -> _FamilyStructure:
+        """The structure of Scm(variables, noise, tables), once validate
+        accepts that reference model in full."""
+        _require_valid(Scm(variables, noise, tables, (0, 1)), context)
+        return cls(context, variables, tables, tuple((n.name, n.levels()) for n in noise))
+
+    def model(self, noise: tuple[NoiseSpec, ...]) -> Scm:
+        """The family's model with these noise laws; only what they can
+        change is checked: their names and levels, and their masses."""
+        violations = [v for n in noise for v in _mass_violations(n)]
+        if tuple((n.name, n.levels()) for n in noise) != self.noise_levels:
+            violations.append("noise names or levels differ from the family's structure")
+        if violations:
+            raise DomainError(f"{self.context}: invalid model: {violations}")
+        return Scm(self.variables, noise, self.tables, (0, 1))
+
+
+def _thm1_noise(pi: float, beta: float) -> tuple[NoiseSpec, ...]:
+    return (
+        _bernoulli("eps_A", 0.5),
+        NoiseSpec("eps_L", {0: 1.0 - pi, 1: pi}),
+        NoiseSpec("eps_M", {0: 1.0 - beta, 1: beta}),
+        _point_mass("eps_Y"),
+    )
+
+
+@cache
+def _thm1_structure() -> _FamilyStructure:
     b = (0, 1)
     variables = (
         VariableSpec("A", b, ROLE_EXPOSURE),
         VariableSpec("L", b, ROLE_INDUCED),
         VariableSpec("M", b, ROLE_MEDIATOR),
         VariableSpec("Y", b, ROLE_OUTCOME),
-    )
-    noise = (
-        _bernoulli("eps_A", 0.5),
-        NoiseSpec("eps_L", {0: 1.0 - pi, 1: pi}),
-        NoiseSpec("eps_M", {0: 1.0 - beta, 1: beta}),
-        _point_mass("eps_Y"),
     )
     tables = (
         _table("A", (), (), (0, 1), lambda e: e),
@@ -888,29 +935,33 @@ def thm1_counterexample(pi: float, beta: float) -> Scm:
             lambda a, l, m, _e: (1 - a) * l * m + a * (l + m - l * m),
         ),
     )
-    scm = Scm(variables, noise, tables, (0, 1))
-    _require_valid(scm, "thm1_counterexample")
-    return scm
+    return _FamilyStructure.validated("thm1_counterexample", variables, tables,
+                                      _thm1_noise(0.5, 0.5))
 
 
-def thm2_counterexample(pi0: float, pi1: float, pi2: float, beta: float) -> Scm:
-    """Three-level-L extension of the thm1 model under which mediational
-    monotonicity holds while the randomized indirect contrast,
-    (1-pi1)*(pi1*(2*beta-1) + pi2), can be negative.
+def thm1_counterexample(pi: float, beta: float) -> Scm:
+    """Exposure-induced-confounder model in which the sharper null holds yet
+    the randomized indirect contrast equals pi*(1-pi)*(2*beta-1).
 
-    A = eps_A with eps_A ~ Bernoulli(1/2); eps_M ~ Bernoulli(beta); eps_L
-    takes 0, 1, 2 with masses pi0, pi1, pi2 and
-    L = (1-A)[eps_L=0] + A[eps_L=1] + 2[eps_L=2];
-    M = (A+L-AL)*eps_M + (1-A)(1-L)(1-eps_M) if L != 2, else A;
-    Y = (1-A)LM + A(L+M-LM) if L != 2, else M.
-
-    The randomized draw of M from the law of M(a') is independent of
-    Y(1, .) and M is binary, so the contrast factors as d*p: the mediator's
-    effect d = E[Y(1,1) - Y(1,0)] = 1 - pi1 times the shift in its law
-    p = P(M(1)=1) - P(M(0)=1) = pi1*(2*beta-1) + pi2.
+    A = eps_A; L = A*eps_L + (1-A)*(1-eps_L);
+    M = (A+L-AL)*eps_M + (1-A)(1-L)(1-eps_M); Y = (1-A)LM + A(L+M-LM).
     """
-    _check_simplex((pi0, pi1, pi2), "(pi0, pi1, pi2)")
+    _check_open_unit(pi, "pi")
     _check_open_unit(beta, "beta")
+    return _thm1_structure().model(_thm1_noise(pi, beta))
+
+
+def _thm2_noise(pi0: float, pi1: float, pi2: float, beta: float) -> tuple[NoiseSpec, ...]:
+    return (
+        _bernoulli("eps_A", 0.5),
+        NoiseSpec("eps_L", {0: pi0, 1: pi1, 2: pi2}),
+        NoiseSpec("eps_M", {0: 1.0 - beta, 1: beta}),
+        _point_mass("eps_Y"),
+    )
+
+
+@cache
+def _thm2_structure() -> _FamilyStructure:
     b = (0, 1)
     l_sup = (0, 1, 2)
 
@@ -933,21 +984,35 @@ def thm2_counterexample(pi0: float, pi1: float, pi2: float, beta: float) -> Scm:
         VariableSpec("M", b, ROLE_MEDIATOR),
         VariableSpec("Y", b, ROLE_OUTCOME),
     )
-    noise = (
-        _bernoulli("eps_A", 0.5),
-        NoiseSpec("eps_L", {0: pi0, 1: pi1, 2: pi2}),
-        NoiseSpec("eps_M", {0: 1.0 - beta, 1: beta}),
-        _point_mass("eps_Y"),
-    )
     tables = (
         _table("A", (), (), (0, 1), lambda e: e),
         _table("L", ("A",), (b,), (0, 1, 2), l_fn),
         _table("M", ("A", "L"), (b, l_sup), (0, 1), m_fn),
         _table("Y", ("A", "L", "M"), (b, l_sup, b), (0,), y_fn),
     )
-    scm = Scm(variables, noise, tables, (0, 1))
-    _require_valid(scm, "thm2_counterexample")
-    return scm
+    return _FamilyStructure.validated("thm2_counterexample", variables, tables,
+                                      _thm2_noise(0.25, 0.25, 0.5, 0.5))
+
+
+def thm2_counterexample(pi0: float, pi1: float, pi2: float, beta: float) -> Scm:
+    """Three-level-L extension of the thm1 model under which mediational
+    monotonicity holds while the randomized indirect contrast,
+    (1-pi1)*(pi1*(2*beta-1) + pi2), can be negative.
+
+    A = eps_A with eps_A ~ Bernoulli(1/2); eps_M ~ Bernoulli(beta); eps_L
+    takes 0, 1, 2 with masses pi0, pi1, pi2 and
+    L = (1-A)[eps_L=0] + A[eps_L=1] + 2[eps_L=2];
+    M = (A+L-AL)*eps_M + (1-A)(1-L)(1-eps_M) if L != 2, else A;
+    Y = (1-A)LM + A(L+M-LM) if L != 2, else M.
+
+    The randomized draw of M from the law of M(a') is independent of
+    Y(1, .) and M is binary, so the contrast factors as d*p: the mediator's
+    effect d = E[Y(1,1) - Y(1,0)] = 1 - pi1 times the shift in its law
+    p = P(M(1)=1) - P(M(0)=1) = pi1*(2*beta-1) + pi2.
+    """
+    _check_simplex((pi0, pi1, pi2), "(pi0, pi1, pi2)")
+    _check_open_unit(beta, "beta")
+    return _thm2_structure().model(_thm2_noise(pi0, pi1, pi2, beta))
 
 
 def thm3_counterexample(
@@ -987,21 +1052,21 @@ def thm3_counterexample(
     return spec
 
 
-def pe_counterexample(p: float) -> Scm:
-    """No-L model where A never affects M yet the portion eliminated is
-    nonzero: M(a) = M(a*) = eps_M ~ Bernoulli(p) and Y = A*M.
-    """
-    _check_open_unit(p, "p")
+def _pe_noise(p: float) -> tuple[NoiseSpec, ...]:
+    return (
+        _bernoulli("eps_A", 0.5),
+        NoiseSpec("eps_M", {0: 1.0 - p, 1: p}),
+        _point_mass("eps_Y"),
+    )
+
+
+@cache
+def _pe_structure() -> _FamilyStructure:
     b = (0, 1)
     variables = (
         VariableSpec("A", b, ROLE_EXPOSURE),
         VariableSpec("M", b, ROLE_MEDIATOR),
         VariableSpec("Y", b, ROLE_OUTCOME),
-    )
-    noise = (
-        _bernoulli("eps_A", 0.5),
-        NoiseSpec("eps_M", {0: 1.0 - p, 1: p}),
-        _point_mass("eps_Y"),
     )
     tables = (
         _table("A", (), (), (0, 1), lambda e: e),
@@ -1009,9 +1074,15 @@ def pe_counterexample(p: float) -> Scm:
         _table("M", ("A",), (b,), (0, 1), lambda _a, e: e),
         _table("Y", ("A", "M"), (b, b), (0,), lambda a, m, _e: a * m),
     )
-    scm = Scm(variables, noise, tables, (0, 1))
-    _require_valid(scm, "pe_counterexample")
-    return scm
+    return _FamilyStructure.validated("pe_counterexample", variables, tables, _pe_noise(0.5))
+
+
+def pe_counterexample(p: float) -> Scm:
+    """No-L model where A never affects M yet the portion eliminated is
+    nonzero: M(a) = M(a*) = eps_M ~ Bernoulli(p) and Y = A*M.
+    """
+    _check_open_unit(p, "p")
+    return _pe_structure().model(_pe_noise(p))
 
 
 def separable_scm(

@@ -4,7 +4,9 @@ value; each error class carries its exit code; the README's family and
 exit-code tables match the code."""
 
 import contextlib
+import copy
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -195,6 +197,85 @@ def test_registry_checks_parameters():
     ):
         with pytest.raises(M.DomainError, match=re.escape(says)):
             criteria.FAMILIES[family](**params)
+
+
+# -- model files ----------------------------------------------------------------
+
+@pytest.mark.parametrize("mass", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_mass_is_invalid_on_every_load_path(mass, tmp_path, capsys):
+    text = M.scm_to_json(M.thm1_counterexample(0.3, 0.6))
+    text = text.replace('"0": 0.4,', f'"0": {mass},', 1)   # eps_M, the first 0.4 mass
+    assert json.loads(text)["noise"][2]["pmf"]["0"] != 0.4
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1 and "noise eps_M: non-finite probability at level 0" in out
+    for argv in (["effects"], ["identify"], ["criteria"],
+                 ["sample", "--n", "5", "--out", str(tmp_path / "d.csv")]):
+        assert_domain_error(capsys, argv[0], str(path), *argv[1:],
+                            says="noise eps_M: non-finite probability at level 0")
+
+
+FAMILY_DOCS = {name: M.model.scm_to_dict(build()) for name, build in (
+    ("t1", lambda: M.thm1_counterexample(0.3, 0.6)),
+    ("t2", lambda: M.thm2_counterexample(0.2, 0.3, 0.5, 0.9)),
+    ("pe", lambda: M.pe_counterexample(0.4)),
+)}
+
+
+@st.composite
+def perturbed_docs(draw) -> dict:
+    """A family's model document with one perturbation that breaks it."""
+    doc = copy.deepcopy(FAMILY_DOCS[draw(st.sampled_from(sorted(FAMILY_DOCS)))])
+    kind = draw(st.sampled_from(["mass", "drop_row", "level", "role", "empty_pmf",
+                                 "duplicate"]))
+    noise = draw(st.sampled_from(doc["noise"]))
+    table = draw(st.sampled_from(doc["tables"]))
+    if kind == "mass":
+        level = draw(st.sampled_from(sorted(noise["pmf"])))
+        noise["pmf"][level] = draw(st.sampled_from(
+            [float("nan"), float("inf"), float("-inf"), -0.25, 1.5]))
+    elif kind == "drop_row":
+        del table["rows"][draw(st.integers(0, len(table["rows"]) - 1))]
+    elif kind == "level":
+        row = draw(st.sampled_from(table["rows"]))
+        field = draw(st.sampled_from(["value", "noise", "parents"] if row["parents"]
+                                     else ["value", "noise"]))
+        level = draw(st.sampled_from([7, -1, 0.5, 1.5, "x", float("inf"), float("nan")]))
+        if field == "parents":
+            row["parents"][draw(st.integers(0, len(row["parents"]) - 1))] = level
+        else:
+            row[field] = level
+    elif kind == "role":
+        draw(st.sampled_from(doc["variables"]))["role"] = draw(st.sampled_from(["Z", "", "a"]))
+    elif kind == "empty_pmf":
+        noise["pmf"] = {}
+    else:
+        doc["variables"].append(dict(draw(st.sampled_from(doc["variables"]))))
+    return doc
+
+
+def test_model_file_fuzz(monkeypatch):
+    with tempfile.TemporaryDirectory() as tmp:
+        monkeypatch.chdir(tmp)
+
+        @settings(max_examples=150, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(perturbed_docs())
+        def every_command_exits_with_a_documented_code(doc):
+            Path(tmp, "model.json").write_text(json.dumps(doc))
+            codes = {}
+            for command in ("validate", "effects", "identify", "criteria"):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    codes[command] = main([command, "model.json"])
+            # every perturbation breaks the model: validate rejects it (exit 1)
+            # or it does not parse (exit 8), and no command computes on it
+            valid = codes.pop("validate")
+            assert valid in (1, 8), (doc, valid)
+            assert set(codes.values()) == {3 if valid == 1 else 8}, (doc, codes)
+
+        every_command_exits_with_a_documented_code()
 
 
 # -- fuzz -----------------------------------------------------------------------

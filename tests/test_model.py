@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medscm as M
+from medscm import criteria, engine, model
 from medscm.model import NoiseSpec, Scm, StructuralTable
 
 
@@ -216,3 +217,105 @@ def test_cyclic_covariates_reported_and_lookups_cached():
     for _ in range(2):   # a lookup that raises is not cached
         with pytest.raises(M.DomainError, match="cyclic"):
             cyclic.topo_order
+
+
+# -- family structures: built and validated once, masses checked per point ------
+
+def test_family_points_share_read_only_structure():
+    pairs = (
+        (M.thm1_counterexample(0.3, 0.6), M.thm1_counterexample(0.7, 0.2)),
+        (M.thm2_counterexample(0.2, 0.3, 0.5, 0.9), M.thm2_counterexample(0.5, 0.5, 0.0, 0.1)),
+        (M.pe_counterexample(0.4), M.pe_counterexample(0.8)),
+    )
+    for one, other in pairs:
+        assert one.variables is other.variables and one.tables is other.tables
+        assert one.noise != other.noise
+        table = one.tables[-1].table
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = 1 - table[key]
+        assert table is other.tables[-1].table
+
+
+def _outcome(fn):
+    """repr of fn()'s value (bitwise for floats), or its error."""
+    try:
+        return "ok", repr(fn())
+    except M.MedscmError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _observed(scm) -> list:
+    """What the engine, effects and criteria make of scm, from a cold cache."""
+    engine.profiles.cache_clear()
+    p = engine.profiles(scm)
+    columns = [(col.dtype.str, col.shape, col.tobytes()) if isinstance(col, np.ndarray) else col
+               for col in (getattr(p, f.name) for f in dataclasses.fields(p)
+                           if not f.name.startswith("_"))]
+    return [M.validate(scm), columns,
+            _outcome(lambda: M.effect_report(scm)), _outcome(lambda: criteria.null_status(scm))]
+
+
+T2_POINTS = st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.2, 0.5]),
+                      st.floats(0.01, 0.99)).filter(lambda t: t[0] + t[1] <= 1.0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(family=st.sampled_from(["t1", "t2", "pe"]), t1=st.tuples(st.floats(0.01, 0.99),
+                                                                st.floats(0.01, 0.99)),
+       t2=T2_POINTS, p=st.floats(0.01, 0.99))
+def test_family_models_match_their_rebuilt_copies(family, t1, t2, p):
+    if family == "t1":
+        scm = M.thm1_counterexample(*t1)
+    elif family == "t2":
+        pi1, pi2, beta = t2
+        scm = M.thm2_counterexample(max(0.0, 1.0 - pi1 - pi2), pi1, pi2, beta)
+    else:
+        scm = M.pe_counterexample(p)
+    copy = model.scm_from_dict(model.scm_to_dict(scm))
+    assert copy.tables is not scm.tables and copy.variables is not scm.variables
+    observed = _observed(scm)
+    assert observed[0] == []
+    assert observed == _observed(copy)
+
+
+def test_family_structure_validated_once_per_process(monkeypatch):
+    calls = []
+    real = model._validate_scm
+    monkeypatch.setattr(model, "_validate_scm", lambda scm: calls.append(scm) or real(scm))
+    builders = (model._thm1_structure, model._thm2_structure, model._pe_structure)
+    for build in builders:
+        build.cache_clear()
+    for i in range(50):
+        x = 0.01 + 0.98 * i / 49
+        M.thm1_counterexample(x, 1.0 - x)
+        M.thm2_counterexample(0.0, x, 1.0 - x, x)
+        M.pe_counterexample(x)
+    assert len(calls) == 3
+    assert all(scm.tables is build().tables for scm, build in zip(calls, builders))
+
+
+def test_factory_mass_check_stays_live(monkeypatch):
+    monkeypatch.setattr(model, "_check_open_unit", lambda value, name: None)
+    with pytest.raises(M.DomainError,
+                       match=r"thm1_counterexample: invalid model: .*negative probability"):
+        M.thm1_counterexample(1.5, 0.6)
+    with pytest.raises(M.DomainError, match=r"pe_counterexample: invalid model: .*non-finite"):
+        M.pe_counterexample(float("nan"))
+    monkeypatch.setattr(model, "_check_simplex", lambda values, name: None)
+    with pytest.raises(M.DomainError, match=r"thm2_counterexample: invalid model: .*sums to"):
+        M.thm2_counterexample(0.5, 0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("mass", [float("nan"), float("inf"), float("-inf")])
+def test_validate_rejects_non_finite_masses(mass):
+    scm = M.thm1_counterexample(0.3, 0.6)
+    noise = tuple(NoiseSpec(n.name, {0: mass, 1: 0.6}) if n.name == "eps_M" else n
+                  for n in scm.noise)
+    violations = M.validate(Scm(scm.variables, noise, scm.tables, scm.exposure_levels))
+    assert "noise eps_M: non-finite probability at level 0" in violations
+    assert any(v.startswith("noise eps_M: pmf sums to") for v in violations)
+    spec = M.thm3_counterexample(0.4, (0.1, 0.2, 0.4, 0.3), 0.5)
+    atom = next(iter(spec.joint))
+    bad = dataclasses.replace(spec, joint={**spec.joint, atom: mass})
+    assert "joint pmf has a non-finite mass" in M.validate(bad)
