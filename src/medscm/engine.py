@@ -211,23 +211,29 @@ class Profiles:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def shared_once(self, key, compute: Callable[[], object]):
+    def shared_once(self, key, compute: Callable[[], object], keep: bool = True):
         """compute(), evaluated on the first call for each key among the
-        profiles that share these columns; compute must not read weight."""
-        if key not in self._shared_memo:
-            self._shared_memo[key] = compute()
-        return self._shared_memo[key]
+        profiles that share these columns; compute must not read weight.
+        With keep false a result already kept is read, but none is kept."""
+        if key in self._shared_memo:
+            return self._shared_memo[key]
+        value = compute()
+        if keep:
+            self._shared_memo[key] = value
+        return value
 
     def shares_columns(self, other: Profiles) -> bool:
         """Whether other reads these very columns: the profiles of another
         model of the same structure, whose weights form a block with these."""
         return self._shared_memo is other._shared_memo
 
-    def cl_strata(self, a_draw: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def cl_strata(self, a_draw: int | None = None,
+                  keep: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """(c, l) strata as group_ids numbers them, l the observed confounder
-        or, given a_draw, L(a_draw); computed once per structure."""
+        or, given a_draw, L(a_draw); computed once per structure (see
+        shared_once for keep)."""
         l = self.l if a_draw is None else self.l_cf[self.arm(a_draw)]
-        return self.shared_once(("cl", a_draw), lambda: group_ids(self.stratum, l))
+        return self.shared_once(("cl", a_draw), lambda: group_ids(self.stratum, l), keep)
 
 
 def unit_sum(terms: np.ndarray) -> np.ndarray:
@@ -675,10 +681,11 @@ class ObservedLaw:
         return self._out(_divide(num, denom, where))
 
 
-def law_cells(model: Model, p: Profiles) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+def law_cells(model: Model, p: Profiles,
+              keep: bool = True) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Table cell of every unit (see table_cells), the first unit of each
     occupied cell in order of first occurrence, and the table's shape; once
-    per structure (the supports are part of it)."""
+    per structure (the supports are part of it; see shared_once for keep)."""
 
     def compute():
         names = (model.exposure_name, model.induced_name, model.mediator_name, model.outcome_name)
@@ -686,7 +693,7 @@ def law_cells(model: Model, p: Profiles) -> tuple[np.ndarray, np.ndarray, tuple[
         cell, shape = table_cells(p.stratum, p.stratum_first.size, (p.a, p.l, p.m, p.y), supports)
         return cell, np.sort(np.unique(cell, return_index=True)[1]), shape
 
-    return p.shared_once("law_cells", compute)
+    return p.shared_once("law_cells", compute, keep)
 
 
 def observational_law(model: Model) -> ObservedLaw:

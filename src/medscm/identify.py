@@ -203,53 +203,77 @@ FUNCTIONALS = {
 # Assumption checks on the counterfactual joint
 # ---------------------------------------------------------------------------
 
+# a block of independence checks lays out at most this many (check, unit)
+# entries per index array; a larger block is scored a part at a time
+CHECK_BLOCK_ELEMENTS = 1 << 16
 
-def _conditional_independence(
+
+def _independence(
     p: engine.Profiles,
+    tags: list[str],
     x: tuple[np.ndarray, tuple[int, ...]],
     z: tuple[np.ndarray, tuple[int, ...]],
-    strata: tuple[np.ndarray, np.ndarray],
-    key_of: Callable[[int], object],
+    by: tuple[tuple[np.ndarray, np.ndarray], Callable[[int], object]],
     members: np.ndarray | None = None,
 ) -> tuple[float, str]:
-    """Max |P(x,z | s) - P(x | s) P(z | s)| over strata s (among members) and
-    the cells (x, z) whose values both occur in s, as one grouped contingency
-    table; the witness names the first stratum and cell attaining it, strata
-    and values in order of first occurrence. x and z are (column, support),
-    coded by support position. strata is (stratum of every unit, first unit
-    of every stratum), renumbered among the members when members (the
-    member units) is given; key_of(unit) names a stratum."""
+    """Max |P(x,z | s) - P(x | s) P(z | s)| over a block of checks, strata s
+    (among members) and the cells (x, z) whose values both occur in s; the
+    witness names the first check attaining it (its tag), then its first
+    stratum and cell attaining it, strata and values in order of first
+    occurrence. x is (block, support), one row per check, and z (column,
+    support), shared by the checks. by is ((stratum of every unit, first unit
+    of every stratum), name of a unit's stratum), the strata renumbered among
+    the members when members (the member units) is given.
+
+    The checks share the stratum shares and the z table, and their x and joint
+    tables lie side by side in one np.bincount each: every bin still adds its
+    own check's units in unit order, so each deviation is that of a table of
+    its own."""
     (x, x_levels), (z, z_levels) = x, z
-    s, first = strata
+    (s, first), key_of = by
     w = p.weight
     if members is not None:
         if members.size == 0:
             return 0.0, ""
-        x, z, w = x[members], z[members], w[members]
-    xc, zc = level_positions(x, x_levels), level_positions(z, z_levels)
+        z, w = z[members], w[members]
+    zc = level_positions(z, z_levels)
     n, ns, nx, nz = w.size, first.size, len(x_levels), len(z_levels)
     share = w / np.bincount(s, weights=w, minlength=ns)[s]
-    sx = s * nx + xc
-    px = np.bincount(sx, weights=share, minlength=ns * nx).reshape(ns, nx, 1)
     pz = np.bincount(s * nz + zc, weights=share, minlength=ns * nz).reshape(ns, 1, nz)
-    joint = np.bincount(sx * nz + zc, weights=share, minlength=ns * nx * nz)
-    dev = np.abs(joint.reshape(ns, nx, nz) - px * pz)
-    dev[(px == 0.0) | (pz == 0.0)] = 0.0   # values absent from the stratum
-    worst = float(dev.max())
-    if worst <= 0.0:
+    s_x, worst, winner = s * nx, 0.0, None
+    size = max(1, CHECK_BLOCK_ELEMENTS // n)
+    for lo in range(0, len(tags), size):
+        rows = x[lo:lo + size]
+        xc = level_positions(rows if members is None else rows[:, members], x_levels)
+        k = xc.shape[0]
+        sx = np.arange(k)[:, None] * (ns * nx) + s_x   # bins of (check, stratum, x)
+        sx += xc
+        shares = np.tile(share, k)
+        px = np.bincount(sx.ravel(), weights=shares, minlength=k * ns * nx).reshape(k, ns, nx, 1)
+        sx *= nz
+        sx += zc
+        joint = np.bincount(sx.ravel(), weights=shares, minlength=k * ns * nx * nz)
+        dev = np.abs(joint.reshape(k, ns, nx, nz) - px * pz)
+        dev[(px == 0.0) | (pz == 0.0)] = 0.0   # values absent from the stratum
+        top = dev.reshape(k, -1).max(axis=1)
+        i = int(np.argmax(top))
+        if top[i] > worst:
+            worst, winner = float(top[i]), (lo + i, xc[i], dev[i])
+    if winner is None:
         return 0.0, ""
-    k = int(np.argmax(dev.max(axis=(1, 2)) == worst))
-    # cells of stratum k in visit order: by first occurrence of x, then of z
-    in_k = s == k
+    i, xc, dev = winner
+    j = int(np.argmax(dev.max(axis=(1, 2)) == worst))
+    # cells of stratum j in visit order: by first occurrence of x, then of z
+    in_j = s == j
     x_seen, z_seen = np.full(nx, n), np.full(nz, n)
-    for seen, code in ((x_seen, xc[in_k]), (z_seen, zc[in_k])):
+    for seen, code in ((x_seen, xc[in_j]), (z_seen, zc[in_j])):
         codes, at = np.unique(code, return_index=True)
         seen[codes] = at
     visit = x_seen[:, None] * n + z_seen[None, :]
-    visit[dev[k] != worst] = visit.max() + 1
+    visit[dev[j] != worst] = visit.max() + 1
     xi, zi = np.unravel_index(np.argmin(visit), visit.shape)
     cell = f"cell (x={x_levels[xi]}, z={z_levels[zi]})"
-    return worst, f"stratum {key_of(int(first[k]))!r}, {cell}"
+    return worst, f"{tags[i]}: stratum {key_of(int(first[j]))!r}, {cell}"
 
 
 def _members(mask: np.ndarray, by: tuple) -> tuple[tuple, np.ndarray]:
@@ -264,7 +288,10 @@ def _members(mask: np.ndarray, by: tuple) -> tuple[tuple, np.ndarray]:
 
 def check_assumption(model: Model, which: str) -> AssumptionVerdict:
     """Exact factorization (or positivity) test of one assumption over the
-    model's full counterfactual joint."""
+    model's full counterfactual joint. The independence checks of an
+    assumption are scored as one block (one per arm for A2 and A7), and the
+    witness names the first check, in the order listed here, that attains
+    the largest deviation."""
     if which not in ASSUMPTIONS:
         raise DomainError(f"unknown assumption {which!r}; expected one of {ASSUMPTIONS}")
     p = engine.profiles(model)
@@ -277,39 +304,36 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
     by_c = ((p.stratum, p.stratum_first), p.c_key)   # (strata, stratum name)
     if which == "A1":
         # Y(a', m) independent of the factual exposure given C
-        checks = [(f"Y({ap},{m}) vs A", (p.y_at(ap, m), y_lv), a_col, by_c, None)
-                  for ap in arms for m in levels]
+        blocks = [([f"Y({ap},{m}) vs A" for ap in arms for m in levels],
+                   (p.y_cf.reshape(-1, len(p)), y_lv), a_col, by_c, None)]
     elif which == "A3":
-        checks = [(f"M({ap}) vs A", (p.m_cf[p.arm(ap)], levels), a_col, by_c, None)
-                  for ap in arms]
+        blocks = [([f"M({ap}) vs A" for ap in arms], (p.m_cf, levels), a_col, by_c, None)]
     elif which == "A4":
         # the cross-world independence: Y(a, m) vs M(a*) given C
-        checks = [(f"Y({a},{m}) vs M({a_star})", (p.y_at(a, m), y_lv),
-                   (p.m_cf[p.arm(a_star)], levels), by_c, None) for m in levels]
+        blocks = [([f"Y({a},{m}) vs M({a_star})" for m in levels], (p.y_cf[p.arm(a)], y_lv),
+                   (p.m_cf[p.arm(a_star)], levels), by_c, None)]
     else:
         # A2: Y(a', m) independent of the factual mediator given C within arm
         # a'; A7 the same given (C, L), which coincides with A2 when there is
         # no induced confounder
         given_l = "L, " if which == "A7" else ""
         if which == "A7" and model.has_l:
-            by_c = (p.cl_strata(), lambda u: (p.c_key(u), int(p.l[u])))
-        in_arm = {ap: _members(p.a == ap, by_c) for ap in arms}
-        checks = [(f"Y({ap},{m}) vs M | {given_l}A={ap}", (p.y_at(ap, m), y_lv), m_col, *in_arm[ap])
-                  for ap in arms for m in levels]
+            by_c = (p.cl_strata(keep=False), lambda u: (p.c_key(u), int(p.l[u])))
+        blocks = [([f"Y({ap},{m}) vs M | {given_l}A={ap}" for m in levels],
+                   (p.y_cf[p.arm(ap)], y_lv), m_col, *_members(p.a == ap, by_c)) for ap in arms]
 
     worst, witness = 0.0, ""
-    for tag, x, z, (strata, key_of), members in checks:
-        dev, cell = _conditional_independence(p, x, z, strata, key_of, members)
+    for block in blocks:
+        dev, cell = _independence(p, *block)
         if dev > worst:
-            worst = dev
-            witness = f"{tag}: {cell}"
+            worst, witness = dev, cell
     return AssumptionVerdict(which, worst <= INDEPENDENCE_TOL, worst, witness)
 
 
 def _check_positivity(model: Model, p: engine.Profiles) -> AssumptionVerdict:
     # Cell probabilities of the exact observed law, summed cell by cell in
     # law order as ObservedLaw.prob does.
-    cell, first, _shape = engine.law_cells(model, p)
+    cell, first, _shape = engine.law_cells(model, p, keep=False)
     mass = np.bincount(cell, weights=p.weight)[cell[first]]
     s, a, m = p.stratum[first], p.a[first], p.m[first]
     ns = p.stratum_first.size
@@ -319,10 +343,13 @@ def _check_positivity(model: Model, p: engine.Profiles) -> AssumptionVerdict:
     required: list[tuple[np.ndarray, Callable[[str], str]]] = [
         (w_arm[i] / w_c, lambda c, ap=ap: f"Pr(A={ap} | c={c})") for i, ap in enumerate(p.arms)
     ]
-    # mediator levels that must be observable in each arm: the factual support
-    # united with the counterfactual support of M(a') for that arm
+    # mediator levels that must be observable in each arm, in value order:
+    # the factual support united with the counterfactual support of M(a')
+    levels = p.m_levels
+    seen = [np.bincount(level_positions(col, levels), minlength=len(levels)) > 0
+            for col in (p.m, *p.m_cf)]
     for i, ap in enumerate(p.arms):
-        for lv in np.union1d(p.m, p.m_cf[i]).tolist():
+        for lv in sorted(lv for lv, on in zip(levels, (seen[0] | seen[1 + i]).tolist()) if on):
             w_cell = np.bincount(s, weights=mass * ((a == ap) & (m == lv)), minlength=ns)
             f_cell = np.divide(w_cell, w_arm[i], out=np.zeros(ns), where=w_arm[i] > 0.0)
             required.append((f_cell, lambda c, ap=ap, lv=lv: f"f(M={lv} | A={ap}, c={c})"))

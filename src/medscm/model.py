@@ -479,10 +479,11 @@ Model = Scm | FfrcistgSpec
 
 def level_positions(values, levels: tuple[int, ...]):
     """Index of each value within levels (scalar or array alike); a value
-    outside levels is a DomainError."""
+    outside levels is a DomainError. Over levels 0..k-1 the values are their
+    own indices: an array is returned itself, not a copy."""
     lv = np.asarray(levels)
     if lv.size and (lv == np.arange(lv[0], lv[0] + lv.size)).all():   # consecutive levels
-        pos = np.subtract(values, lv[0])
+        pos = np.asarray(values) if lv[0] == 0 else np.subtract(values, lv[0])
         if pos.size and (pos.min() < 0 or pos.max() >= lv.size):
             raise DomainError(f"a level outside {levels}")
         return pos

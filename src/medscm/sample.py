@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -289,17 +290,44 @@ def write_csv(ds: Dataset, path: str) -> None:
 
 def read_csv(path: str, provenance: tuple[str, int, int] | None = None) -> Dataset:
     """A header line, then rows of integers as many as its fields; blank
-    lines are skipped. Anything else is a ValueError."""
+    lines are skipped. Anything else is a ValueError naming the file line."""
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), None)
         if not header:
-            raise ValueError(f"{path}: no header line")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # no rows
-            rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, quotechar='"',
-                              ndmin=2)
+            raise ValueError(f"{path}: line 1: no header line")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # no rows
+                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2)
+        except ValueError:
+            rows = None
+    if rows is None or (rows.size and rows.shape[1] != len(header)):
+        raise ValueError(f"{path}: {_first_bad_line(path, len(header))}")
     if rows.size == 0:
         rows = np.zeros((0, len(header)), dtype=np.int64)
-    if rows.shape[1] != len(header):
-        raise ValueError(f"{path}: rows have {rows.shape[1]} fields, the header {len(header)}")
     return Dataset(tuple(header), rows, provenance or ("file", rows.shape[0], -1))
+
+
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+_INT64 = np.iinfo(np.int64)
+
+
+def _first_bad_line(path: str, fields: int) -> str:
+    """'line N: why' for the first data line of a CSV file that is not as
+    many integers as its header has fields."""
+    with open(path, newline="") as fh:
+        fh.readline()
+        for number, line in enumerate(fh, start=2):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            row = next(csv.reader([line]))
+            if len(row) != fields:
+                return f"line {number}: the header has {fields} fields, this line {len(row)}"
+            for j, field in enumerate(row, start=1):
+                if not _INTEGER.fullmatch(field):
+                    return f"line {number}: field {j} is {field!r}, not an integer"
+                if not _INT64.min <= int(field) <= _INT64.max:
+                    return f"line {number}: field {j} is {field.strip()}, outside int64"
+    return "rows that are not integers"

@@ -278,6 +278,98 @@ def test_model_file_fuzz(monkeypatch):
         every_command_exits_with_a_documented_code()
 
 
+# -- CSV datasets ---------------------------------------------------------------
+
+def _t1_csv_lines() -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "t1.csv")
+        M.write_csv(M.draw_samples(M.thm1_counterexample(0.5, 0.7), 300, 7), str(path))
+        return path.read_text().splitlines()
+
+
+T1_CSV = _t1_csv_lines()
+
+
+@st.composite
+def perturbed_csvs(draw) -> tuple[list[str], int | None]:
+    """The lines of a sampled t1 CSV with one perturbation and, maybe, blank
+    lines inserted; and the file line the perturbation broke, if it broke one."""
+    header, rows = T1_CSV[0], list(T1_CSV[1:])
+    kind = draw(st.sampled_from(["ragged", "float", "huge", "text", "header_only",
+                                 "drop_column", "one_arm", "none"]))
+    r = draw(st.integers(0, len(rows) - 1))
+    fields = rows[r].split(",")
+    j = draw(st.integers(0, len(fields) - 1))
+    broken = None
+    if kind == "ragged":
+        fields = fields[:j] + fields[j + 1:] if draw(st.booleans()) else fields + ["0"]
+        rows[r], broken = ",".join(fields), r
+    elif kind in ("float", "huge", "text"):
+        fields[j] = draw(st.sampled_from({
+            "float": ["1.0", "0.5", "1e3", "-0.0"],
+            "huge": ["99999999999999999999", "-99999999999999999999", "9223372036854775808"],
+            "text": ["x", "", "nan", "1_0", "0x1", " 1 2"],
+        }[kind]))
+        rows[r], broken = ",".join(fields), r
+    elif kind == "header_only":
+        rows = []
+    elif kind == "drop_column":
+        drop = lambda line: ",".join(f for k, f in enumerate(line.split(",")) if k != j)  # noqa: E731
+        header, rows = drop(header), [drop(row) for row in rows]
+    elif kind == "one_arm":
+        a = header.split(",").index("A")
+        rows = [row for row in rows if row.split(",")[a] == "0"]
+    lines = [header] + rows
+    line_of = list(range(1, len(lines) + 1))   # file line of each line
+    for at in sorted(draw(st.lists(st.integers(1, len(lines)), max_size=4)), reverse=True):
+        lines.insert(at, "")
+        line_of[at:] = [n + 1 for n in line_of[at:]]
+    return lines, None if broken is None else line_of[1 + broken]
+
+
+def test_csv_dataset_fuzz(monkeypatch):
+    with tempfile.TemporaryDirectory() as tmp:
+        monkeypatch.chdir(tmp)
+        Path(tmp, "base.csv").write_text("\n".join(T1_CSV) + "\n")
+        argv = ["--estimand", "psi_nie_r_L", "--n-boot", "3", "--format", "csv"]
+        with contextlib.redirect_stdout(io.StringIO()) as base:
+            assert main(["estimate", "base.csv", *argv]) == 0
+
+        @settings(max_examples=150, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(perturbed_csvs())
+        def estimate_exits_with_a_documented_code(case):
+            lines, broken = case
+            Path(tmp, "data.csv").write_text("\n".join(lines) + "\n")
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["estimate", "data.csv", *argv])
+            assert code in (0, 3, 4, 8), (lines, code, err.getvalue())
+            if code == 8:
+                assert re.match(r"error: data\.csv: line \d+: ", err.getvalue()), err.getvalue()
+            if broken is not None:
+                assert code == 8, (lines, code)
+                assert err.getvalue().startswith(f"error: data.csv: line {broken}: "), err.getvalue()
+            elif code == 0 and len(lines) - lines.count("") == len(T1_CSV):
+                assert out.getvalue() == base.getvalue()   # blank lines change nothing
+
+        estimate_exits_with_a_documented_code()
+
+
+def test_csv_errors_name_the_file_line(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    for body, says in (
+        ("A,M,Y\n0,1,1\n\n0,1\n", "line 4: the header has 3 fields, this line 2"),
+        ("A,M,Y\n0,1,1\n\n0,x,1\n", "line 4: field 2 is 'x', not an integer"),
+        ("A,M,Y\n0,1,1,1\n0,1,1,1\n", "line 2: the header has 3 fields, this line 4"),
+        ("A,M,Y\n0,1,99999999999999999999\n", "line 2: field 3 is 99999999999999999999, outside int64"),
+        ("", "line 1: no header line"),
+    ):
+        path.write_text(body)
+        code, out, err = run(capsys, "estimate", str(path), "--estimand", "psi_te", "--n-boot", "0")
+        assert (code, out, err) == (8, "", f"error: {path}: {says}\n"), body
+
+
 # -- fuzz -----------------------------------------------------------------------
 
 PARAMETERS = list(dict.fromkeys(p.name for f in criteria.FAMILIES.values() for p in f.params))

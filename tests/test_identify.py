@@ -1,8 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medscm as M
+from medscm import identify
 from medscm.model import NoiseSpec
 
 
@@ -195,3 +199,132 @@ def test_functional_shape_requirements():
         M.psi_nie_rl(law)
     with pytest.raises(M.DomainError):
         M.psi_cde(law, 9)
+
+
+# ---------------------------------------------------------------------------
+# The independence checks against a scalar reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_independence(units, checks):
+    """(worst, witness) of a list of (tag, member, stratum key, x, z) checks
+    over UnitProfile views, in plain Python: stratum shares, then P(x | s),
+    P(z | s) and P(x, z | s) added in unit order, the first check to attain
+    the largest deviation, its first stratum and its first cell by first
+    occurrence of x, then of z."""
+    worst, witness = 0.0, ""
+    for tag, member, key, x, z in checks:
+        inside = [u for u in units if member(u)]
+        total = {}
+        for u in inside:
+            total[key(u)] = total.get(key(u), 0.0) + u.weight
+        px, pz, joint, first_x, first_z = {}, {}, {}, {}, {}
+        for rank, u in enumerate(inside):
+            s, share = key(u), u.weight / total[key(u)]
+            px[s, x(u)] = px.get((s, x(u)), 0.0) + share
+            pz[s, z(u)] = pz.get((s, z(u)), 0.0) + share
+            joint[s, x(u), z(u)] = joint.get((s, x(u), z(u)), 0.0) + share
+            first_x.setdefault((s, x(u)), rank)
+            first_z.setdefault((s, z(u)), rank)
+        cells = []   # (deviation, stratum, visit rank, x, z), strata in order of first occurrence
+        for s in total:
+            for (sx, xv), p_x in px.items():
+                for (sz, zv), p_z in pz.items():
+                    if sx == sz == s:
+                        dev = abs(joint.get((s, xv, zv), 0.0) - p_x * p_z)
+                        cells.append((dev, s, (first_x[s, xv], first_z[s, zv]), xv, zv))
+        top = max((c[0] for c in cells), default=0.0)
+        if top > worst:
+            worst = top
+            s = next(c[1] for c in cells if c[0] == top)
+            _, _, _, xv, zv = min((c for c in cells if c[0] == top and c[1] == s), key=lambda c: c[2])
+            witness = f"{tag}: stratum {s!r}, cell (x={xv}, z={zv})"
+    return worst, witness
+
+
+def _reference_checks(model, which):
+    units = list(M.engine.profiles(model))
+    a_star, a = arms = model.exposure_levels
+    levels = model.m_support
+    by_c = lambda u: u.c   # noqa: E731
+    everyone = lambda u: True   # noqa: E731
+    if which == "A1":
+        checks = [(f"Y({ap},{m}) vs A", everyone, by_c, lambda u, ap=ap, m=m: u.y_cf[ap, m],
+                   lambda u: u.a) for ap in arms for m in levels]
+    elif which == "A3":
+        checks = [(f"M({ap}) vs A", everyone, by_c, lambda u, ap=ap: u.m_cf[ap], lambda u: u.a)
+                  for ap in arms]
+    elif which == "A4":
+        checks = [(f"Y({a},{m}) vs M({a_star})", everyone, by_c, lambda u, m=m: u.y_cf[a, m],
+                   lambda u: u.m_cf[a_star]) for m in levels]
+    else:
+        with_l = which == "A7" and model.has_l
+        given_l = "L, " if which == "A7" else ""
+        checks = [(f"Y({ap},{m}) vs M | {given_l}A={ap}", lambda u, ap=ap: u.a == ap,
+                   (lambda u: (u.c, u.l)) if with_l else by_c,
+                   lambda u, ap=ap, m=m: u.y_cf[ap, m], lambda u: u.m) for ap in arms for m in levels]
+    return _reference_independence(units, checks)
+
+
+def _empty_arm(model):
+    """model with its exposure noise a point mass: the arm a is never taken."""
+    noise = tuple(NoiseSpec(n.name, {lv: float(lv == 0) for lv in n.pmf})
+                  if n.name == "eps_A" else n for n in model.noise)
+    return dataclasses.replace(model, noise=noise)
+
+
+CHECK_MODELS = st.one_of(
+    st.builds(
+        lambda seed, shape, with_c, m, y: M.random_scm(seed, shape, with_c=with_c, m_levels=m, y_levels=y),
+        st.integers(0, 10**6), st.sampled_from(["basic", "confounded"]), st.booleans(),
+        st.integers(2, 3), st.integers(2, 3),
+    ),
+    st.builds(M.thm1_counterexample, st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+    st.builds(lambda pi1, pi2, beta: M.thm2_counterexample(1.0 - pi1 - pi2, pi1, pi2, beta),
+              st.floats(0.05, 0.45), st.floats(0.0, 0.45), st.floats(0.05, 0.95)),
+    st.builds(
+        M.thm3_counterexample, st.floats(0.05, 0.95),
+        st.sampled_from([(0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1)]),
+        st.floats(0.05, 0.95),
+    ),
+    st.builds(M.pe_counterexample, st.floats(0.05, 0.95)),
+    st.builds(lambda seed, with_c: _empty_arm(M.random_scm(seed, "confounded", with_c=with_c)),
+              st.integers(0, 10**6), st.booleans()),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(model=CHECK_MODELS, one_per_block=st.booleans())
+def test_independence_checks_match_scalar_reference(model, one_per_block):
+    budget = 1 if one_per_block else identify.CHECK_BLOCK_ELEMENTS
+    with mock.patch.object(identify, "CHECK_BLOCK_ELEMENTS", budget):
+        for which in ("A1", "A2", "A3", "A4", "A7"):
+            verdict = M.check_assumption(model, which)
+            worst, witness = _reference_checks(model, which)
+            assert verdict.worst_violation.hex() == worst.hex(), which
+            assert verdict.holds == (worst <= identify.INDEPENDENCE_TOL), which
+            assert verdict.witness == witness, which
+
+
+def test_empty_arm_checks_hold_vacuously_within_it():
+    model = _empty_arm(M.thm1_counterexample(0.5, 0.9))
+    assert not (M.engine.profiles(model).a == 1).any()
+    for which in ("A2", "A7"):
+        verdict = M.check_assumption(model, which)
+        assert (verdict.worst_violation, verdict.witness) == _reference_checks(model, which)
+        assert "A=1" not in verdict.witness
+
+
+def test_checks_keep_nothing_on_the_profiles():
+    for model in (M.thm1_counterexample(0.5, 0.9), M.random_scm(3, "confounded", with_c=True),
+                  M.thm3_counterexample(0.1, (0.1, 0.2, 0.4, 0.3), 0.5)):
+        M.engine.profiles.cache_clear()
+        p = M.engine.profiles(model)
+        memo, shared = set(p._memo), set(p._shared_memo)
+        M.check_all_assumptions(model)
+        assert (set(p._memo), set(p._shared_memo)) == (memo, shared)
+        # a result the structure already keeps is read, not recomputed
+        M.observational_law(model)
+        kept = set(p._shared_memo)
+        M.check_all_assumptions(model)
+        assert set(p._shared_memo) == kept
