@@ -66,6 +66,7 @@ from .model import (
     NoiseSpec,
     Scm,
     StructuralTable,
+    Structure,
     VariableSpec,
     additive_outcome_scm,
     pe_counterexample,

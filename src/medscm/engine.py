@@ -261,7 +261,7 @@ def group_ids(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # the weight-free columns of the last few model structures (see profiles)
 STRUCTURE_CACHE_SIZE = 4
-_structures: OrderedDict[tuple, tuple] = OrderedDict()   # key -> (rows, columns)
+_structures: OrderedDict[tuple, dict] = OrderedDict()   # (structure, mask) -> columns
 
 
 @lru_cache(maxsize=32)
@@ -270,10 +270,11 @@ def profiles(model: Model) -> Profiles:
 
     The columns depend on the model's structure and on which noise
     configurations have positive mass, not on the masses themselves, so
-    models that agree on both (the parameter points of one family) share
-    them, read-only; each model gets its own weights and memo. The last
-    STRUCTURE_CACHE_SIZE structures are kept, and cache_clear() empties
-    them with the per-model cache.
+    models of one Structure object (the parameter points of one family)
+    that agree on which have positive mass share them, read-only; each
+    model gets its own weights and memo. The columns of the last
+    STRUCTURE_CACHE_SIZE (structure, mask) pairs are kept, and cache_clear()
+    empties them with the per-model cache.
 
     Raises EnumerationSizeError, before allocating, when the columns would
     exceed PROFILE_BYTE_BUDGET bytes.
@@ -292,15 +293,14 @@ def profiles(model: Model) -> Profiles:
     units = np.flatnonzero(positive)
     if units.size == 0:
         raise DomainError("the model has no positive-probability unit")
-    key, rows = model.structure
-    key = (key, np.packbits(positive).tobytes())
-    entry = _structures.get(key)
-    if entry is None or entry[0] != rows:
-        entry = _structures[key] = (rows, _counterfactual_columns(model, units))
+    key = (model.structure, np.packbits(positive).tobytes())
+    shared = _structures.get(key)
+    if shared is None:
+        shared = _structures[key] = _counterfactual_columns(model, units)
     _structures.move_to_end(key)
     if len(_structures) > STRUCTURE_CACHE_SIZE:
         _structures.popitem(last=False)
-    return Profiles(weight=weight[units], **entry[1])
+    return Profiles(weight=weight[units], **shared)
 
 
 _clear_model_cache = profiles.cache_clear

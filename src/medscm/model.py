@@ -20,8 +20,9 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property, lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -88,42 +89,82 @@ class StructuralTable:
 
 
 @dataclass(frozen=True, eq=False)
-class Scm:
-    """A discrete SCM with independent exogenous errors (one per variable).
+class Structure:
+    """Everything about a model but its masses: the variables, the structural
+    tables, each noise's name and levels in order (or a counterfactual
+    joint's atoms, in order) and the exposure levels, with the role and
+    topology lookups read off them, each computed once per structure.
 
-    Identity-based equality/hashing is intentional: instances are immutable
-    and internally cached by identity. Structural equality is available
-    through the JSON serialization.
+    Identity is equality: engine.profiles keys the columns it shares by the
+    structure object, so the models model() builds from one structure share
+    them and structures built apart never do. Nothing is checked when a
+    structure is built, so a malformed model still builds and validate lists
+    its faults; a lookup that raises is not cached and raises again.
     """
 
     variables: tuple[VariableSpec, ...]
-    noise: tuple[NoiseSpec, ...]
-    tables: tuple[StructuralTable, ...]
     exposure_levels: tuple[int, int]
+    tables: tuple[StructuralTable, ...] = ()
+    noise: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    atoms: tuple[tuple[int, ...], ...] | None = None
+
+    @classmethod
+    def of_joint(cls, m_support: tuple[int, ...], exposure_levels: tuple[int, int],
+                 atoms: tuple[tuple[int, ...], ...]) -> Structure:
+        """The structure of a counterfactual joint over these atoms: A, M and
+        Y, Y's support the values its atoms give Y(a', m)."""
+        y_support = tuple(sorted({y for atom in atoms for y in atom[1 + len(exposure_levels):]}))
+        variables = (VariableSpec("A", exposure_levels, ROLE_EXPOSURE),
+                     VariableSpec("M", m_support, ROLE_MEDIATOR),
+                     VariableSpec("Y", y_support, ROLE_OUTCOME))
+        return cls(variables, exposure_levels, atoms=atoms)
+
+    def model(self, masses, context: str) -> Model:
+        """The model of this structure under masses: its noise laws, in
+        order, or its joint's masses, atom by atom. Only what noise laws can
+        change is checked, their masses and their names and levels; a joint
+        is validated in full, as its one-world check reads the masses. A
+        violation raises DomainError("<context>: invalid model: [...]")."""
+        if self.atoms is not None:
+            spec = FfrcistgSpec(self.m_support, self.exposure_levels,
+                                dict(zip(self.atoms, masses)), self)
+            return _require_valid(spec, context)
+        scm = Scm(self.variables, masses, self.tables, self.exposure_levels, self)
+        violations = [v for n in masses for v in _mass_violations(n)]
+        if scm.structure is not self:
+            violations.append("noise names or levels differ from the structure")
+        if violations:
+            raise DomainError(f"{context}: invalid model: {violations}")
+        return scm
 
     # -- lookups ------------------------------------------------------------
 
+    @cached_property
+    def _by_name(self) -> dict[str, VariableSpec]:
+        return {v.name: v for v in reversed(self.variables)}   # the first of a name
+
     def var(self, name: str) -> VariableSpec:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+        return self._by_name[name]
+
+    @cached_property
+    def _by_variable(self) -> dict[str, StructuralTable]:
+        return {t.variable: t for t in reversed(self.tables)}
 
     def table_for(self, name: str) -> StructuralTable:
-        for t in self.tables:
-            if t.variable == name:
-                return t
-        raise KeyError(name)
+        return self._by_variable[name]
 
-    def noise_for(self, name: str) -> NoiseSpec:
-        spec = self.table_for(name)
-        for n in self.noise:
-            if n.name == spec.noise:
-                return n
-        raise KeyError(name)
+    @cached_property
+    def noise_position(self) -> dict[str, int]:
+        """Position among the noise terms of each variable's noise."""
+        position = {name: i for i, (name, _) in reversed(list(enumerate(self.noise)))}
+        return {v: position[t.noise] for v, t in self._by_variable.items() if t.noise in position}
 
-    # Role and topology lookups are cached on the (immutable) instance; a
-    # lookup that raises is not cached and raises again on the next access.
+    @cached_property
+    def weight_gather(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(position among the noise terms, levels) of each variable's noise
+        in topological order, the order of the noise product."""
+        at = self.noise_position
+        return tuple((at[v], self.noise[at[v]][1]) for v in self.topo_order)
 
     @cached_property
     def _roles(self) -> dict[str, tuple[str, ...]]:
@@ -132,37 +173,31 @@ class Scm:
             roles[v.role] = roles.get(v.role, ()) + (v.name,)
         return roles
 
-    def _names_with_role(self, role: str) -> tuple[str, ...]:
-        return self._roles.get(role, ())
+    def _single(self, role: str) -> str | None:
+        names = self._roles.get(role, ())
+        return names[0] if names else None
+
+    def _required(self, role: str, what: str) -> str:
+        name = self._single(role)
+        if name is None:
+            raise DomainError(f"model has no {what} variable")
+        return name
 
     @cached_property
     def covariate_names(self) -> tuple[str, ...]:
-        return self._names_with_role(ROLE_COVARIATE)
-
-    def _single(self, role: str) -> str | None:
-        names = self._names_with_role(role)
-        return names[0] if names else None
+        return self._roles.get(ROLE_COVARIATE, ())
 
     @cached_property
     def exposure_name(self) -> str:
-        name = self._single(ROLE_EXPOSURE)
-        if name is None:
-            raise DomainError("model has no exposure variable")
-        return name
+        return self._required(ROLE_EXPOSURE, "exposure")
 
     @cached_property
     def mediator_name(self) -> str:
-        name = self._single(ROLE_MEDIATOR)
-        if name is None:
-            raise DomainError("model has no mediator variable")
-        return name
+        return self._required(ROLE_MEDIATOR, "mediator")
 
     @cached_property
     def outcome_name(self) -> str:
-        name = self._single(ROLE_OUTCOME)
-        if name is None:
-            raise DomainError("model has no outcome variable")
-        return name
+        return self._required(ROLE_OUTCOME, "outcome")
 
     @cached_property
     def induced_name(self) -> str | None:
@@ -171,14 +206,6 @@ class Scm:
     @cached_property
     def has_l(self) -> bool:
         return self.induced_name is not None
-
-    @property
-    def a_star(self) -> int:
-        return self.exposure_levels[0]
-
-    @property
-    def a(self) -> int:
-        return self.exposure_levels[1]
 
     @cached_property
     def m_support(self) -> tuple[int, ...]:
@@ -226,6 +253,67 @@ class Scm:
                 ordered.append(name)
         return tuple(ordered)
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """A counterfactual joint's coordinates: A, M(a') for each arm and
+        Y(a', m) for each arm and mediator level."""
+        arms = self.exposure_levels
+        return ("A", *(f"M({ap})" for ap in arms),
+                *(f"Y({ap},{m})" for ap in arms for m in self.m_support))
+
+
+class _Lookups:
+    """A model's lookups, each read off its structure."""
+
+    structure: Structure
+    var = property(attrgetter("structure.var"))
+    covariate_names = property(attrgetter("structure.covariate_names"))
+    exposure_name = property(attrgetter("structure.exposure_name"))
+    mediator_name = property(attrgetter("structure.mediator_name"))
+    outcome_name = property(attrgetter("structure.outcome_name"))
+    induced_name = property(attrgetter("structure.induced_name"))
+    has_l = property(attrgetter("structure.has_l"))
+    a_star = property(lambda self: self.exposure_levels[0])
+    a = property(lambda self: self.exposure_levels[1])
+
+
+@dataclass(frozen=True, eq=False)
+class Scm(_Lookups):
+    """A discrete SCM with independent exogenous errors (one per variable):
+    a Structure and each noise's masses.
+
+    structure is the Structure of the other fields. Given one that holds
+    these variables and tables (the same objects), these exposure levels and
+    these noise names and levels, the model is built on it, so it shares
+    profile columns with the other models of that structure (see
+    Structure.model); otherwise a new one is built. Identity-based
+    equality/hashing is intentional: instances are immutable and internally
+    cached by identity. Structural equality is available through the JSON
+    serialization.
+    """
+
+    variables: tuple[VariableSpec, ...]
+    noise: tuple[NoiseSpec, ...]
+    tables: tuple[StructuralTable, ...]
+    exposure_levels: tuple[int, int]
+    structure: Structure | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        s, levels = self.structure, tuple((n.name, n.levels()) for n in self.noise)
+        if not (s is not None and s.variables is self.variables and s.tables is self.tables
+                and s.exposure_levels == self.exposure_levels and s.noise == levels):
+            s = Structure(self.variables, self.exposure_levels, self.tables, levels)
+            object.__setattr__(self, "structure", s)
+
+    m_support = property(attrgetter("structure.m_support"))
+    table_for = property(attrgetter("structure.table_for"))
+    shape = property(attrgetter("structure.shape"))
+    edges = property(attrgetter("structure.edges"))
+    topo_order = property(attrgetter("structure.topo_order"))
+
+    def noise_for(self, name: str) -> NoiseSpec:
+        return self.noise[self.structure.noise_position[name]]
+
     # -- evaluation ---------------------------------------------------------
     # units/solve evaluate one unit at a time and are the reference; grid is
     # their vectorised twin over every unit at once, in the same unit order.
@@ -270,27 +358,14 @@ class Scm:
             assignment[name] = t.value(pv, noise[t.noise])
         return assignment
 
-    @property
-    def structure(self) -> tuple[tuple, tuple]:
-        """Everything grid() reads except the noise masses, as (key, rows):
-        key, hashable and cheap, holds the variables, the exposure levels,
-        each table's variable, parents, noise and size, and each noise's
-        levels; rows holds the table mappings, to compare with ==."""
-        key = (
-            self.variables,
-            self.exposure_levels,
-            tuple((t.variable, t.parents, t.noise, len(t.table)) for t in self.tables),
-            tuple((n.name, n.levels()) for n in self.noise),
-        )
-        return key, tuple(t.table for t in self.tables)
-
     def noise_weight(self) -> np.ndarray:
         """Mass of every joint noise configuration in the order of units(),
         zero-mass ones included: the same left-to-right products, so the
         positive ones are bitwise equal to the scalar weights."""
         weight = np.ones(1)
-        for spec in (self.noise_for(name) for name in self.topo_order):
-            weight = np.multiply.outer(weight, [spec.pmf[lv] for lv in spec.levels()]).ravel()
+        for i, levels in self.structure.weight_gather:
+            pmf = self.noise[i].pmf
+            weight = np.multiply.outer(weight, [pmf[lv] for lv in levels]).ravel()
         return weight
 
     def grid(self, units: np.ndarray, rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
@@ -355,66 +430,35 @@ class Scm:
 
 
 @dataclass(frozen=True, eq=False)
-class FfrcistgSpec:
-    """An explicit joint law over one-world counterfactuals (no-L graph only).
+class FfrcistgSpec(_Lookups):
+    """An explicit joint law over one-world counterfactuals (no-L graph only):
+    a Structure whose atoms are the joint's keys, and their masses.
 
     Atoms assign values to A, M(a') for each exposure arm, and Y(a', m) for
     each arm and mediator level; covariates are not represented (the direct
     counterfactual constructions this type exists for use an empty C).
     Cross-world dependence is allowed, which is exactly what a structural
-    table representation cannot express.
+    table representation cannot express. structure is kept when it holds
+    this mediator support, these exposure levels and these atoms in order,
+    as for Scm.
     """
 
     m_support: tuple[int, ...]
     exposure_levels: tuple[int, int]
     joint: Mapping[tuple[int, ...], float]
+    structure: Structure | None = field(default=None, repr=False)
 
-    @property
-    def a_star(self) -> int:
-        return self.exposure_levels[0]
+    def __post_init__(self) -> None:
+        s, atoms = self.structure, tuple(self.joint)
+        if not (s is not None and s.m_support == self.m_support
+                and s.exposure_levels == self.exposure_levels and s.atoms == atoms):
+            s = Structure.of_joint(self.m_support, self.exposure_levels, atoms)
+            object.__setattr__(self, "structure", s)
 
-    @property
-    def a(self) -> int:
-        return self.exposure_levels[1]
-
-    @property
-    def has_l(self) -> bool:
-        return False
-
-    # the role names Scm offers; the variables are A, M and Y
-    covariate_names = ()
-    exposure_name = "A"
-    induced_name = None
-    mediator_name = "M"
-    outcome_name = "Y"
-
-    def var(self, name: str) -> VariableSpec:
-        supports = {"A": self.exposure_levels, "M": self.m_support, "Y": self.y_support}
-        if name not in supports:
-            raise KeyError(name)
-        return VariableSpec(name, supports[name], name)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        arms = self.exposure_levels
-        out = ["A"]
-        out += [f"M({ap})" for ap in arms]
-        out += [f"Y({ap},{m})" for ap in arms for m in self.m_support]
-        return tuple(out)
+    labels = property(attrgetter("structure.labels"))
 
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
-
-    @cached_property
-    def y_support(self) -> tuple[int, ...]:
-        idx = self.label_index()
-        ys = {
-            atom[idx[f"Y({ap},{m})"]]
-            for atom in self.joint
-            for ap in self.exposure_levels
-            for m in self.m_support
-        }
-        return tuple(sorted(ys))
 
     # -- evaluation (the same interface as Scm) ------------------------------
 
@@ -437,12 +481,6 @@ class FfrcistgSpec:
             )
         m_val = fixed.get("M", atom[f"M({a_val})"])
         return {"A": a_val, "M": m_val, "Y": atom[f"Y({a_val},{m_val})"]}
-
-    @property
-    def structure(self) -> tuple[tuple, list]:
-        """Everything grid() reads except the atom masses, as Scm.structure
-        gives it: the atoms, in order, are the rows."""
-        return (self.m_support, self.exposure_levels, len(self.joint)), list(self.joint)
 
     def noise_weight(self) -> np.ndarray:
         """Mass of every atom in the order of units(), zero-mass ones included."""
@@ -615,7 +653,7 @@ def _validate_scm(scm: Scm) -> list[str]:
     out.extend(_validate_shape(scm))
 
     a_star, a = scm.exposure_levels
-    a_support = var_by_name[scm._single(ROLE_EXPOSURE)].support
+    a_support = var_by_name[scm.structure._single(ROLE_EXPOSURE)].support
     if a_star == a:
         out.append("exposure levels a* and a must differ")
     if a_star not in a_support or a not in a_support:
@@ -675,7 +713,7 @@ def _validate_separable_determinism(scm: Scm) -> list[str]:
     # The A->N and A->O links must be deterministic identities.
     out: list[str] = []
     for role in (ROLE_SEP_MEDIATOR_PATH, ROLE_SEP_DIRECT_PATH):
-        name = scm._single(role)
+        name = scm.structure._single(role)
         if name is None:
             continue
         t = scm.table_for(name)
@@ -861,12 +899,22 @@ def _table(
     return StructuralTable(variable, parents, noise_name, MappingProxyType(rows))
 
 
+def _check_number(value, name: str) -> None:
+    """A factory parameter is an int or a float, Python's or numpy's (a bool
+    is neither)."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an int or a float, got {type(value).__name__}")
+
+
 def _check_open_unit(value: float, name: str) -> None:
+    _check_number(value, name)
     if not (0.0 < value < 1.0):
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
 def _check_simplex(values: tuple[float, ...], name: str) -> None:
+    for v in values:
+        _check_number(v, f"each of {name}")
     if any(v < 0.0 or v > 1.0 for v in values):
         raise DomainError(f"{name} components must lie in [0, 1], got {values!r}")
     if abs(sum(values) - 1.0) > PROB_TOL:
@@ -878,32 +926,12 @@ def _check_simplex(values: tuple[float, ...], name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _FamilyStructure:
-    """A family's variables and tables, built and validated once per process
-    (each table read-only); its models differ only in their noise masses."""
-
-    context: str
-    variables: tuple[VariableSpec, ...]
-    tables: tuple[StructuralTable, ...]
-    noise_levels: tuple[tuple[str, tuple[int, ...]], ...]
-
-    @classmethod
-    def validated(cls, context: str, variables, tables, noise) -> _FamilyStructure:
-        """The structure of Scm(variables, noise, tables), once validate
-        accepts that reference model in full."""
-        _require_valid(Scm(variables, noise, tables, (0, 1)), context)
-        return cls(context, variables, tables, tuple((n.name, n.levels()) for n in noise))
-
-    def model(self, noise: tuple[NoiseSpec, ...]) -> Scm:
-        """The family's model with these noise laws; only what they can
-        change is checked: their names and levels, and their masses."""
-        violations = [v for n in noise for v in _mass_violations(n)]
-        if tuple((n.name, n.levels()) for n in noise) != self.noise_levels:
-            violations.append("noise names or levels differ from the family's structure")
-        if violations:
-            raise DomainError(f"{self.context}: invalid model: {violations}")
-        return Scm(self.variables, noise, self.tables, (0, 1))
+def _validated(variables, tables, noise, context: str) -> Structure:
+    """The structure of Scm(variables, noise, tables, (0, 1)), once validate
+    accepts that model in full: a family's structure, built and validated
+    once per process (each table read-only), whose models differ only in
+    their noise masses and check only those (Structure.model)."""
+    return _require_valid(Scm(variables, noise, tables, (0, 1)), context).structure
 
 
 def _thm1_noise(pi: float, beta: float) -> tuple[NoiseSpec, ...]:
@@ -916,7 +944,7 @@ def _thm1_noise(pi: float, beta: float) -> tuple[NoiseSpec, ...]:
 
 
 @cache
-def _thm1_structure() -> _FamilyStructure:
+def _thm1_structure() -> Structure:
     b = (0, 1)
     variables = (
         VariableSpec("A", b, ROLE_EXPOSURE),
@@ -936,8 +964,7 @@ def _thm1_structure() -> _FamilyStructure:
             lambda a, l, m, _e: (1 - a) * l * m + a * (l + m - l * m),
         ),
     )
-    return _FamilyStructure.validated("thm1_counterexample", variables, tables,
-                                      _thm1_noise(0.5, 0.5))
+    return _validated(variables, tables, _thm1_noise(0.5, 0.5), "thm1_counterexample")
 
 
 def thm1_counterexample(pi: float, beta: float) -> Scm:
@@ -949,7 +976,7 @@ def thm1_counterexample(pi: float, beta: float) -> Scm:
     """
     _check_open_unit(pi, "pi")
     _check_open_unit(beta, "beta")
-    return _thm1_structure().model(_thm1_noise(pi, beta))
+    return _thm1_structure().model(_thm1_noise(pi, beta), "thm1_counterexample")
 
 
 def _thm2_noise(pi0: float, pi1: float, pi2: float, beta: float) -> tuple[NoiseSpec, ...]:
@@ -962,7 +989,7 @@ def _thm2_noise(pi0: float, pi1: float, pi2: float, beta: float) -> tuple[NoiseS
 
 
 @cache
-def _thm2_structure() -> _FamilyStructure:
+def _thm2_structure() -> Structure:
     b = (0, 1)
     l_sup = (0, 1, 2)
 
@@ -991,8 +1018,8 @@ def _thm2_structure() -> _FamilyStructure:
         _table("M", ("A", "L"), (b, l_sup), (0, 1), m_fn),
         _table("Y", ("A", "L", "M"), (b, l_sup, b), (0,), y_fn),
     )
-    return _FamilyStructure.validated("thm2_counterexample", variables, tables,
-                                      _thm2_noise(0.25, 0.25, 0.5, 0.5))
+    return _validated(variables, tables, _thm2_noise(0.25, 0.25, 0.5, 0.5),
+                      "thm2_counterexample")
 
 
 def thm2_counterexample(pi0: float, pi1: float, pi2: float, beta: float) -> Scm:
@@ -1013,7 +1040,7 @@ def thm2_counterexample(pi0: float, pi1: float, pi2: float, beta: float) -> Scm:
     """
     _check_simplex((pi0, pi1, pi2), "(pi0, pi1, pi2)")
     _check_open_unit(beta, "beta")
-    return _thm2_structure().model(_thm2_noise(pi0, pi1, pi2, beta))
+    return _thm2_structure().model(_thm2_noise(pi0, pi1, pi2, beta), "thm2_counterexample")
 
 
 def thm3_counterexample(
@@ -1047,10 +1074,16 @@ def thm3_counterexample(
                     m_star = ya0 * ya1 + m_a * abs(ya1 - ya0)
                     atom = (a_val, m_star, m_a, ys, ys, ya0, ya1)
                     joint[atom] = joint.get(atom, 0.0) + w
-    spec = FfrcistgSpec(m_support, (a_star, a), joint)
-    assert spec.labels == spec_labels
-    _require_valid(spec, "thm3_counterexample")
-    return spec
+    structure = _thm3_structure(m_support, (a_star, a), tuple(joint))
+    assert structure.labels == spec_labels
+    return structure.model(tuple(joint.values()), "thm3_counterexample")
+
+
+@lru_cache(maxsize=16)
+def _thm3_structure(m_support, exposure_levels, atoms) -> Structure:
+    """t3's structure over these atoms, which depend only on which of its
+    masses are zero, so that its points share one."""
+    return Structure.of_joint(m_support, exposure_levels, atoms)
 
 
 def _pe_noise(p: float) -> tuple[NoiseSpec, ...]:
@@ -1062,7 +1095,7 @@ def _pe_noise(p: float) -> tuple[NoiseSpec, ...]:
 
 
 @cache
-def _pe_structure() -> _FamilyStructure:
+def _pe_structure() -> Structure:
     b = (0, 1)
     variables = (
         VariableSpec("A", b, ROLE_EXPOSURE),
@@ -1075,7 +1108,7 @@ def _pe_structure() -> _FamilyStructure:
         _table("M", ("A",), (b,), (0, 1), lambda _a, e: e),
         _table("Y", ("A", "M"), (b, b), (0,), lambda a, m, _e: a * m),
     )
-    return _FamilyStructure.validated("pe_counterexample", variables, tables, _pe_noise(0.5))
+    return _validated(variables, tables, _pe_noise(0.5), "pe_counterexample")
 
 
 def pe_counterexample(p: float) -> Scm:
@@ -1083,7 +1116,34 @@ def pe_counterexample(p: float) -> Scm:
     nonzero: M(a) = M(a*) = eps_M ~ Bernoulli(p) and Y = A*M.
     """
     _check_open_unit(p, "p")
-    return _pe_structure().model(_pe_noise(p))
+    return _pe_structure().model(_pe_noise(p), "pe_counterexample")
+
+
+def _node(name: str, support: tuple[int, ...], role: str, pmf: Mapping[int, float],
+          table: StructuralTable) -> tuple[VariableSpec, NoiseSpec, StructuralTable]:
+    """One variable of a built model, with its noise law eps_<name> and its table."""
+    return VariableSpec(name, tuple(support), role), NoiseSpec(f"eps_{name}", dict(pmf)), table
+
+
+def _covariate(support: tuple[int, ...] | None, pmf: Mapping[int, float] | None) -> tuple:
+    """The nodes [C1 = eps_C1], and the parents and parent supports C1 adds
+    to the variables below it; none of them when support is None."""
+    if support is None:
+        return [], (), ()
+    table = _table("C1", (), (), tuple(sorted(pmf)), lambda e: e)
+    return [_node("C1", support, ROLE_COVARIATE, pmf, table)], ("C1",), (tuple(support),)
+
+
+def _exposure(a_p: float) -> tuple[VariableSpec, NoiseSpec, StructuralTable]:
+    """The node A = eps_A with eps_A ~ Bernoulli(a_p)."""
+    return _node("A", (0, 1), ROLE_EXPOSURE, _bernoulli("eps_A", a_p).pmf,
+                 _table("A", (), (), (0, 1), lambda e: e))
+
+
+def _built(nodes: list, context: str) -> Scm:
+    """The model of the nodes, in order, once validate accepts it."""
+    variables, noise, tables = zip(*nodes)
+    return _require_valid(Scm(variables, noise, tables, (0, 1)), context)
 
 
 def separable_scm(
@@ -1106,46 +1166,19 @@ def separable_scm(
     """
     _check_open_unit(a_p, "a_p")
     b = (0, 1)
-    has_c = c_support is not None
-    if has_c and c_pmf is None:
+    if c_support is not None and c_pmf is None:
         raise DomainError("c_pmf is required when c_support is given")
-
-    variables = []
-    noise = []
-    tables = []
-    c_parents: tuple[str, ...] = ()
-    if has_c:
-        variables.append(VariableSpec("C1", tuple(c_support), ROLE_COVARIATE))
-        noise.append(NoiseSpec("eps_C1", dict(c_pmf)))
-        tables.append(
-            _table("C1", (), (), tuple(sorted(c_pmf)), lambda e: e)
-        )
-        c_parents = ("C1",)
-
-    variables += [
-        VariableSpec("A", b, ROLE_EXPOSURE),
-        VariableSpec("N", b, ROLE_SEP_MEDIATOR_PATH),
-        VariableSpec("O", b, ROLE_SEP_DIRECT_PATH),
-        VariableSpec("M", tuple(m_support), ROLE_MEDIATOR),
-        VariableSpec("Y", tuple(y_support), ROLE_OUTCOME),
+    nodes, c_parents, _ = _covariate(c_support, c_pmf)
+    nodes += [
+        _exposure(a_p),
+        _node("N", b, ROLE_SEP_MEDIATOR_PATH, {0: 1.0}, _table("N", ("A",), (b,), (0,), lambda a, _e: a)),
+        _node("O", b, ROLE_SEP_DIRECT_PATH, {0: 1.0}, _table("O", ("A",), (b,), (0,), lambda a, _e: a)),
+        _node("M", m_support, ROLE_MEDIATOR, m_noise_pmf,
+              StructuralTable("M", c_parents + ("N",), "eps_M", dict(m_table))),
+        _node("Y", y_support, ROLE_OUTCOME, y_noise_pmf,
+              StructuralTable("Y", c_parents + ("O", "M"), "eps_Y", dict(y_table))),
     ]
-    noise += [
-        _bernoulli("eps_A", a_p),
-        _point_mass("eps_N"),
-        _point_mass("eps_O"),
-        NoiseSpec("eps_M", dict(m_noise_pmf)),
-        NoiseSpec("eps_Y", dict(y_noise_pmf)),
-    ]
-    tables += [
-        _table("A", (), (), (0, 1), lambda e: e),
-        _table("N", ("A",), (b,), (0,), lambda a, _e: a),
-        _table("O", ("A",), (b,), (0,), lambda a, _e: a),
-        StructuralTable("M", c_parents + ("N",), "eps_M", dict(m_table)),
-        StructuralTable("Y", c_parents + ("O", "M"), "eps_Y", dict(y_table)),
-    ]
-    scm = Scm(tuple(variables), tuple(noise), tuple(tables), (0, 1))
-    _require_valid(scm, "separable_scm")
-    return scm
+    return _built(nodes, "separable_scm")
 
 
 def additive_outcome_scm(
@@ -1173,41 +1206,26 @@ def additive_outcome_scm(
         raise DomainError("denom must be a positive integer")
     _check_open_unit(a_p, "a_p")
     b = (0, 1)
-    has_c = c_support is not None
     has_l = l_support is not None
-    if has_c and c_pmf is None:
+    if c_support is not None and c_pmf is None:
         raise DomainError("c_pmf is required when c_support is given")
     if has_l and (l_table is None or l_noise_pmf is None):
         raise DomainError("l_table and l_noise_pmf are required when l_support is given")
 
-    variables = []
-    noise = []
-    tables = []
-    c_parents: tuple[str, ...] = ()
-    if has_c:
-        variables.append(VariableSpec("C1", tuple(c_support), ROLE_COVARIATE))
-        noise.append(NoiseSpec("eps_C1", dict(c_pmf)))
-        tables.append(_table("C1", (), (), tuple(sorted(c_pmf)), lambda e: e))
-        c_parents = ("C1",)
-
-    variables.append(VariableSpec("A", b, ROLE_EXPOSURE))
-    noise.append(_bernoulli("eps_A", a_p))
-    tables.append(_table("A", (), (), (0, 1), lambda e: e))
-
+    nodes, c_parents, c_sup = _covariate(c_support, c_pmf)
+    nodes.append(_exposure(a_p))
+    l_parent: tuple[str, ...] = ()
+    l_sup: tuple[tuple[int, ...], ...] = ()
     if has_l:
-        variables.append(VariableSpec("L", tuple(l_support), ROLE_INDUCED))
-        noise.append(NoiseSpec("eps_L", dict(l_noise_pmf)))
-        tables.append(StructuralTable("L", c_parents + ("A",), "eps_L", dict(l_table)))
+        l_parent = ("L",)
+        l_sup = (tuple(l_support),)
+        nodes.append(_node("L", l_support, ROLE_INDUCED, l_noise_pmf,
+                           StructuralTable("L", c_parents + ("A",), "eps_L", dict(l_table))))
+    nodes.append(_node("M", m_support, ROLE_MEDIATOR, m_noise_pmf,
+                       StructuralTable("M", c_parents + ("A",) + l_parent, "eps_M", dict(m_table))))
 
-    variables.append(VariableSpec("M", tuple(m_support), ROLE_MEDIATOR))
-    noise.append(NoiseSpec("eps_M", dict(m_noise_pmf)))
-    m_parents = c_parents + (("A", "L") if has_l else ("A",))
-    tables.append(StructuralTable("M", m_parents, "eps_M", dict(m_table)))
-
-    y_parents = c_parents + (("A", "L", "M") if has_l else ("A", "M"))
-    c_sup = (tuple(c_support),) if has_c else ()
-    parent_supports = c_sup + ((b, tuple(l_support), tuple(m_support)) if has_l else (b, tuple(m_support)))
     rows = {}
+    parent_supports = c_sup + (b,) + l_sup + (tuple(m_support),)
     for pv in itertools.product(*parent_supports):
         if has_l:
             *c_vals, a_val, l_val, m_val = pv
@@ -1223,13 +1241,10 @@ def additive_outcome_scm(
             )
         for e in range(denom):
             rows[(pv, e)] = 1 if e < threshold else 0
-    variables.append(VariableSpec("Y", b, ROLE_OUTCOME))
-    noise.append(NoiseSpec("eps_Y", {e: 1.0 / denom for e in range(denom)}))
-    tables.append(StructuralTable("Y", y_parents, "eps_Y", rows))
-
-    scm = Scm(tuple(variables), tuple(noise), tuple(tables), (0, 1))
-    _require_valid(scm, "additive_outcome_scm")
-    return scm
+    y_parents = c_parents + ("A",) + l_parent + ("M",)
+    nodes.append(_node("Y", b, ROLE_OUTCOME, {e: 1.0 / denom for e in range(denom)},
+                       StructuralTable("Y", y_parents, "eps_Y", rows)))
+    return _built(nodes, "additive_outcome_scm")
 
 
 # ---------------------------------------------------------------------------
@@ -1273,6 +1288,15 @@ def _random_table(
     return StructuralTable(variable, parents, f"eps_{variable}", rows)
 
 
+def _random_node(rng: random.Random, name: str, role: str, parents: tuple[str, ...],
+                 parent_supports: tuple[tuple[int, ...], ...], support: tuple[int, ...],
+                 n_noise: int) -> tuple[VariableSpec, NoiseSpec, StructuralTable]:
+    """A node with a random noise law over n_noise levels, drawn first, and
+    a random table (see _random_table)."""
+    return _node(name, support, role, _random_pmf(rng, tuple(range(n_noise))),
+                 _random_table(rng, name, parents, parent_supports, support, n_noise))
+
+
 def random_scm(
     seed: int,
     shape: str = "basic",
@@ -1296,59 +1320,26 @@ def random_scm(
         raise DomainError(f"unsupported random shape {shape!r}")
     rng = _rng("scm", shape, seed, with_c, c_levels, l_levels, m_levels, y_levels, l_affects)
     b = (0, 1)
-    variables: list[VariableSpec] = []
-    noise: list[NoiseSpec] = []
-    tables: list[StructuralTable] = []
-    c_parents: tuple[str, ...] = ()
-    c_supports: tuple[tuple[int, ...], ...] = ()
+    c_sup = tuple(range(c_levels))
     if with_c:
-        c_sup = tuple(range(c_levels))
-        variables.append(VariableSpec("C1", c_sup, ROLE_COVARIATE))
-        noise.append(NoiseSpec("eps_C1", _random_pmf(rng, c_sup)))
-        tables.append(_table("C1", (), (), c_sup, lambda e: e))
-        c_parents, c_supports = ("C1",), (c_sup,)
-
-    variables.append(VariableSpec("A", b, ROLE_EXPOSURE))
-    noise.append(NoiseSpec("eps_A", _random_pmf(rng, (0, 1, 2))))
-    tables.append(_random_table(rng, "A", c_parents, c_supports, b, 3))
-
-    l_sup: tuple[int, ...] | None = None
+        nodes, c_parents, c_sups = _covariate(c_sup, _random_pmf(rng, c_sup))
+    else:
+        nodes, c_parents, c_sups = _covariate(None, None)
+    nodes.append(_random_node(rng, "A", ROLE_EXPOSURE, c_parents, c_sups, b, 3))
+    m_parents, m_sups = c_parents + ("A",), c_sups + (b,)
+    y_parents, y_sups = m_parents, m_sups
     if shape == "confounded":
         l_sup = tuple(range(l_levels))
-        variables.append(VariableSpec("L", l_sup, ROLE_INDUCED))
-        n_l = l_levels + 1
-        noise.append(NoiseSpec("eps_L", _random_pmf(rng, tuple(range(n_l)))))
-        tables.append(
-            _random_table(rng, "L", c_parents + ("A",), c_supports + (b,), l_sup, n_l)
-        )
-
+        nodes.append(_random_node(rng, "L", ROLE_INDUCED, m_parents, m_sups, l_sup, l_levels + 1))
+        if "M" in l_affects:
+            m_parents, m_sups = m_parents + ("L",), m_sups + (l_sup,)
+        if "Y" in l_affects:
+            y_parents, y_sups = y_parents + ("L",), y_sups + (l_sup,)
     m_sup = tuple(range(m_levels))
-    m_parents = c_parents + ("A",)
-    m_parent_sup = c_supports + (b,)
-    if shape == "confounded" and "M" in l_affects:
-        m_parents += ("L",)
-        m_parent_sup += (l_sup,)
-    variables.append(VariableSpec("M", m_sup, ROLE_MEDIATOR))
-    n_m = m_levels + 1
-    noise.append(NoiseSpec("eps_M", _random_pmf(rng, tuple(range(n_m)))))
-    tables.append(_random_table(rng, "M", m_parents, m_parent_sup, m_sup, n_m))
-
-    y_sup = tuple(range(y_levels))
-    y_parents = c_parents + ("A",)
-    y_parent_sup = c_supports + (b,)
-    if shape == "confounded" and "Y" in l_affects:
-        y_parents += ("L",)
-        y_parent_sup += (l_sup,)
-    y_parents += ("M",)
-    y_parent_sup += (m_sup,)
-    variables.append(VariableSpec("Y", y_sup, ROLE_OUTCOME))
-    n_y = y_levels + 1
-    noise.append(NoiseSpec("eps_Y", _random_pmf(rng, tuple(range(n_y)))))
-    tables.append(_random_table(rng, "Y", y_parents, y_parent_sup, y_sup, n_y))
-
-    scm = Scm(tuple(variables), tuple(noise), tuple(tables), (0, 1))
-    _require_valid(scm, "random_scm")
-    return scm
+    nodes.append(_random_node(rng, "M", ROLE_MEDIATOR, m_parents, m_sups, m_sup, m_levels + 1))
+    nodes.append(_random_node(rng, "Y", ROLE_OUTCOME, y_parents + ("M",), y_sups + (m_sup,),
+                              tuple(range(y_levels)), y_levels + 1))
+    return _built(nodes, "random_scm")
 
 
 def random_additive_scm(seed: int, shape: str = "basic", *, with_c: bool = False) -> Scm:
@@ -1358,51 +1349,30 @@ def random_additive_scm(seed: int, shape: str = "basic", *, with_c: bool = False
         raise DomainError(f"unsupported additive shape {shape!r}")
     rng = _rng("additive", shape, seed, with_c)
     b = (0, 1)
-    denom = 8
-    c_support = (0, 1) if with_c else None
-    c_pmf = _random_pmf(rng, (0, 1)) if with_c else None
-    c_vals = [()] if not with_c else [(0,), (1,)]
+    c_support = b if with_c else None
+    c_pmf = _random_pmf(rng, b) if with_c else None
+    c_parents, c_sups = (("C1",), (b,)) if with_c else ((), ())
     m_sup = (0, 1)
+    am = ("A", "L") if shape == "confounded" else ("A",)   # the parents of M besides C1
 
     l_kwargs: dict = {}
     if shape == "confounded":
-        l_sup = (0, 1)
-        l_parents_sup = ((c_support,) if with_c else ()) + (b,)
-        l_tab = _random_table(
-            rng, "L", (("C1",) if with_c else ()) + ("A",), l_parents_sup, l_sup, 3
-        )
+        l_tab = _random_table(rng, "L", c_parents + ("A",), c_sups + (b,), b, 3)
         l_kwargs = {
-            "l_support": l_sup,
+            "l_support": b,
             "l_noise_pmf": _random_pmf(rng, (0, 1, 2)),
             "l_table": dict(l_tab.table),
         }
+    m_tab = _random_table(rng, "M", c_parents + am, c_sups + (b,) * len(am), m_sup, 3)
 
-    m_parents_sup = ((c_support,) if with_c else ()) + ((b, (0, 1)) if shape == "confounded" else (b,))
-    m_tab = _random_table(
-        rng, "M",
-        (("C1",) if with_c else ()) + (("A", "L") if shape == "confounded" else ("A",)),
-        m_parents_sup, m_sup, 3,
-    )
-
-    f = {}
-    for cv in c_vals:
-        for m in m_sup:
-            f[cv + (m,)] = rng.randint(0, 3)
-    g = {}
-    if shape == "confounded":
-        for cv in c_vals:
-            for a_val in b:
-                for l_val in (0, 1):
-                    g[cv + (a_val, l_val)] = rng.randint(0, 4)
-    else:
-        for cv in c_vals:
-            for a_val in b:
-                g[cv + (a_val,)] = rng.randint(0, 4)
+    c_vals = list(itertools.product(*c_sups))
+    f = {cv + (m,): rng.randint(0, 3) for cv in c_vals for m in m_sup}
+    g = {cv + al: rng.randint(0, 4) for cv in c_vals for al in itertools.product(b, repeat=len(am))}
 
     return additive_outcome_scm(
         f=f,
         g=g,
-        denom=denom,
+        denom=8,
         m_table=dict(m_tab.table),
         m_noise_pmf=_random_pmf(rng, (0, 1, 2)),
         m_support=m_sup,
@@ -1417,18 +1387,13 @@ def random_separable_scm(seed: int, *, with_c: bool = False, m_levels: int = 2) 
     """Seeded random separable-components instance."""
     rng = _rng("separable", seed, with_c, m_levels)
     b = (0, 1)
-    c_support = (0, 1) if with_c else None
-    c_pmf = _random_pmf(rng, (0, 1)) if with_c else None
+    c_support = b if with_c else None
+    c_pmf = _random_pmf(rng, b) if with_c else None
+    c_parents, c_sups = (("C1",), (b,)) if with_c else ((), ())
     m_sup = tuple(range(m_levels))
     n_m = m_levels + 1
-    m_parent_sup = ((c_support,) if with_c else ()) + (b,)
-    m_tab = _random_table(
-        rng, "M", (("C1",) if with_c else ()) + ("N",), m_parent_sup, m_sup, n_m
-    )
-    y_parent_sup = ((c_support,) if with_c else ()) + (b, m_sup)
-    y_tab = _random_table(
-        rng, "Y", (("C1",) if with_c else ()) + ("O", "M"), y_parent_sup, b, 3
-    )
+    m_tab = _random_table(rng, "M", c_parents + ("N",), c_sups + (b,), m_sup, n_m)
+    y_tab = _random_table(rng, "Y", c_parents + ("O", "M"), c_sups + (b, m_sup), b, 3)
     return separable_scm(
         _random_pmf(rng, tuple(range(n_m))),
         _random_pmf(rng, (0, 1, 2)),
@@ -1447,26 +1412,12 @@ def random_null_mediator_scm(seed: int, *, with_c: bool = False) -> Scm:
     every unit in at least one exposure arm."""
     rng = _rng("nullmed", seed, with_c)
     b = (0, 1)
-    variables: list[VariableSpec] = []
-    noise: list[NoiseSpec] = []
-    tables: list[StructuralTable] = []
-    c_parents: tuple[str, ...] = ()
-    c_supports: tuple[tuple[int, ...], ...] = ()
-    c_vals: list[tuple[int, ...]] = [()]
     if with_c:
-        variables.append(VariableSpec("C1", b, ROLE_COVARIATE))
-        noise.append(NoiseSpec("eps_C1", _random_pmf(rng, b)))
-        tables.append(_table("C1", (), (), b, lambda e: e))
-        c_parents, c_supports = ("C1",), (b,)
-        c_vals = [(0,), (1,)]
-
-    variables.append(VariableSpec("A", b, ROLE_EXPOSURE))
-    noise.append(NoiseSpec("eps_A", _random_pmf(rng, (0, 1, 2))))
-    tables.append(_random_table(rng, "A", c_parents, c_supports, b, 3))
-
-    variables.append(VariableSpec("M", b, ROLE_MEDIATOR))
-    noise.append(NoiseSpec("eps_M", _random_pmf(rng, (0, 1, 2))))
-    tables.append(_random_table(rng, "M", c_parents, c_supports, b, 3))
+        nodes, c_parents, c_sups = _covariate(b, _random_pmf(rng, b))
+    else:
+        nodes, c_parents, c_sups = _covariate(None, None)
+    nodes.append(_random_node(rng, "A", ROLE_EXPOSURE, c_parents, c_sups, b, 3))
+    nodes.append(_random_node(rng, "M", ROLE_MEDIATOR, c_parents, c_sups, b, 3))
 
     # per (c, eps_Y): the four values (y(a*,0), y(a*,1), y(a,0), y(a,1)) must
     # not be constant in m within both arms simultaneously
@@ -1477,17 +1428,13 @@ def random_null_mediator_scm(seed: int, *, with_c: bool = False) -> Scm:
     ]
     n_y = 3
     rows = {}
-    for cv in c_vals:
+    for cv in itertools.product(*c_sups):
         for e in range(n_y):
             y00, y01, y10, y11 = rng.choice(valid)
             rows[(cv + (0, 0), e)] = y00
             rows[(cv + (0, 1), e)] = y01
             rows[(cv + (1, 0), e)] = y10
             rows[(cv + (1, 1), e)] = y11
-    variables.append(VariableSpec("Y", b, ROLE_OUTCOME))
-    noise.append(NoiseSpec("eps_Y", _random_pmf(rng, tuple(range(n_y)))))
-    tables.append(StructuralTable("Y", c_parents + ("A", "M"), "eps_Y", rows))
-
-    scm = Scm(tuple(variables), tuple(noise), tuple(tables), (0, 1))
-    _require_valid(scm, "random_null_mediator_scm")
-    return scm
+    nodes.append(_node("Y", b, ROLE_OUTCOME, _random_pmf(rng, tuple(range(n_y))),
+                       StructuralTable("Y", c_parents + ("A", "M"), "eps_Y", rows)))
+    return _built(nodes, "random_null_mediator_scm")

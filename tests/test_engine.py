@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -342,3 +343,27 @@ def test_shared_columns_bitwise_equal_to_cold_builds():
         cold.append(_outputs(FAMILIES[family](**pt)))
     assert len(shared) == 616
     assert [repr(o) for o in shared] == [repr(o) for o in cold]
+
+
+def test_structure_lookup_is_by_identity(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("the structure lookup compared tables or variables")
+
+    M.engine.profiles.cache_clear()
+    one, other = M.thm1_counterexample(0.3, 0.6), M.thm1_counterexample(0.8, 0.25)
+    monkeypatch.setattr(StructuralTable, "__eq__", refuse)
+    monkeypatch.setattr(M.VariableSpec, "__eq__", refuse)
+    p = M.engine.profiles(one)
+    assert p.shares_columns(M.engine.profiles(other))
+    assert p.shares_columns(M.engine.profiles(M.thm1_counterexample(0.5, 0.5)))
+    t3 = [M.thm3_counterexample(pi, (0.1, 0.2, 0.3, 0.4), 0.5) for pi in (0.2, 0.7)]
+    assert M.engine.profiles(t3[0]).shares_columns(M.engine.profiles(t3[1]))
+    # models built on the spot from equal tuples hold structures of their own
+    apart = [Scm(one.variables, one.noise, one.tables, one.exposure_levels) for _ in range(2)]
+    q, r = (M.engine.profiles(model) for model in apart)
+    assert not q.shares_columns(r) and not q.shares_columns(p)
+    assert [q.y.tolist(), r.y.tolist()] == [p.y.tolist()] * 2
+    # dataclasses.replace keeps the structure while the noise names and levels stay
+    assert dataclasses.replace(one, noise=other.noise).structure is one.structure
+    two_level = one.noise[:-1] + (NoiseSpec("eps_Y", {0: 0.5, 1: 0.5}),)
+    assert dataclasses.replace(one, noise=two_level).structure is not one.structure

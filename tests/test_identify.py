@@ -328,3 +328,13 @@ def test_checks_keep_nothing_on_the_profiles():
         kept = set(p._shared_memo)
         M.check_all_assumptions(model)
         assert set(p._shared_memo) == kept
+
+
+def test_a7_without_l_is_a2_retagged():
+    models = (M.random_scm(7, "basic", with_c=True, c_levels=4, m_levels=3, y_levels=3),
+              M.thm3_counterexample(0.3, (0.1, 0.2, 0.3, 0.4), 0.6))
+    for model in models:
+        a2, a7 = (M.check_assumption(model, which) for which in ("A2", "A7"))
+        assert "M | L, A=" in a7.witness
+        assert (a7.holds, a7.worst_violation) == (a2.holds, a2.worst_violation)
+        assert a7.witness == a2.witness.replace(" vs M | A=", " vs M | L, A=", 1)

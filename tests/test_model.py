@@ -1,4 +1,6 @@
 import dataclasses
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +79,21 @@ def test_exposure_levels_checked():
 def test_factories_reject_out_of_domain(factory, args):
     with pytest.raises(M.DomainError):
         factory(*args)
+
+
+@pytest.mark.parametrize("family", ["t1", "t2", "t3", "pe"])
+@pytest.mark.parametrize("value", [Fraction(1, 2), Decimal("0.5"), "0.5"], ids=lambda v: type(v).__name__)
+def test_factory_parameters_must_be_int_or_float(family, value):
+    build = {
+        "t1": lambda x: M.thm1_counterexample(0.5, x),
+        "t2": lambda x: M.thm2_counterexample(0.25, x, 0.25, 0.5),
+        "t3": lambda x: M.thm3_counterexample(0.5, (0.25, 0.25, x, 0.0), 0.5),
+        "pe": M.pe_counterexample,
+    }[family]
+    build(0.5)
+    build(np.float32(0.5))  # numpy scalars are ints and floats too
+    with pytest.raises(M.DomainError, match=f"must be an int or a float, got {type(value).__name__}"):
+        build(value)
 
 
 def test_thm1_proof_case_split():
@@ -260,20 +277,40 @@ T2_POINTS = st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.2, 0.5]),
                       st.floats(0.01, 0.99)).filter(lambda t: t[0] + t[1] <= 1.0)
 
 
-@settings(deadline=None, max_examples=30)
-@given(family=st.sampled_from(["t1", "t2", "pe"]), t1=st.tuples(st.floats(0.01, 0.99),
-                                                                st.floats(0.01, 0.99)),
-       t2=T2_POINTS, p=st.floats(0.01, 0.99))
-def test_family_models_match_their_rebuilt_copies(family, t1, t2, p):
+T3_BETAS = st.sampled_from([(0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.5, 0.0), (0.0, 0.5, 0.0, 0.5)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(family=st.sampled_from(["t1", "t2", "t3", "pe", "random", "additive", "separable",
+                               "null_mediator"]),
+       t1=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+       t2=T2_POINTS, t3=T3_BETAS, p=st.floats(0.01, 0.99), seed=st.integers(0, 10**6),
+       with_c=st.booleans(), shape=st.sampled_from(["basic", "confounded"]))
+def test_family_models_match_their_rebuilt_copies(family, t1, t2, t3, p, seed, with_c, shape):
     if family == "t1":
         scm = M.thm1_counterexample(*t1)
     elif family == "t2":
         pi1, pi2, beta = t2
         scm = M.thm2_counterexample(max(0.0, 1.0 - pi1 - pi2), pi1, pi2, beta)
-    else:
+    elif family == "t3":
+        scm = M.thm3_counterexample(t1[0], t3, p)
+    elif family == "pe":
         scm = M.pe_counterexample(p)
-    copy = model.scm_from_dict(model.scm_to_dict(scm))
-    assert copy.tables is not scm.tables and copy.variables is not scm.variables
+    elif family == "random":
+        scm = M.random_scm(seed, shape, with_c=with_c, m_levels=2 + seed % 2)
+    elif family == "additive":
+        scm = model.random_additive_scm(seed, shape, with_c=with_c)
+    elif family == "separable":
+        scm = model.random_separable_scm(seed, with_c=with_c, m_levels=2 + seed % 2)
+    else:
+        scm = model.random_null_mediator_scm(seed, with_c=with_c)
+    # a copy built on the spot, from objects of its own
+    if family == "t3":
+        copy = model.FfrcistgSpec(scm.m_support, scm.exposure_levels, dict(scm.joint))
+    else:
+        copy = model.scm_from_dict(model.scm_to_dict(scm))
+        assert copy.tables is not scm.tables and copy.variables is not scm.variables
+    assert copy.structure is not scm.structure
     observed = _observed(scm)
     assert observed[0] == []
     assert observed == _observed(copy)
