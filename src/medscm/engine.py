@@ -245,18 +245,34 @@ def unit_sum(terms: np.ndarray) -> np.ndarray:
 
 def group_ids(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct rows of the columns in order of first occurrence:
-    the group of every unit, and the first unit of every group."""
-    key = np.zeros(len(columns[0]), dtype=np.int64)
+    the group of every unit, and the first unit of every group.
+
+    The columns are int64. Units are not sorted: a column whose values span
+    at most 2n + 64 (n units) is its own code, value minus minimum, and
+    only a wider one is coded by np.unique. The key over the columns stays
+    below the same bound (np.unique renumbers it when a product passes
+    it), so each group's first unit is one np.minimum.at over a table of
+    key values."""
+    n = len(columns[0])
+    bound = 2 * n + 64
+    key, size = np.zeros(n, dtype=np.int64), 1
     for col in columns:
-        values, code = np.unique(col, return_inverse=True)
-        if key.max() >= np.iinfo(np.int64).max // values.size:
-            _, key = np.unique(key, return_inverse=True)   # renumber before it overflows
-        key = key * values.size + code
-    _, first, key = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[key], first[order]
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo < bound:
+            code, width = col - lo, hi - lo + 1
+        else:
+            values, code = np.unique(col, return_inverse=True)
+            width = values.size
+        key, size = key * width + code, size * width
+        if size > bound:
+            values, key = np.unique(key, return_inverse=True)   # renumber: key < n
+            size = values.size
+    first_of = np.full(size, n, dtype=np.int64)
+    np.minimum.at(first_of, key, np.arange(n))
+    first = np.sort(first_of[first_of < n])
+    group = np.empty(size, dtype=np.int64)
+    group[key[first]] = np.arange(first.size)
+    return group[key], first
 
 
 # the weight-free columns of the last few model structures (see profiles)
@@ -691,7 +707,7 @@ def law_cells(model: Model, p: Profiles,
         names = (model.exposure_name, model.induced_name, model.mediator_name, model.outcome_name)
         supports = [model.var(name).support if name else None for name in names]
         cell, shape = table_cells(p.stratum, p.stratum_first.size, (p.a, p.l, p.m, p.y), supports)
-        return cell, np.sort(np.unique(cell, return_index=True)[1]), shape
+        return cell, group_ids(cell)[1], shape
 
     return p.shared_once("law_cells", compute, keep)
 

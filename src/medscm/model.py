@@ -254,6 +254,13 @@ class Structure:
         return tuple(ordered)
 
     @cached_property
+    def atom_codes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """A joint's coordinates, in label order, each as its sorted values
+        and the position of every atom's value among them."""
+        cols = np.array(self.atoms, dtype=np.int64).reshape(len(self.atoms), len(self.labels))
+        return tuple(np.unique(col, return_inverse=True) for col in cols.T)
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         """A counterfactual joint's coordinates: A, M(a') for each arm and
         Y(a', m) for each arm and mediator level."""
@@ -754,28 +761,29 @@ def _validate_ffrcistg(spec: FfrcistgSpec) -> list[str]:
 def _one_world_violations(spec: FfrcistgSpec) -> list[str]:
     # For each (a', m) the single-world set {A, M(a'), Y(a',m)} must be
     # mutually independent; cross-world sets are deliberately unconstrained.
+    # Masses are summed by np.bincount in atom order, as a running sum per
+    # cell would; cells are visited with each coordinate's values sorted.
     idx = spec.label_index()
-    out = []
+    codes = spec.structure.atom_codes
+    w = np.fromiter(spec.joint.values(), dtype=float, count=len(spec.joint))
+    marginal = [np.bincount(at, weights=w, minlength=values.size) for values, at in codes]
     for ap in spec.exposure_levels:
         for m in spec.m_support:
             cols = (idx["A"], idx[f"M({ap})"], idx[f"Y({ap},{m})"])
-            joint: dict[tuple[int, int, int], float] = {}
-            marg: list[dict[int, float]] = [{}, {}, {}]
-            for atom, w in spec.joint.items():
-                key = tuple(atom[c] for c in cols)
-                joint[key] = joint.get(key, 0.0) + w
-                for j, v in enumerate(key):
-                    marg[j][v] = marg[j].get(v, 0.0) + w
-            for vals in itertools.product(*(sorted(mg) for mg in marg)):
-                prod = marg[0][vals[0]] * marg[1][vals[1]] * marg[2][vals[2]]
-                dev = abs(joint.get(vals, 0.0) - prod)
-                if dev > PROB_TOL:
-                    out.append(
-                        f"one-world independence fails for (a'={ap}, m={m}) "
-                        f"at cell {vals} (deviation {dev:.3e})"
-                    )
-                    return out
-    return out
+            (va, ca), (vm, cm), (vy, cy) = (codes[c] for c in cols)
+            pa, pm, py = (marginal[c] for c in cols)
+            shape = (va.size, vm.size, vy.size)
+            joint = np.bincount((ca * shape[1] + cm) * shape[2] + cy, weights=w,
+                                minlength=math.prod(shape)).reshape(shape)
+            with np.errstate(invalid="ignore"):   # a non-finite mass, listed by the caller
+                dev = np.abs(joint - pa[:, None, None] * pm[None, :, None] * py[None, None, :])
+            bad = np.flatnonzero(dev > PROB_TOL)
+            if bad.size:
+                i, j, k = np.unravel_index(bad[0], shape)
+                vals = (int(va[i]), int(vm[j]), int(vy[k]))
+                return [f"one-world independence fails for (a'={ap}, m={m}) "
+                        f"at cell {vals} (deviation {dev[i, j, k]:.3e})"]
+    return []
 
 
 def _require_valid(model: Model, context: str) -> Model:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import itertools
 import math
 import re
 import warnings
@@ -23,7 +22,7 @@ import numpy as np
 from . import engine, identify
 from .engine import ObservedLaw
 from .errors import DegenerateStratumError, DomainError
-from .model import Scm, scm_to_json
+from .model import Scm, _position_lookup, scm_to_json
 
 
 @dataclass(frozen=True)
@@ -93,37 +92,26 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     order, header = _canonical_columns(scm)
+    supports = {v.name: tuple(sorted(v.support)) for v in scm.variables}
     gen = np.random.Generator(np.random.Philox(key=seed))
     uniforms = gen.random((n, len(order)))
-    columns: dict[str, np.ndarray] = {}
+    rows = np.empty((n, len(order)), dtype=np.int64)
+    position: dict[str, np.ndarray] = {}   # of each value in its sorted support
     for j, name in enumerate(order):
         table = scm.table_for(name)
         noise = scm.noise_for(name)
         levels = noise.levels()
         cum = np.cumsum([noise.pmf[lv] for lv in levels])
         cum[-1] = 1.0
-        e_idx = np.searchsorted(cum, uniforms[:, j], side="right")
-        e_idx = np.minimum(e_idx, len(levels) - 1)
-        # mixed-radix index over (parent supports..., noise levels)
-        parent_supports = [sorted(scm.var(p).support) for p in table.parents]
-        flat = np.zeros(n, dtype=np.int64)
-        for p, sup in zip(table.parents, parent_supports):
-            pos = np.searchsorted(np.asarray(sup), columns[p])
-            flat = flat * len(sup) + pos
-        flat = flat * len(levels) + e_idx
-        lookup = np.empty(
-            int(np.prod([len(s) for s in parent_supports] + [len(levels)])), dtype=np.int64
-        )
-        for idx, pv in enumerate(itertools.product(*parent_supports)):
-            base = idx * len(levels)
-            for k, lv in enumerate(levels):
-                lookup[base + k] = table.value(tuple(pv), lv)
-        columns[name] = lookup[flat]
-    rows = (
-        np.column_stack([columns[name] for name in order]).astype(np.int64)
-        if n > 0
-        else np.zeros((0, len(order)), dtype=np.int64)
-    )
+        idx = np.searchsorted(cum, uniforms[:, j], side="right")
+        idx = np.minimum(idx, len(levels) - 1)
+        # mixed-radix index over (parent positions..., noise position), as in Scm.grid
+        stride = len(levels)
+        for p in reversed(table.parents):
+            idx = idx + position[p] * stride
+            stride *= len(supports[p])
+        position[name] = _position_lookup(table, supports, levels)[idx]
+        rows[:, j] = np.asarray(supports[name])[position[name]]
     return Dataset(header, rows, (scm_id(scm), n, seed))
 
 
@@ -134,6 +122,9 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
 
 def _column_roles(columns: tuple[str, ...]) -> tuple[list[int], int, int | None, int, int]:
     names = list(columns)
+    for name in names:
+        if names.count(name) > 1:
+            raise DomainError(f"dataset repeats column {name}")
     for required in ("A", "M", "Y"):
         if required not in names:
             raise DomainError(f"dataset is missing required column {required}")
@@ -150,7 +141,9 @@ def _index_rows(ds: Dataset) -> tuple[np.ndarray, ObservedLaw]:
     c_idx, *factual = _column_roles(ds.columns)          # factual: A, L, M, Y columns
     factual = [-1 if i is None else i for i in factual]
     cols = [*ds.rows.T, None]                             # cols[-1]: the missing L
-    supports = [tuple(np.unique(col).tolist()) for col in cols[:-1]] + [None]
+    # a column's support: the values at its groups' first rows, sorted
+    supports = [tuple(np.sort(col[engine.group_ids(col)[1]]).tolist()) for col in cols[:-1]]
+    supports.append(None)
     c_cell, c_first = engine.group_ids(*(cols[i] for i in c_idx)) if c_idx else (0, [0])
     cell, shape = engine.table_cells(
         c_cell, len(c_first), [cols[i] for i in factual], [supports[i] for i in factual]
@@ -279,13 +272,23 @@ CSV_BLOCK = 8192   # rows formatted per write
 
 
 def write_csv(ds: Dataset, path: str) -> None:
-    """The header, then one line of plain integers per row; \\n line ends."""
+    """The header, then one line of plain integers per row; \\n line ends.
+
+    Each block of CSV_BLOCK rows numbers its distinct rows (engine.group_ids)
+    and formats each of them once, then joins the block's lines by group; a
+    block of mostly distinct rows, where that costs more than it saves, is
+    formatted row by row."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(ds.columns)
         line = ",".join(["%d"] * ds.rows.shape[1]) + "\n"
         for k in range(0, ds.n, CSV_BLOCK):
             block = ds.rows[k : k + CSV_BLOCK]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            group, first = engine.group_ids(*block.T)
+            if 2 * first.size > len(block):
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+                continue
+            text = np.array([line % tuple(row) for row in block[first].tolist()], dtype=object)
+            fh.write("".join(text[group]))
 
 
 def read_csv(path: str, provenance: tuple[str, int, int] | None = None) -> Dataset:

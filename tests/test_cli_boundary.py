@@ -291,16 +291,18 @@ T1_CSV = _t1_csv_lines()
 
 
 @st.composite
-def perturbed_csvs(draw) -> tuple[list[str], int | None]:
+def perturbed_csvs(draw) -> tuple[list[str], int | None, str | None]:
     """The lines of a sampled t1 CSV with one perturbation and, maybe, blank
-    lines inserted; and the file line the perturbation broke, if it broke one."""
+    lines inserted; the file line the perturbation broke, if it broke one;
+    and the column name the header repeats, if it repeats one."""
     header, rows = T1_CSV[0], list(T1_CSV[1:])
     kind = draw(st.sampled_from(["ragged", "float", "huge", "text", "header_only",
-                                 "drop_column", "one_arm", "none"]))
+                                 "drop_column", "repeat_column", "rename_column",
+                                 "one_arm", "none"]))
     r = draw(st.integers(0, len(rows) - 1))
     fields = rows[r].split(",")
     j = draw(st.integers(0, len(fields) - 1))
-    broken = None
+    broken = repeated = None
     if kind == "ragged":
         fields = fields[:j] + fields[j + 1:] if draw(st.booleans()) else fields + ["0"]
         rows[r], broken = ",".join(fields), r
@@ -316,6 +318,12 @@ def perturbed_csvs(draw) -> tuple[list[str], int | None]:
     elif kind == "drop_column":
         drop = lambda line: ",".join(f for k, f in enumerate(line.split(",")) if k != j)  # noqa: E731
         header, rows = drop(header), [drop(row) for row in rows]
+    elif kind in ("repeat_column", "rename_column"):
+        names = header.split(",")
+        if kind == "repeat_column":
+            repeated = draw(st.sampled_from([c for k, c in enumerate(names) if k != j]))
+        names[j] = repeated or draw(st.sampled_from(["C", "Z", "C1", "l"]))
+        header = ",".join(names)
     elif kind == "one_arm":
         a = header.split(",").index("A")
         rows = [row for row in rows if row.split(",")[a] == "0"]
@@ -324,7 +332,7 @@ def perturbed_csvs(draw) -> tuple[list[str], int | None]:
     for at in sorted(draw(st.lists(st.integers(1, len(lines)), max_size=4)), reverse=True):
         lines.insert(at, "")
         line_of[at:] = [n + 1 for n in line_of[at:]]
-    return lines, None if broken is None else line_of[1 + broken]
+    return lines, None if broken is None else line_of[1 + broken], repeated
 
 
 def test_csv_dataset_fuzz(monkeypatch):
@@ -339,7 +347,7 @@ def test_csv_dataset_fuzz(monkeypatch):
                   suppress_health_check=[HealthCheck.too_slow])
         @given(perturbed_csvs())
         def estimate_exits_with_a_documented_code(case):
-            lines, broken = case
+            lines, broken, repeated = case
             Path(tmp, "data.csv").write_text("\n".join(lines) + "\n")
             with contextlib.redirect_stdout(io.StringIO()) as out, \
                     contextlib.redirect_stderr(io.StringIO()) as err:
@@ -347,6 +355,8 @@ def test_csv_dataset_fuzz(monkeypatch):
             assert code in (0, 3, 4, 8), (lines, code, err.getvalue())
             if code == 8:
                 assert re.match(r"error: data\.csv: line \d+: ", err.getvalue()), err.getvalue()
+            if repeated is not None:
+                assert (code, err.getvalue()) == (3, f"error: dataset repeats column {repeated}\n")
             if broken is not None:
                 assert code == 8, (lines, code)
                 assert err.getvalue().startswith(f"error: data.csv: line {broken}: "), err.getvalue()
@@ -368,6 +378,17 @@ def test_csv_errors_name_the_file_line(tmp_path, capsys):
         path.write_text(body)
         code, out, err = run(capsys, "estimate", str(path), "--estimand", "psi_te", "--n-boot", "0")
         assert (code, out, err) == (8, "", f"error: {path}: {says}\n"), body
+
+
+@pytest.mark.parametrize("header,repeated", [("A,M,Y,Y", "Y"), ("A,M,Y,A", "A"),
+                                             ("C,C,A,M,Y", "C")])
+def test_repeated_csv_column_exits_3(tmp_path, capsys, header, repeated):
+    path = tmp_path / "repeated.csv"
+    width = header.count(",") + 1
+    path.write_text(header + "\n" + "".join(",".join(["0"] * (width - 2) + [a, y]) + "\n"
+                                            for a in "01" for y in "01"))
+    code, out, err = run(capsys, "estimate", str(path), "--estimand", "psi_te", "--n-boot", "0")
+    assert (code, out, err) == (3, "", f"error: dataset repeats column {repeated}\n")
 
 
 # -- fuzz -----------------------------------------------------------------------

@@ -367,3 +367,75 @@ def test_structure_lookup_is_by_identity(monkeypatch):
     assert dataclasses.replace(one, noise=other.noise).structure is one.structure
     two_level = one.noise[:-1] + (NoiseSpec("eps_Y", {0: 0.5, 1: 0.5}),)
     assert dataclasses.replace(one, noise=two_level).structure is not one.structure
+
+
+def _group_ids_by_sorting(*columns):
+    """group_ids as first written, with a np.unique sort per column: the
+    reference for the sort-free version."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        values, code = np.unique(col, return_inverse=True)
+        if key.max() >= np.iinfo(np.int64).max // values.size:
+            _, key = np.unique(key, return_inverse=True)   # renumber before it overflows
+        key = key * values.size + code
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[key], first[order]
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def int64_columns(draw):
+    """1-4 int64 columns of one length: narrow and wide spans, spans just
+    inside and just outside the dense bound (2n + 64), negative values and
+    the int64 extremes."""
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["narrow", "bound", "wide", "extremes"]))
+        if kind == "extremes":
+            pool = [INT64.min, INT64.min + 1, -1, 0, 1, INT64.max - 1, INT64.max]
+            values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        else:
+            lo = draw(st.integers(INT64.min, INT64.max - 2 * n - 70) if kind != "narrow"
+                      else st.integers(-10, 10))
+            span = {"narrow": draw(st.integers(0, 5)),
+                    "bound": 2 * n + 64 + draw(st.integers(-2, 1)),
+                    "wide": draw(st.integers(2 * n + 64, 10**12))}[kind]
+            hi = min(lo + span, INT64.max)
+            values = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+            if draw(st.booleans()):   # attain both ends of the span
+                values[0], values[-1] = lo, hi
+        columns.append(np.array(values, dtype=np.int64))
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(int64_columns())
+def test_group_ids_match_the_sorting_reference(columns):
+    group, first = M.engine.group_ids(*columns)
+    want_group, want_first = _group_ids_by_sorting(*columns)
+    assert group.tolist() == want_group.tolist() and first.tolist() == want_first.tolist()
+    assert group.dtype == first.dtype == np.int64
+
+
+def test_group_ids_renumber_wide_products():
+    # four columns of n distinct values: every product passes the dense bound
+    rng = np.random.default_rng(0)
+    columns = [rng.permutation(500).astype(np.int64) * 10**9 - 7 for _ in range(4)]
+    columns.append(np.repeat([INT64.min, INT64.max], 250))
+    for cols in (columns, [c[:3] for c in columns]):
+        got, want = M.engine.group_ids(*cols), _group_ids_by_sorting(*cols)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["basic", "confounded"]), st.booleans())
+def test_law_cells_first_rows_are_the_sorted_unique_index(seed, shape, with_c):
+    model = M.random_scm(seed, shape, with_c=with_c, m_levels=3)
+    cell, first, _ = M.engine.law_cells(model, M.engine.profiles(model), keep=False)
+    assert first.tolist() == np.sort(np.unique(cell, return_index=True)[1]).tolist()

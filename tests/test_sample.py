@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import io
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -162,3 +165,105 @@ def test_estimate_consistency_small_ladder():
             per_seed.append(abs(M.estimate(ds, "psi_nie_r_L", n_boot=0).value - 0.2))
         errs.append(float(np.median(per_seed)))
     assert errs[1] < errs[0]
+
+
+def _unsorted_support_model() -> Scm:
+    """A model file whose M and Y supports are unsorted and non-consecutive,
+    with a covariate and an exposure listed out of order."""
+    ms, ys = (5, -1, 2), (3, 0, 7)
+
+    def table(variable, parents, supports, noise, value):
+        rows = [{"parents": list(pv), "noise": e, "value": value(*pv, e)}
+                for pv in itertools.product(*supports) for e in noise]
+        return {"variable": variable, "parents": list(parents), "noise": f"e{variable}", "rows": rows}
+
+    doc = {
+        "variables": [{"name": "C1", "support": [4, -2], "role": "C"},
+                      {"name": "A", "support": [1, 0], "role": "A"},
+                      {"name": "M", "support": list(ms), "role": "M"},
+                      {"name": "Y", "support": list(ys), "role": "Y"}],
+        "edges": {"C1": [], "A": ["C1"], "M": ["C1", "A"], "Y": ["C1", "A", "M"]},
+        "noise": [{"name": "eC1", "pmf": {"0": 0.3, "1": 0.7}},
+                  {"name": "eA", "pmf": {"0": 0.4, "1": 0.6}},
+                  {"name": "eM", "pmf": {"0": 0.2, "1": 0.5, "2": 0.3}},
+                  {"name": "eY", "pmf": {"0": 0.25, "1": 0.25, "2": 0.5}}],
+        "tables": [
+            table("C1", (), (), (0, 1), lambda e: (4, -2)[e]),
+            table("A", ("C1",), ((4, -2),), (0, 1), lambda c, e: (e + (c > 0)) % 2),
+            table("M", ("C1", "A"), ((4, -2), (0, 1)), (0, 1, 2),
+                  lambda c, a, e: ms[(e + a + (c > 0)) % 3]),
+            table("Y", ("C1", "A", "M"), ((4, -2), (0, 1), ms), (0, 1, 2),
+                  lambda c, a, m, e: ys[(e * (a + 1) + ms.index(m) + (c < 0)) % 3]),
+        ],
+        "exposure_levels": [0, 1],
+    }
+    return M.model.scm_from_json(json.dumps(doc))
+
+
+PINNED_MODELS = {
+    "t1": lambda: M.thm1_counterexample(0.5, 0.9),
+    "t2": lambda: M.thm2_counterexample(0.2, 0.3, 0.5, 0.9),
+    "random": lambda: M.random_scm(7, "confounded", with_c=True, c_levels=4, l_levels=3,
+                                   m_levels=3, y_levels=4),
+    "unsorted": _unsorted_support_model,
+}
+
+# sha256 of the rows draw_samples(model, 20000, seed=2011) returns (int64,
+# row-major) and of the bytes write_csv writes for them, as first recorded
+PINNED_BYTES = {
+    "t1": ("8131b99cb952348d94e6c7262b39f9962435860fe9ee42b658f04ce9fc170045",
+           "a6f8613a4afb0bcd62d867c307594ea9f24c174c7afc0633bc75117d43f8b83d"),
+    "t2": ("4d63cf13e7bc3427ad04de51986489bac98a0bb11647f467ee0cc6bdcc236cd4",
+           "34b3b2bb7f681fba4de566c34c54c6be81865b0719e769f70652b88073dd498b"),
+    "random": ("8bd069fc60cefd8dc114a88d61b920503b4853d3b5046973bfd7a3a283e25025",
+               "b98ea8d6c98b95ae7a8b98c0d9e2b4a7d5c69b9e5f5ef856e04ec61bd8767776"),
+    "unsorted": ("e178759185de40bde6419ccfa5bd2043eca340c518f0149686afbf9332dcc0cf",
+                 "91eaeef47af02de628291cff8f173d103d923e8f6c443ca7d4dc861b3472b97a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+def test_dataset_bytes_are_pinned(name, tmp_path):
+    scm = PINNED_MODELS[name]()
+    assert M.validate(scm) == []
+    ds = M.draw_samples(scm, 20000, seed=2011)
+    assert ds.rows.dtype == np.int64 and ds.rows.shape == (20000, len(ds.columns))
+    path = tmp_path / "data.csv"
+    M.write_csv(ds, str(path))
+    digest = (hashlib.sha256(ds.rows.tobytes()).hexdigest(),
+              hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digest == PINNED_BYTES[name]
+
+
+def test_csv_blocks_of_distinct_and_repeated_rows(tmp_path, monkeypatch):
+    # a block of distinct rows is formatted row by row, one of a few repeated
+    # rows by its distinct rows; both must write what csv.writer writes
+    rng = np.random.default_rng(3)
+    distinct = rng.integers(-10**15, 10**15, size=(64, 4))
+    repeated = distinct[rng.integers(0, 5, size=64)]
+    narrow = rng.integers(-2, 2, size=(40, 4))
+    rows = np.concatenate([distinct, repeated, narrow, distinct[:8]])
+    monkeypatch.setattr(M.sample, "CSV_BLOCK", 64)
+    grouped = []
+    group_ids = M.engine.group_ids
+    monkeypatch.setattr(M.engine, "group_ids",
+                        lambda *cols: grouped.append(group_ids(*cols)[1].size) or group_ids(*cols))
+    ds = M.Dataset(("C", "A", "M", "Y"), rows, ("manual", len(rows), -1))
+    path = tmp_path / "blocks.csv"
+    M.write_csv(ds, str(path))
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(ds.columns)
+    writer.writerows(rows.tolist())
+    assert path.read_bytes() == reference.getvalue().encode()
+    assert grouped[:2] == [64, 5] and len(grouped) == 3
+
+
+@pytest.mark.parametrize("header", [("A", "M", "Y", "Y"), ("A", "M", "Y", "A"),
+                                    ("C", "C", "A", "M", "Y")])
+def test_repeated_column_names_are_refused(header):
+    rows = np.array([[0, 1, 1, 0, 1], [1, 0, 1, 1, 0]])[:, : len(header)]
+    ds = M.Dataset(header, rows, ("manual", 2, -1))
+    repeated = next(name for name in header if header.count(name) > 1)
+    with pytest.raises(M.DomainError, match=f"^dataset repeats column {repeated}$"):
+        M.empirical_law(ds, exposure_levels=(0, 1))
