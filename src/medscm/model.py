@@ -167,6 +167,35 @@ class Structure:
         return tuple((at[v], self.noise[at[v]][1]) for v in self.topo_order)
 
     @cached_property
+    def supports(self) -> dict[str, tuple[int, ...]]:
+        """Each variable's sorted support: the values its positions index."""
+        return {v.name: tuple(sorted(v.support)) for v in self.variables}
+
+    @cached_property
+    def _lookups(self) -> dict[str, tuple[tuple[int, ...], np.ndarray]]:
+        # each table as a mixed-radix lookup over (parent positions..., noise
+        # position), the last parent varying fastest after the noise: the
+        # stride of each parent's position, in table order, and the lookup
+        out = {}
+        for name in self.topo_order:
+            t, levels = self.table_for(name), self.noise[self.noise_position[name]][1]
+            strides, stride = [], len(levels)
+            for p in reversed(t.parents):
+                strides.insert(0, stride)
+                stride *= len(self.supports[p])
+            out[name] = tuple(strides), _position_lookup(t, self.supports, levels)
+        return out
+
+    def positions(self, name: str, noise: np.ndarray | int, parents: Sequence) -> np.ndarray:
+        """Positions in name's sorted support of its table's values at noise
+        positions and its parents' positions (in table order); Scm.grid and
+        draw_samples evaluate every table this way."""
+        strides, lookup = self._lookups[name]
+        for position, stride in zip(parents, strides):
+            noise = noise + position * stride
+        return lookup[noise]
+
+    @cached_property
     def _roles(self) -> dict[str, tuple[str, ...]]:
         roles: dict[str, tuple[str, ...]] = {}
         for v in self.variables:
@@ -252,13 +281,6 @@ class Structure:
             if name is not None:
                 ordered.append(name)
         return tuple(ordered)
-
-    @cached_property
-    def atom_codes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """A joint's coordinates, in label order, each as its sorted values
-        and the position of every atom's value among them."""
-        cols = np.array(self.atoms, dtype=np.int64).reshape(len(self.atoms), len(self.labels))
-        return tuple(np.unique(col, return_inverse=True) for col in cols.T)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -380,31 +402,27 @@ class Scm(_Lookups):
         units (flat positions in noise_weight()), one row per regime listed
         for the variable; an intervened variable takes its fixed level.
 
-        Tables become mixed-radix lookups over (parent positions..., noise
-        position), the scheme draw_samples uses. A variable is solved once
-        per distinct regime of the interventions upstream of it, so the
-        covariates are solved once and A, L and M once per exposure arm.
+        Each table is evaluated in position space (Structure.positions), as
+        in draw_samples. A variable is solved once per distinct regime of the
+        interventions upstream of it, so the covariates are solved once and
+        A, L and M once per exposure arm.
         """
         order = self.topo_order
         a_name, m_name = self.exposure_name, self.mediator_name
-        supports = {v.name: tuple(sorted(v.support)) for v in self.variables}
+        structure = self.structure
+        supports = structure.supports
         index = {name: {v: i for i, v in enumerate(sup)} for name, sup in supports.items()}
-        noise_pos: dict[str, np.ndarray] = {}
+        noise_pos: dict[str, np.ndarray | int] = {}
         flat = units
         for name in reversed(order):   # the last variable's noise varies fastest
-            flat, noise_pos[name] = np.divmod(flat, len(self.noise_for(name).pmf))
-        steps: dict[str, tuple] = {}
+            size = len(self.noise_for(name).pmf)
+            flat, position = np.divmod(flat, size)
+            noise_pos[name] = position if size > 1 else 0   # plain ints while every term is fixed
         moved: dict[str, tuple[bool, bool]] = {}   # downstream of do(A), of do(M)
         for name in order:
-            t, noise = self.table_for(name), self.noise_for(name)
-            strided, stride = [], len(noise.pmf)
-            for p in reversed(t.parents):   # the last parent varies fastest, after the noise
-                strided.append((p, stride))
-                stride *= len(supports[p])
-            steps[name] = (strided, noise_pos[name] if len(noise.pmf) > 1 else 0,
-                           _position_lookup(t, supports, noise.levels()))
-            moved[name] = (name == a_name or any(moved[p][0] for p in t.parents),
-                           name == m_name or any(moved[p][1] for p in t.parents))
+            parents = self.table_for(name).parents
+            moved[name] = (name == a_name or any(moved[p][0] for p in parents),
+                           name == m_name or any(moved[p][1] for p in parents))
         solved: dict[tuple, np.ndarray | int] = {}
 
         def key(name: str, regime: Regime) -> tuple:
@@ -416,12 +434,8 @@ class Scm(_Lookups):
             fixed = regime[0] if name == a_name else regime[1] if name == m_name else None
             if fixed is not None:
                 return index[name][fixed]
-            # lookup position: the noise position plus each parent's position
-            # times its stride (plain ints while every term is fixed)
-            parents, idx, lookup = steps[name]
-            for p, stride in parents:
-                idx = idx + solved[key(p, regime)] * stride
-            return lookup[idx]
+            parents = [solved[key(p, regime)] for p in self.table_for(name).parents]
+            return structure.positions(name, noise_pos[name], parents)
 
         out = {}
         for name, regimes in rows.items():
@@ -761,29 +775,28 @@ def _validate_ffrcistg(spec: FfrcistgSpec) -> list[str]:
 def _one_world_violations(spec: FfrcistgSpec) -> list[str]:
     # For each (a', m) the single-world set {A, M(a'), Y(a',m)} must be
     # mutually independent; cross-world sets are deliberately unconstrained.
-    # Masses are summed by np.bincount in atom order, as a running sum per
-    # cell would; cells are visited with each coordinate's values sorted.
     idx = spec.label_index()
-    codes = spec.structure.atom_codes
-    w = np.fromiter(spec.joint.values(), dtype=float, count=len(spec.joint))
-    marginal = [np.bincount(at, weights=w, minlength=values.size) for values, at in codes]
+    out = []
     for ap in spec.exposure_levels:
         for m in spec.m_support:
             cols = (idx["A"], idx[f"M({ap})"], idx[f"Y({ap},{m})"])
-            (va, ca), (vm, cm), (vy, cy) = (codes[c] for c in cols)
-            pa, pm, py = (marginal[c] for c in cols)
-            shape = (va.size, vm.size, vy.size)
-            joint = np.bincount((ca * shape[1] + cm) * shape[2] + cy, weights=w,
-                                minlength=math.prod(shape)).reshape(shape)
-            with np.errstate(invalid="ignore"):   # a non-finite mass, listed by the caller
-                dev = np.abs(joint - pa[:, None, None] * pm[None, :, None] * py[None, None, :])
-            bad = np.flatnonzero(dev > PROB_TOL)
-            if bad.size:
-                i, j, k = np.unravel_index(bad[0], shape)
-                vals = (int(va[i]), int(vm[j]), int(vy[k]))
-                return [f"one-world independence fails for (a'={ap}, m={m}) "
-                        f"at cell {vals} (deviation {dev[i, j, k]:.3e})"]
-    return []
+            joint: dict[tuple[int, int, int], float] = {}
+            marg: list[dict[int, float]] = [{}, {}, {}]
+            for atom, w in spec.joint.items():
+                key = tuple(atom[c] for c in cols)
+                joint[key] = joint.get(key, 0.0) + w
+                for j, v in enumerate(key):
+                    marg[j][v] = marg[j].get(v, 0.0) + w
+            for vals in itertools.product(*(sorted(mg) for mg in marg)):
+                prod = marg[0][vals[0]] * marg[1][vals[1]] * marg[2][vals[2]]
+                dev = abs(joint.get(vals, 0.0) - prod)
+                if dev > PROB_TOL:
+                    out.append(
+                        f"one-world independence fails for (a'={ap}, m={m}) "
+                        f"at cell {vals} (deviation {dev:.3e})"
+                    )
+                    return out
+    return out
 
 
 def _require_valid(model: Model, context: str) -> Model:

@@ -22,7 +22,7 @@ import numpy as np
 from . import engine, identify
 from .engine import ObservedLaw
 from .errors import DegenerateStratumError, DomainError
-from .model import Scm, _position_lookup, scm_to_json
+from .model import Scm, scm_to_json
 
 
 @dataclass(frozen=True)
@@ -92,26 +92,21 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     order, header = _canonical_columns(scm)
-    supports = {v.name: tuple(sorted(v.support)) for v in scm.variables}
+    structure = scm.structure
     gen = np.random.Generator(np.random.Philox(key=seed))
     uniforms = gen.random((n, len(order)))
     rows = np.empty((n, len(order)), dtype=np.int64)
     position: dict[str, np.ndarray] = {}   # of each value in its sorted support
     for j, name in enumerate(order):
-        table = scm.table_for(name)
         noise = scm.noise_for(name)
         levels = noise.levels()
         cum = np.cumsum([noise.pmf[lv] for lv in levels])
         cum[-1] = 1.0
         idx = np.searchsorted(cum, uniforms[:, j], side="right")
         idx = np.minimum(idx, len(levels) - 1)
-        # mixed-radix index over (parent positions..., noise position), as in Scm.grid
-        stride = len(levels)
-        for p in reversed(table.parents):
-            idx = idx + position[p] * stride
-            stride *= len(supports[p])
-        position[name] = _position_lookup(table, supports, levels)[idx]
-        rows[:, j] = np.asarray(supports[name])[position[name]]
+        parents = [position[p] for p in scm.table_for(name).parents]
+        position[name] = structure.positions(name, idx, parents)
+        rows[:, j] = np.asarray(structure.supports[name])[position[name]]
     return Dataset(header, rows, (scm_id(scm), n, seed))
 
 
@@ -274,21 +269,16 @@ CSV_BLOCK = 8192   # rows formatted per write
 def write_csv(ds: Dataset, path: str) -> None:
     """The header, then one line of plain integers per row; \\n line ends.
 
-    Each block of CSV_BLOCK rows numbers its distinct rows (engine.group_ids)
-    and formats each of them once, then joins the block's lines by group; a
-    block of mostly distinct rows, where that costs more than it saves, is
-    formatted row by row."""
+    Each block of CSV_BLOCK rows numbers its distinct rows (engine.group_ids),
+    formats them in one pass and joins the block's lines by group."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(ds.columns)
         line = ",".join(["%d"] * ds.rows.shape[1]) + "\n"
         for k in range(0, ds.n, CSV_BLOCK):
             block = ds.rows[k : k + CSV_BLOCK]
             group, first = engine.group_ids(*block.T)
-            if 2 * first.size > len(block):
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
-                continue
-            text = np.array([line % tuple(row) for row in block[first].tolist()], dtype=object)
-            fh.write("".join(text[group]))
+            text = line * first.size % tuple(block[first].ravel().tolist())
+            fh.write("".join(np.array(text.splitlines(keepends=True), dtype=object)[group]))
 
 
 def read_csv(path: str, provenance: tuple[str, int, int] | None = None) -> Dataset:

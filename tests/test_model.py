@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 from decimal import Decimal
 from fractions import Fraction
 
@@ -357,46 +356,3 @@ def test_validate_rejects_non_finite_masses(mass):
     atom = next(iter(spec.joint))
     bad = dataclasses.replace(spec, joint={**spec.joint, atom: mass})
     assert "joint pmf has a non-finite mass" in M.validate(bad)
-
-
-def _one_world_by_dict_scan(spec):
-    """The one-world check as first written, a dict scan of the atoms per
-    (a', m): the reference for the array sums."""
-    idx = spec.label_index()
-    for ap in spec.exposure_levels:
-        for m in spec.m_support:
-            cols = (idx["A"], idx[f"M({ap})"], idx[f"Y({ap},{m})"])
-            joint, marg = {}, [{}, {}, {}]
-            for atom, w in spec.joint.items():
-                key = tuple(atom[c] for c in cols)
-                joint[key] = joint.get(key, 0.0) + w
-                for j, v in enumerate(key):
-                    marg[j][v] = marg[j].get(v, 0.0) + w
-            for vals in itertools.product(*(sorted(mg) for mg in marg)):
-                prod = marg[0][vals[0]] * marg[1][vals[1]] * marg[2][vals[2]]
-                dev = abs(joint.get(vals, 0.0) - prod)
-                if dev > model.PROB_TOL:
-                    return [f"one-world independence fails for (a'={ap}, m={m}) "
-                            f"at cell {vals} (deviation {dev:.3e})"]
-    return []
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_one_world_violations_match_the_dict_scan(data):
-    spec = M.thm3_counterexample(data.draw(st.floats(0.05, 0.95)), (0.1, 0.2, 0.3, 0.4),
-                                 data.draw(st.floats(0.05, 0.95)))
-    atoms = list(spec.joint)
-    keep = data.draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))
-    noise = data.draw(st.lists(st.floats(0, 1), min_size=len(atoms), max_size=len(atoms)))
-    eps = data.draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-3, 1.0]))
-    # mostly the satisfying t3 masses, moved by eps toward arbitrary ones
-    joint = {atom: (1 - eps) * w + eps * x
-             for (atom, w), x, k in zip(spec.joint.items(), noise, keep) if k or eps == 0.0}
-    # relabel Y's values: unsorted, non-consecutive levels
-    relabel = data.draw(st.sampled_from([{0: 0, 1: 1}, {0: 7, 1: -3}]))
-    width = 1 + len(spec.exposure_levels)
-    joint = {atom[:width] + tuple(relabel[y] for y in atom[width:]): w
-             for atom, w in joint.items()} or {atoms[0]: 1.0}
-    other = model.FfrcistgSpec(spec.m_support, spec.exposure_levels, joint)
-    assert model._one_world_violations(other) == _one_world_by_dict_scan(other)

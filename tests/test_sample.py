@@ -236,8 +236,8 @@ def test_dataset_bytes_are_pinned(name, tmp_path):
 
 
 def test_csv_blocks_of_distinct_and_repeated_rows(tmp_path, monkeypatch):
-    # a block of distinct rows is formatted row by row, one of a few repeated
-    # rows by its distinct rows; both must write what csv.writer writes
+    # blocks of distinct rows, of a few repeated rows and of narrow values
+    # must each write what csv.writer writes
     rng = np.random.default_rng(3)
     distinct = rng.integers(-10**15, 10**15, size=(64, 4))
     repeated = distinct[rng.integers(0, 5, size=64)]
