@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from operator import attrgetter
 from types import MappingProxyType
@@ -126,13 +126,9 @@ class Structure:
         is validated in full, as its one-world check reads the masses. A
         violation raises DomainError("<context>: invalid model: [...]")."""
         if self.atoms is not None:
-            spec = FfrcistgSpec(self.m_support, self.exposure_levels,
-                                dict(zip(self.atoms, masses)), self)
-            return _require_valid(spec, context)
-        scm = Scm(self.variables, masses, self.tables, self.exposure_levels, self)
-        violations = [v for n in masses for v in _mass_violations(n)]
-        if scm.structure is not self:
-            violations.append("noise names or levels differ from the structure")
+            return _require_valid(FfrcistgSpec(self, masses), context)
+        scm = Scm(self, masses)
+        violations = [v for n in masses for v in _mass_violations(n)] + _noise_mismatch(scm)
         if violations:
             raise DomainError(f"{context}: invalid model: {violations}")
         return scm
@@ -295,13 +291,22 @@ class _Lookups:
     """A model's lookups, each read off its structure."""
 
     structure: Structure
+    variables = property(attrgetter("structure.variables"))
+    tables = property(attrgetter("structure.tables"))
+    exposure_levels = property(attrgetter("structure.exposure_levels"))
+    m_support = property(attrgetter("structure.m_support"))
     var = property(attrgetter("structure.var"))
+    table_for = property(attrgetter("structure.table_for"))
     covariate_names = property(attrgetter("structure.covariate_names"))
     exposure_name = property(attrgetter("structure.exposure_name"))
     mediator_name = property(attrgetter("structure.mediator_name"))
     outcome_name = property(attrgetter("structure.outcome_name"))
     induced_name = property(attrgetter("structure.induced_name"))
     has_l = property(attrgetter("structure.has_l"))
+    shape = property(attrgetter("structure.shape"))
+    edges = property(attrgetter("structure.edges"))
+    topo_order = property(attrgetter("structure.topo_order"))
+    labels = property(attrgetter("structure.labels"))
     a_star = property(lambda self: self.exposure_levels[0])
     a = property(lambda self: self.exposure_levels[1])
 
@@ -309,36 +314,24 @@ class _Lookups:
 @dataclass(frozen=True, eq=False)
 class Scm(_Lookups):
     """A discrete SCM with independent exogenous errors (one per variable):
-    a Structure and each noise's masses.
+    a Structure and each noise's law, in the order of structure.noise.
 
-    structure is the Structure of the other fields. Given one that holds
-    these variables and tables (the same objects), these exposure levels and
-    these noise names and levels, the model is built on it, so it shares
-    profile columns with the other models of that structure (see
-    Structure.model); otherwise a new one is built. Identity-based
-    equality/hashing is intentional: instances are immutable and internally
-    cached by identity. Structural equality is available through the JSON
-    serialization.
+    Scm.of builds a model on a structure of its own, Structure.model the
+    models that share one. Identity-based equality/hashing is intentional:
+    instances are immutable and internally cached by identity. Structural
+    equality is available through the JSON serialization.
     """
 
-    variables: tuple[VariableSpec, ...]
+    structure: Structure
     noise: tuple[NoiseSpec, ...]
-    tables: tuple[StructuralTable, ...]
-    exposure_levels: tuple[int, int]
-    structure: Structure | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        s, levels = self.structure, tuple((n.name, n.levels()) for n in self.noise)
-        if not (s is not None and s.variables is self.variables and s.tables is self.tables
-                and s.exposure_levels == self.exposure_levels and s.noise == levels):
-            s = Structure(self.variables, self.exposure_levels, self.tables, levels)
-            object.__setattr__(self, "structure", s)
-
-    m_support = property(attrgetter("structure.m_support"))
-    table_for = property(attrgetter("structure.table_for"))
-    shape = property(attrgetter("structure.shape"))
-    edges = property(attrgetter("structure.edges"))
-    topo_order = property(attrgetter("structure.topo_order"))
+    @classmethod
+    def of(cls, variables: tuple[VariableSpec, ...], noise: tuple[NoiseSpec, ...],
+           tables: tuple[StructuralTable, ...], exposure_levels: tuple[int, int]) -> Scm:
+        """The model of these variables, noise laws, tables and exposure
+        levels, on a structure of its own."""
+        levels = tuple((n.name, n.levels()) for n in noise)
+        return cls(Structure(variables, exposure_levels, tables, levels), noise)
 
     def noise_for(self, name: str) -> NoiseSpec:
         return self.noise[self.structure.noise_position[name]]
@@ -453,30 +446,30 @@ class Scm(_Lookups):
 @dataclass(frozen=True, eq=False)
 class FfrcistgSpec(_Lookups):
     """An explicit joint law over one-world counterfactuals (no-L graph only):
-    a Structure whose atoms are the joint's keys, and their masses.
+    a Structure whose atoms are the joint's keys, and their masses, in the
+    order of structure.atoms.
 
     Atoms assign values to A, M(a') for each exposure arm, and Y(a', m) for
     each arm and mediator level; covariates are not represented (the direct
     counterfactual constructions this type exists for use an empty C).
     Cross-world dependence is allowed, which is exactly what a structural
-    table representation cannot express. structure is kept when it holds
-    this mediator support, these exposure levels and these atoms in order,
-    as for Scm.
+    table representation cannot express.
     """
 
-    m_support: tuple[int, ...]
-    exposure_levels: tuple[int, int]
-    joint: Mapping[tuple[int, ...], float]
-    structure: Structure | None = field(default=None, repr=False)
+    structure: Structure
+    masses: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        s, atoms = self.structure, tuple(self.joint)
-        if not (s is not None and s.m_support == self.m_support
-                and s.exposure_levels == self.exposure_levels and s.atoms == atoms):
-            s = Structure.of_joint(self.m_support, self.exposure_levels, atoms)
-            object.__setattr__(self, "structure", s)
+    @classmethod
+    def of(cls, m_support: tuple[int, ...], exposure_levels: tuple[int, int],
+           joint: Mapping[tuple[int, ...], float]) -> FfrcistgSpec:
+        """The model of this joint law, atom -> mass, on a structure of its own."""
+        return cls(Structure.of_joint(m_support, exposure_levels, tuple(joint)),
+                   tuple(joint.values()))
 
-    labels = property(attrgetter("structure.labels"))
+    @property
+    def joint(self) -> Mapping[tuple[int, ...], float]:
+        """The joint law, atom -> mass: a read-only view of the atoms and masses."""
+        return MappingProxyType(dict(zip(self.structure.atoms, self.masses)))
 
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
@@ -485,13 +478,14 @@ class FfrcistgSpec(_Lookups):
 
     @property
     def grid_size(self) -> int:
-        return len(self.joint)
+        return len(self.masses)
 
     def units(self, cap: int) -> list[tuple[dict[str, int], float]]:
         """Positive-mass atoms as label -> value maps; the atoms are the
         units, so the cap does not apply."""
         labels = self.labels
-        return [(dict(zip(labels, atom)), w) for atom, w in self.joint.items() if w > 0.0]
+        return [(dict(zip(labels, atom)), w)
+                for atom, w in zip(self.structure.atoms, self.masses) if w > 0.0]
 
     def solve(self, atom: Mapping[str, int], fixed: Mapping[str, int]) -> dict[str, int]:
         """Read A, M and Y off an atom under an intervention on A and/or M."""
@@ -505,13 +499,13 @@ class FfrcistgSpec(_Lookups):
 
     def noise_weight(self) -> np.ndarray:
         """Mass of every atom in the order of units(), zero-mass ones included."""
-        return np.array(list(self.joint.values()), dtype=float)
+        return np.array(self.masses, dtype=float)
 
     def grid(self, units: np.ndarray, rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
         """A, M and Y over the atoms units (positions in noise_weight()), one
         row per regime listed for the variable, as Scm.grid gives them."""
-        cols = np.array(list(self.joint), dtype=np.int64).reshape(len(self.joint), len(self.labels))
-        cols = cols[units]
+        atoms = self.structure.atoms
+        cols = np.array(atoms, dtype=np.int64).reshape(len(atoms), len(self.labels))[units]
         at = np.arange(units.size)
         arms, levels = self.exposure_levels, self.m_support
         worlds: dict[Regime, dict] = {}
@@ -604,7 +598,7 @@ def validate(model: Model) -> list[str]:
 
 
 def _validate_scm(scm: Scm) -> list[str]:
-    out: list[str] = []
+    out = _noise_mismatch(scm)
     names = [v.name for v in scm.variables]
     if len(set(names)) != len(names):
         out.append("duplicate variable names")
@@ -687,6 +681,12 @@ def _validate_scm(scm: Scm) -> list[str]:
     return out
 
 
+def _noise_mismatch(scm: Scm) -> list[str]:
+    """The violation of noise laws whose names or levels, in order, are not the structure's."""
+    same = tuple((n.name, n.levels()) for n in scm.noise) == scm.structure.noise
+    return [] if same else ["noise names or levels differ from the structure"]
+
+
 def _mass_violations(noise: NoiseSpec) -> list[str]:
     """The violations of one noise law's masses: each must be finite and
     non-negative, and they must sum to 1 (written so that a NaN fails)."""
@@ -750,22 +750,26 @@ def _validate_separable_determinism(scm: Scm) -> list[str]:
 
 def _validate_ffrcistg(spec: FfrcistgSpec) -> list[str]:
     out: list[str] = []
+    atoms, masses = spec.structure.atoms, spec.masses
     if spec.exposure_levels[0] == spec.exposure_levels[1]:
         out.append("exposure levels a* and a must differ")
     if len(set(spec.m_support)) != len(spec.m_support) or not spec.m_support:
         out.append("mediator support must be non-empty and duplicate-free")
-    if not spec.joint:
+    if len(masses) != len(atoms):
+        out.append(f"{len(masses)} masses for {len(atoms)} atoms")
+        return out
+    if not masses:
         out.append("joint pmf is empty")
         return out
-    total = sum(spec.joint.values())
+    total = sum(masses)
     if not abs(total - 1.0) <= PROB_TOL:
         out.append(f"joint pmf sums to {total!r}")
-    if not all(math.isfinite(p) for p in spec.joint.values()):
+    if not all(math.isfinite(p) for p in masses):
         out.append("joint pmf has a non-finite mass")
-    if any(p < 0 for p in spec.joint.values()):
+    if any(p < 0 for p in masses):
         out.append("joint pmf has a negative mass")
     width = len(spec.labels)
-    if any(len(atom) != width for atom in spec.joint):
+    if any(len(atom) != width for atom in atoms):
         out.append(f"atoms must assign all {width} counterfactual coordinates")
         return out
     out.extend(_one_world_violations(spec))
@@ -782,7 +786,7 @@ def _one_world_violations(spec: FfrcistgSpec) -> list[str]:
             cols = (idx["A"], idx[f"M({ap})"], idx[f"Y({ap},{m})"])
             joint: dict[tuple[int, int, int], float] = {}
             marg: list[dict[int, float]] = [{}, {}, {}]
-            for atom, w in spec.joint.items():
+            for atom, w in zip(spec.structure.atoms, spec.masses):
                 key = tuple(atom[c] for c in cols)
                 joint[key] = joint.get(key, 0.0) + w
                 for j, v in enumerate(key):
@@ -873,10 +877,11 @@ def scm_from_dict(doc: dict) -> Scm:
         exposure = tuple(_level(x) for x in doc["exposure_levels"])
         if len(exposure) != 2:
             raise ValueError("exposure_levels must have exactly two entries")
-        scm = Scm(variables, noise, tables, (exposure[0], exposure[1]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # int(inf) overflows
+        declared = {name: tuple(parents) for name, parents in doc.get("edges", {}).items()}
+        scm = Scm.of(variables, noise, tables, (exposure[0], exposure[1]))
+    # int(inf) overflows; a list, string or number in place of an object has no items()
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed SCM document: {exc}") from exc
-    declared = {name: tuple(parents) for name, parents in doc.get("edges", {}).items()}
     if declared and declared != scm.edges:
         raise ValueError("malformed SCM document: edges disagree with structural tables")
     return scm
@@ -948,11 +953,11 @@ def _check_simplex(values: tuple[float, ...], name: str) -> None:
 
 
 def _validated(variables, tables, noise, context: str) -> Structure:
-    """The structure of Scm(variables, noise, tables, (0, 1)), once validate
+    """The structure of Scm.of(variables, noise, tables, (0, 1)), once validate
     accepts that model in full: a family's structure, built and validated
     once per process (each table read-only), whose models differ only in
     their noise masses and check only those (Structure.model)."""
-    return _require_valid(Scm(variables, noise, tables, (0, 1)), context).structure
+    return _require_valid(Scm.of(variables, noise, tables, (0, 1)), context).structure
 
 
 def _thm1_noise(pi: float, beta: float) -> tuple[NoiseSpec, ...]:
@@ -1164,7 +1169,7 @@ def _exposure(a_p: float) -> tuple[VariableSpec, NoiseSpec, StructuralTable]:
 def _built(nodes: list, context: str) -> Scm:
     """The model of the nodes, in order, once validate accepts it."""
     variables, noise, tables = zip(*nodes)
-    return _require_valid(Scm(variables, noise, tables, (0, 1)), context)
+    return _require_valid(Scm.of(variables, noise, tables, (0, 1)), context)
 
 
 def separable_scm(

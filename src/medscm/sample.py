@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import math
 import re
 import warnings
@@ -22,7 +21,7 @@ import numpy as np
 from . import engine, identify
 from .engine import ObservedLaw
 from .errors import DegenerateStratumError, DomainError
-from .model import Scm, scm_to_json
+from .model import Scm
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class Dataset:
 
     columns: tuple[str, ...]
     rows: np.ndarray
-    provenance: tuple[str, int, int]  # (model id, n, seed)
 
     @property
     def n(self) -> int:
@@ -54,10 +52,6 @@ class Estimate:
     ci_low: float | None
     ci_high: float | None
     n_boot: int
-
-
-def scm_id(scm: Scm) -> str:
-    return hashlib.sha256(scm_to_json(scm).encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +101,7 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
         parents = [position[p] for p in scm.table_for(name).parents]
         position[name] = structure.positions(name, idx, parents)
         rows[:, j] = np.asarray(structure.supports[name])[position[name]]
-    return Dataset(header, rows, (scm_id(scm), n, seed))
+    return Dataset(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +275,7 @@ def write_csv(ds: Dataset, path: str) -> None:
             fh.write("".join(np.array(text.splitlines(keepends=True), dtype=object)[group]))
 
 
-def read_csv(path: str, provenance: tuple[str, int, int] | None = None) -> Dataset:
+def read_csv(path: str) -> Dataset:
     """A header line, then rows of integers as many as its fields; blank
     lines are skipped. Anything else is a ValueError naming the file line."""
     with open(path, newline="") as fh:
@@ -299,7 +293,7 @@ def read_csv(path: str, provenance: tuple[str, int, int] | None = None) -> Datas
         raise ValueError(f"{path}: {_first_bad_line(path, len(header))}")
     if rows.size == 0:
         rows = np.zeros((0, len(header)), dtype=np.int64)
-    return Dataset(tuple(header), rows, provenance or ("file", rows.shape[0], -1))
+    return Dataset(tuple(header), rows)
 
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")

@@ -227,8 +227,8 @@ FAMILY_DOCS = {name: M.model.scm_to_dict(build()) for name, build in (
 def perturbed_docs(draw) -> dict:
     """A family's model document with one perturbation that breaks it."""
     doc = copy.deepcopy(FAMILY_DOCS[draw(st.sampled_from(sorted(FAMILY_DOCS)))])
-    kind = draw(st.sampled_from(["mass", "drop_row", "level", "role", "empty_pmf",
-                                 "duplicate"]))
+    kind = draw(st.sampled_from(["mass", "drop_row", "level", "role", "pmf",
+                                 "duplicate", "edges"]))
     noise = draw(st.sampled_from(doc["noise"]))
     table = draw(st.sampled_from(doc["tables"]))
     if kind == "mass":
@@ -248,8 +248,11 @@ def perturbed_docs(draw) -> dict:
             row[field] = level
     elif kind == "role":
         draw(st.sampled_from(doc["variables"]))["role"] = draw(st.sampled_from(["Z", "", "a"]))
-    elif kind == "empty_pmf":
-        noise["pmf"] = {}
+    elif kind == "pmf":
+        noise["pmf"] = draw(st.sampled_from([{}, [0.5, 0.5], "x", None]))
+    elif kind == "edges":
+        doc["edges"] = draw(st.sampled_from(
+            [[], "x", 3, None, {"M": 5}, {"M": None}, {"M": "A"}, {"M": ["Z"]}]))
     else:
         doc["variables"].append(dict(draw(st.sampled_from(doc["variables"]))))
     return doc

@@ -183,7 +183,7 @@ def test_m_always_affects_y_check():
         else t
         for t in scm.tables
     )
-    ignores_m = Scm(scm.variables, scm.noise, tables, scm.exposure_levels)
+    ignores_m = Scm.of(scm.variables, scm.noise, tables, scm.exposure_levels)
     assert not M.m_always_affects_y_check(ignores_m)
 
 
@@ -245,7 +245,7 @@ def _degenerate_t1():
     scm = M.thm1_counterexample(0.5, 0.5)
     noise = tuple(NoiseSpec("eps_A", {0: 1.0, 1: 0.0}) if n.name == "eps_A" else n
                   for n in scm.noise)
-    return Scm(scm.variables, noise, scm.tables, scm.exposure_levels)
+    return Scm.of(scm.variables, noise, scm.tables, scm.exposure_levels)
 
 
 def _failing_family(k, factory_error=True):
@@ -353,7 +353,7 @@ def _tilted(seed, shape, tilt):
         raw = {v: n.pmf[v] * (1.0 + tilt * i) for i, v in enumerate(levels)}
         total = sum(raw.values())
         noise.append(NoiseSpec(n.name, {v: w / total for v, w in raw.items()}))
-    return Scm(scm.variables, tuple(noise), scm.tables, scm.exposure_levels)
+    return Scm.of(scm.variables, tuple(noise), scm.tables, scm.exposure_levels)
 
 
 _unit = st.floats(0.02, 0.98)

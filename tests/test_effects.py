@@ -59,7 +59,7 @@ def test_decomposition_identities(seed, shape):
 
 def test_exposure_relabel_negates_total_effect():
     scm = M.thm2_counterexample(0.2, 0.3, 0.5, 0.8)
-    swapped = Scm(scm.variables, scm.noise, scm.tables, (1, 0))
+    swapped = Scm.of(scm.variables, scm.noise, scm.tables, (1, 0))
     assert M.validate(swapped) == []
     assert abs(M.total_effect(swapped) + M.total_effect(scm)) <= 1e-12
     rep = M.effect_report(swapped)
@@ -177,7 +177,7 @@ def _confounded_null_mediator_scm():
             {((a, l, m), e): (a * l) ^ (m & e) for a in b for l in b for m in b for e in b},
         ),
     )
-    return Scm(variables, noise, tables, (0, 1))
+    return Scm.of(variables, noise, tables, (0, 1))
 
 
 def test_confounded_null_mediator_all_indirect_contrasts_vanish():

@@ -126,7 +126,7 @@ def test_h_draw_mean_degenerate_arm():
         NoiseSpec("eps_A", {0: 1.0, 1: 0.0}) if n.name == "eps_A" else n
         for n in scm.noise
     )
-    degenerate = Scm(scm.variables, noise, scm.tables, scm.exposure_levels)
+    degenerate = Scm.of(scm.variables, noise, scm.tables, scm.exposure_levels)
     with pytest.raises(M.DegenerateStratumError):
         M.h_draw_mean(degenerate, 1, 0)
 
@@ -239,7 +239,7 @@ def test_profiles_reject_zero_mass_model():
         NoiseSpec("eps_M", {0: 0.0, 1: 0.0}) if n.name == "eps_M" else n for n in scm.noise
     )
     with pytest.raises(M.DomainError, match="no positive-probability unit"):
-        M.engine.profiles(Scm(scm.variables, noise, scm.tables, scm.exposure_levels))
+        M.engine.profiles(Scm.of(scm.variables, noise, scm.tables, scm.exposure_levels))
 
 
 def test_cl_strata_grouped_once_per_profile(monkeypatch):
@@ -282,7 +282,7 @@ def _with_table_entry(scm, variable, key, value):
         if t.variable == variable else t
         for t in scm.tables
     )
-    return Scm(scm.variables, scm.noise, tables, scm.exposure_levels)
+    return Scm.of(scm.variables, scm.noise, tables, scm.exposure_levels)
 
 
 def _with_outcome_noise_levels(scm, pmf):
@@ -293,7 +293,7 @@ def _with_outcome_noise_levels(scm, pmf):
         if t.variable == "Y" else t
         for t in scm.tables
     )
-    return Scm(scm.variables, noise, tables, scm.exposure_levels)
+    return Scm.of(scm.variables, noise, tables, scm.exposure_levels)
 
 
 def test_models_of_different_structure_do_not_share():
@@ -359,14 +359,17 @@ def test_structure_lookup_is_by_identity(monkeypatch):
     t3 = [M.thm3_counterexample(pi, (0.1, 0.2, 0.3, 0.4), 0.5) for pi in (0.2, 0.7)]
     assert M.engine.profiles(t3[0]).shares_columns(M.engine.profiles(t3[1]))
     # models built on the spot from equal tuples hold structures of their own
-    apart = [Scm(one.variables, one.noise, one.tables, one.exposure_levels) for _ in range(2)]
+    apart = [Scm.of(one.variables, one.noise, one.tables, one.exposure_levels) for _ in range(2)]
     q, r = (M.engine.profiles(model) for model in apart)
     assert not q.shares_columns(r) and not q.shares_columns(p)
     assert [q.y.tolist(), r.y.tolist()] == [p.y.tolist()] * 2
-    # dataclasses.replace keeps the structure while the noise names and levels stay
+    # dataclasses.replace keeps the structure; validate reports noise levels
+    # that are not the structure's
     assert dataclasses.replace(one, noise=other.noise).structure is one.structure
     two_level = one.noise[:-1] + (NoiseSpec("eps_Y", {0: 0.5, 1: 0.5}),)
-    assert dataclasses.replace(one, noise=two_level).structure is not one.structure
+    moved = dataclasses.replace(one, noise=two_level)
+    assert moved.structure is one.structure
+    assert "noise names or levels differ from the structure" in M.validate(moved)
 
 
 def _group_ids_by_sorting(*columns):

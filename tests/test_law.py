@@ -338,7 +338,7 @@ def _covariates_last(ds):
     order of its law, then interleave the strata."""
     n_c = sum(c not in ("A", "L", "M", "Y") for c in ds.columns)
     cols = [*range(n_c, len(ds.columns)), *range(n_c)]
-    return M.Dataset(tuple(ds.columns[i] for i in cols), ds.rows[:, cols], ds.provenance)
+    return M.Dataset(tuple(ds.columns[i] for i in cols), ds.rows[:, cols])
 
 
 def _replicates(law, seed, n, count):
@@ -394,7 +394,7 @@ def test_batch_sums_each_law_in_its_own_stratum_order():
     # emptying a stratum's first cell moves that stratum to the end
     rows = [(a, m, y, c) for a in (0, 1) for m in (0, 1) for y in (0, 1) for c in (0, 1, 2)
             for _ in range(1 + (a + 2 * m + 3 * y + 5 * c) % 7)]
-    law = M.empirical_law(M.Dataset(("A", "M", "Y", "C"), np.array(rows), ("rows", 0, 0)))
+    law = M.empirical_law(M.Dataset(("A", "M", "Y", "C"), np.array(rows)))
     moved = law.mass.copy()
     moved[0, 0, 0, 0, 0] = 0.0                   # the first cell, of stratum c=(0,)
     masses = [law.mass, moved / moved.sum()]

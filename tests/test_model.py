@@ -27,7 +27,7 @@ def test_noise_pmf_must_sum_to_one():
         NoiseSpec(n.name, {0: 0.6, 1: 0.6}) if n.name == "eps_L" else n
         for n in scm.noise
     )
-    bad = Scm(scm.variables, bad_noise, scm.tables, scm.exposure_levels)
+    bad = Scm.of(scm.variables, bad_noise, scm.tables, scm.exposure_levels)
     violations = M.validate(bad)
     assert any("sums to" in v for v in violations)
 
@@ -39,7 +39,7 @@ def test_outcome_into_exposure_edge_rejected():
         "A", ("Y",), "eps_A", {((y,), e): e for y in (0, 1) for e in (0, 1)}
     )
     tables = tuple(a_table if t.variable == "A" else t for t in scm.tables)
-    bad = Scm(scm.variables, scm.noise, tables, scm.exposure_levels)
+    bad = Scm.of(scm.variables, scm.noise, tables, scm.exposure_levels)
     violations = M.validate(bad)
     assert any("not a supported mediation shape" in v for v in violations)
 
@@ -53,15 +53,15 @@ def test_partial_table_rejected():
         StructuralTable("Y", y.parents, y.noise, rows) if t.variable == "Y" else t
         for t in scm.tables
     )
-    bad = Scm(scm.variables, scm.noise, tables, scm.exposure_levels)
+    bad = Scm.of(scm.variables, scm.noise, tables, scm.exposure_levels)
     assert any("not total" in v for v in M.validate(bad))
 
 
 def test_exposure_levels_checked():
     scm = M.pe_counterexample(0.5)
-    bad = Scm(scm.variables, scm.noise, scm.tables, (1, 1))
+    bad = Scm.of(scm.variables, scm.noise, scm.tables, (1, 1))
     assert any("must differ" in v for v in M.validate(bad))
-    bad = Scm(scm.variables, scm.noise, scm.tables, (0, 7))
+    bad = Scm.of(scm.variables, scm.noise, scm.tables, (0, 7))
     assert any("exposure support" in v for v in M.validate(bad))
 
 
@@ -137,7 +137,7 @@ def test_separable_requires_identity_components():
         StructuralTable("N", n.parents, n.noise, flipped) if t.variable == "N" else t
         for t in scm.tables
     )
-    bad = Scm(scm.variables, scm.noise, tables, scm.exposure_levels)
+    bad = Scm.of(scm.variables, scm.noise, tables, scm.exposure_levels)
     assert any("deterministic copy" in v for v in M.validate(bad))
 
 
@@ -183,6 +183,17 @@ def test_edges_cross_checked_on_parse():
         M.model.scm_from_dict(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    *(("edges", v) for v in ([], "x", 3, None, {"M": 5}, {"M": None}, {"M": ["Z"]})),
+    *(("pmf", v) for v in ([0.5, 0.5], "x", None, 1.0)),
+])
+def test_malformed_edges_or_pmf_is_a_malformed_document(field, value):
+    doc = M.model.scm_to_dict(M.thm1_counterexample(0.3, 0.6))
+    (doc if field == "edges" else doc["noise"][0])[field] = value
+    with pytest.raises(ValueError, match="malformed SCM document"):
+        M.model.scm_from_dict(doc)
+
+
 def test_ffrcistg_one_world_violation_detected():
     spec = M.thm3_counterexample(0.4, (0.1, 0.2, 0.4, 0.3), 0.5)
     # tie the factual exposure to M(a): breaks A independence in-world
@@ -192,7 +203,7 @@ def test_ffrcistg_one_world_violation_detected():
         forced = list(atom)
         forced[idx["A"]] = atom[idx[f"M({spec.a})"]]
         joint[tuple(forced)] = joint.get(tuple(forced), 0.0) + w
-    bad = dataclasses.replace(spec, joint=joint)
+    bad = model.FfrcistgSpec.of(spec.m_support, spec.exposure_levels, joint)
     assert any("one-world independence fails" in v for v in M.validate(bad))
 
 
@@ -229,7 +240,7 @@ def test_cyclic_covariates_reported_and_lookups_cached():
     noise = (NoiseSpec("eps_C1", {0: 1.0}), NoiseSpec("eps_C2", {0: 1.0}),
              NoiseSpec("eps_A", {0: 0.5, 1: 0.5}), NoiseSpec("eps_M", {0: 1.0}),
              NoiseSpec("eps_Y", {0: 1.0}))
-    cyclic = Scm(variables, noise, tables, (0, 1))
+    cyclic = Scm.of(variables, noise, tables, (0, 1))
     assert "covariate subgraph is cyclic" in M.validate(cyclic)
     for _ in range(2):   # a lookup that raises is not cached
         with pytest.raises(M.DomainError, match="cyclic"):
@@ -306,7 +317,7 @@ def test_family_models_match_their_rebuilt_copies(family, t1, t2, t3, p, seed, w
         scm = model.random_null_mediator_scm(seed, with_c=with_c)
     # a copy built on the spot, from objects of its own
     if family == "t3":
-        copy = model.FfrcistgSpec(scm.m_support, scm.exposure_levels, dict(scm.joint))
+        copy = model.FfrcistgSpec.of(scm.m_support, scm.exposure_levels, dict(scm.joint))
     else:
         copy = model.scm_from_dict(model.scm_to_dict(scm))
         assert copy.tables is not scm.tables and copy.variables is not scm.variables
@@ -349,10 +360,60 @@ def test_validate_rejects_non_finite_masses(mass):
     scm = M.thm1_counterexample(0.3, 0.6)
     noise = tuple(NoiseSpec(n.name, {0: mass, 1: 0.6}) if n.name == "eps_M" else n
                   for n in scm.noise)
-    violations = M.validate(Scm(scm.variables, noise, scm.tables, scm.exposure_levels))
+    violations = M.validate(Scm.of(scm.variables, noise, scm.tables, scm.exposure_levels))
     assert "noise eps_M: non-finite probability at level 0" in violations
     assert any(v.startswith("noise eps_M: pmf sums to") for v in violations)
     spec = M.thm3_counterexample(0.4, (0.1, 0.2, 0.4, 0.3), 0.5)
-    atom = next(iter(spec.joint))
-    bad = dataclasses.replace(spec, joint={**spec.joint, atom: mass})
+    bad = dataclasses.replace(spec, masses=(mass,) + spec.masses[1:])
     assert "joint pmf has a non-finite mass" in M.validate(bad)
+
+
+def test_a_model_is_its_structure_and_masses():
+    fields = {cls: [f.name for f in dataclasses.fields(cls)] for cls in (Scm, model.FfrcistgSpec)}
+    assert fields == {Scm: ["structure", "noise"], model.FfrcistgSpec: ["structure", "masses"]}
+    assert not any(hasattr(cls, "__post_init__") for cls in fields)
+
+
+def test_noise_other_than_the_structure_is_a_violation():
+    one = M.thm1_counterexample(0.3, 0.6)
+    mismatch = "noise names or levels differ from the structure"
+    # the same laws in another order: only their positions disagree
+    assert M.validate(Scm(one.structure, tuple(reversed(one.noise)))) == [mismatch]
+    two_level = one.noise[:-1] + (NoiseSpec("eps_Y", {0: 0.5, 1: 0.5}),)
+    assert mismatch in M.validate(Scm(one.structure, two_level))
+    with pytest.raises(M.DomainError, match=f"t1 point: invalid model: .*{mismatch}"):
+        one.structure.model(two_level, "t1 point")
+    assert one.structure.model(one.noise, "t1 point").structure is one.structure
+
+
+def test_replace_masses_keeps_the_structure():
+    spec = M.thm3_counterexample(0.4, (0.1, 0.2, 0.4, 0.3), 0.5)
+    other = M.thm3_counterexample(0.7, (0.3, 0.1, 0.2, 0.4), 0.2)
+    moved = dataclasses.replace(spec, masses=other.masses)
+    assert moved.structure is spec.structure and M.validate(moved) == []
+    assert dict(moved.joint) == dict(other.joint)
+    assert M.effect_report(moved) == M.effect_report(other)
+    halved = dataclasses.replace(spec, masses=tuple(w / 2 for w in spec.masses))
+    assert halved.structure is spec.structure
+    assert any(v.startswith("joint pmf sums to 0.5") for v in M.validate(halved))
+    short = dataclasses.replace(spec, masses=spec.masses[1:])
+    n = len(spec.masses)
+    assert M.validate(short) == [f"{n - 1} masses for {n} atoms"]
+    with pytest.raises(TypeError):
+        spec.joint[next(iter(spec.joint))] = 0.0
+
+
+def test_of_builds_a_structure_of_its_own():
+    scm = M.thm1_counterexample(0.3, 0.6)
+    built = [Scm.of(scm.variables, scm.noise, scm.tables, scm.exposure_levels) for _ in range(2)]
+    assert len({id(m.structure) for m in (scm, *built)}) == 3
+    for m in built:
+        assert m.variables is scm.variables and m.tables is scm.tables and m.noise is scm.noise
+        assert m.structure.noise == scm.structure.noise and M.validate(m) == []
+    spec = M.thm3_counterexample(0.4, (0.1, 0.2, 0.4, 0.3), 0.5)
+    copies = [model.FfrcistgSpec.of(spec.m_support, spec.exposure_levels, spec.joint)
+              for _ in range(2)]
+    assert len({id(m.structure) for m in (spec, *copies)}) == 3
+    for m in copies:
+        assert m.structure.atoms == spec.structure.atoms and m.masses == spec.masses
+        assert M.validate(m) == []

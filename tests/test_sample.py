@@ -11,14 +11,13 @@ import medscm as M
 from medscm.model import StructuralTable, Scm
 
 
-def test_determinism_and_provenance():
+def test_determinism():
     scm = M.thm1_counterexample(0.5, 0.9)
     a = M.draw_samples(scm, 500, seed=11)
     b = M.draw_samples(scm, 500, seed=11)
     c = M.draw_samples(scm, 500, seed=12)
     assert np.array_equal(a.rows, b.rows)
     assert not np.array_equal(a.rows, c.rows)
-    assert a.provenance == (M.sample.scm_id(scm), 500, 11)
     assert a.columns == ("A", "L", "M", "Y")
 
 
@@ -81,7 +80,7 @@ def test_missing_required_cell_raises():
         [[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 1, 1], [1, 1, 0], [0, 0, 1]],
         dtype=np.int64,
     )
-    ds = M.Dataset(("A", "M", "Y"), rows, ("manual", 6, -1))
+    ds = M.Dataset(("A", "M", "Y"), rows)
     law = M.empirical_law(ds, exposure_levels=(0, 1))
     with pytest.raises(M.DegenerateStratumError):
         M.psi_nie(law)
@@ -90,8 +89,7 @@ def test_missing_required_cell_raises():
 def test_csv_round_trip_bit_exact(tmp_path):
     scm = M.thm2_counterexample(0.2, 0.3, 0.5, 0.9)
     drawn = M.draw_samples(scm, 20000, seed=9)
-    odd = M.Dataset(("C,1", "A", "M", "Y"), np.array([[-3, 0, 10**12, 1], [7, 1, -1, 0]]),
-                    ("manual", 2, -1))
+    odd = M.Dataset(("C,1", "A", "M", "Y"), np.array([[-3, 0, 10**12, 1], [7, 1, -1, 0]]))
     for ds in (drawn, odd, M.draw_samples(scm, 0, seed=9)):
         path = tmp_path / "data.csv"
         M.write_csv(ds, str(path))
@@ -121,7 +119,7 @@ def test_estimate_constant_outcome():
         else t
         for t in scm.tables
     )
-    constant = Scm(scm.variables, scm.noise, tables, scm.exposure_levels)
+    constant = Scm.of(scm.variables, scm.noise, tables, scm.exposure_levels)
     ds = M.draw_samples(constant, 2000, seed=2)
     est = M.estimate(ds, "psi_te", n_boot=200, seed=0)
     assert est.value == 0.0
@@ -248,7 +246,7 @@ def test_csv_blocks_of_distinct_and_repeated_rows(tmp_path, monkeypatch):
     group_ids = M.engine.group_ids
     monkeypatch.setattr(M.engine, "group_ids",
                         lambda *cols: grouped.append(group_ids(*cols)[1].size) or group_ids(*cols))
-    ds = M.Dataset(("C", "A", "M", "Y"), rows, ("manual", len(rows), -1))
+    ds = M.Dataset(("C", "A", "M", "Y"), rows)
     path = tmp_path / "blocks.csv"
     M.write_csv(ds, str(path))
     reference = io.StringIO(newline="")
@@ -263,7 +261,7 @@ def test_csv_blocks_of_distinct_and_repeated_rows(tmp_path, monkeypatch):
                                     ("C", "C", "A", "M", "Y")])
 def test_repeated_column_names_are_refused(header):
     rows = np.array([[0, 1, 1, 0, 1], [1, 0, 1, 1, 0]])[:, : len(header)]
-    ds = M.Dataset(header, rows, ("manual", 2, -1))
+    ds = M.Dataset(header, rows)
     repeated = next(name for name in header if header.count(name) > 1)
     with pytest.raises(M.DomainError, match=f"^dataset repeats column {repeated}$"):
         M.empirical_law(ds, exposure_levels=(0, 1))
