@@ -383,7 +383,12 @@ class Scm(_Lookups):
     def noise_weight(self) -> np.ndarray:
         """Mass of every joint noise configuration in the order of units(),
         zero-mass ones included: the same left-to-right products, so the
-        positive ones are bitwise equal to the scalar weights."""
+        positive ones are bitwise equal to the scalar weights. Noise laws
+        that are not the structure's raise DomainError: read by position,
+        they would miss a level or weight the wrong noise."""
+        mismatch = _noise_mismatch(self)
+        if mismatch:
+            raise DomainError(f"invalid model: {mismatch}")
         weight = np.ones(1)
         for i, levels in self.structure.weight_gather:
             pmf = self.noise[i].pmf
@@ -851,6 +856,14 @@ def _level(x) -> int:
     return level
 
 
+def _parent_names(names) -> tuple[str, ...]:
+    """A document's list of parent names; tuple() of a string would read
+    its characters as names."""
+    if isinstance(names, str):
+        raise ValueError(f"parents {names!r} are a string, not a list of names")
+    return tuple(names)
+
+
 def scm_from_dict(doc: dict) -> Scm:
     try:
         variables = tuple(
@@ -864,7 +877,7 @@ def scm_from_dict(doc: dict) -> Scm:
         tables = tuple(
             StructuralTable(
                 t["variable"],
-                tuple(t["parents"]),
+                _parent_names(t["parents"]),
                 t["noise"],
                 {
                     (tuple(_level(x) for x in row["parents"]), _level(row["noise"])):
@@ -877,7 +890,8 @@ def scm_from_dict(doc: dict) -> Scm:
         exposure = tuple(_level(x) for x in doc["exposure_levels"])
         if len(exposure) != 2:
             raise ValueError("exposure_levels must have exactly two entries")
-        declared = {name: tuple(parents) for name, parents in doc.get("edges", {}).items()}
+        declared = {name: _parent_names(parents)
+                    for name, parents in doc.get("edges", {}).items()}
         scm = Scm.of(variables, noise, tables, (exposure[0], exposure[1]))
     # int(inf) overflows; a list, string or number in place of an object has no items()
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -2,8 +2,10 @@
 
 All randomness flows through counter-based Philox streams keyed by explicit
 seeds (and, for the bootstrap, the replicate index), so identical inputs give
-identical outputs regardless of execution order or parallelism. Datasets
-interchange as plain integer CSV.
+identical outputs regardless of execution order or parallelism. A bootstrap
+replicate is one multinomial draw of cell counts, so its cost follows the
+law's occupied cells, not the rows. Datasets interchange as plain integer
+CSV.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ class Dataset:
         return int(self.rows.shape[0])
 
     @cached_property
-    def _indexed(self) -> tuple[np.ndarray, ObservedLaw]:
-        """Table cell of every row and the empirical law with its exposure
-        levels unset, computed once: rows are never modified in place."""
+    def _indexed(self) -> ObservedLaw:
+        """The empirical law with its exposure levels unset, computed once:
+        rows are never modified in place."""
         return _index_rows(self)
 
 
@@ -77,7 +79,8 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. rows from the observational law.
 
     Row k consumes the k-th block of a Philox counter-based stream keyed by
-    seed, so the output is reproducible and independent of any chunking.
+    seed, so the output is reproducible and independent of any chunking;
+    the rows are drawn CSV_BLOCK at a time, so no temporary grows with n.
     """
     if not isinstance(scm, Scm):
         raise DomainError("sampling requires a structural-table model")
@@ -87,20 +90,25 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     order, header = _canonical_columns(scm)
     structure = scm.structure
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    uniforms = gen.random((n, len(order)))
-    rows = np.empty((n, len(order)), dtype=np.int64)
-    position: dict[str, np.ndarray] = {}   # of each value in its sorted support
-    for j, name in enumerate(order):
+    cdfs = []
+    for name in order:
         noise = scm.noise_for(name)
-        levels = noise.levels()
-        cum = np.cumsum([noise.pmf[lv] for lv in levels])
+        cum = np.cumsum([noise.pmf[lv] for lv in noise.levels()])
         cum[-1] = 1.0
-        idx = np.searchsorted(cum, uniforms[:, j], side="right")
-        idx = np.minimum(idx, len(levels) - 1)
-        parents = [position[p] for p in scm.table_for(name).parents]
-        position[name] = structure.positions(name, idx, parents)
-        rows[:, j] = np.asarray(structure.supports[name])[position[name]]
+        cdfs.append(cum)
+    supports = [np.asarray(structure.supports[name]) for name in order]
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    rows = np.empty((n, len(order)), dtype=np.int64)
+    for k in range(0, n, CSV_BLOCK):
+        block = rows[k : k + CSV_BLOCK]
+        uniforms = gen.random(block.shape)
+        position: dict[str, np.ndarray] = {}   # of each value in its sorted support
+        for j, name in enumerate(order):
+            idx = np.searchsorted(cdfs[j], uniforms[:, j], side="right")
+            idx = np.minimum(idx, cdfs[j].size - 1)
+            parents = [position[p] for p in scm.table_for(name).parents]
+            position[name] = structure.positions(name, idx, parents)
+            block[:, j] = supports[j][position[name]]
     return Dataset(header, rows)
 
 
@@ -122,9 +130,9 @@ def _column_roles(columns: tuple[str, ...]) -> tuple[list[int], int, int | None,
     return c_idx, names.index("A"), l_idx, names.index("M"), names.index("Y")
 
 
-def _index_rows(ds: Dataset) -> tuple[np.ndarray, ObservedLaw]:
-    """Table cell of every row (engine.table_cells) and the empirical law,
-    its exposure levels unset."""
+def _index_rows(ds: Dataset) -> ObservedLaw:
+    """The empirical law, its exposure levels unset: the rows' counts over
+    their table cells (engine.table_cells)."""
     if ds.n == 0:
         raise DomainError("cannot build an empirical law from an empty dataset")
     c_idx, *factual = _column_roles(ds.columns)          # factual: A, L, M, Y columns
@@ -144,7 +152,7 @@ def _index_rows(ds: Dataset) -> tuple[np.ndarray, ObservedLaw]:
     # key order: the distinct rows sorted column by column
     by_column = dict(zip(factual, pos[1:])) | {i: c_values[pos[0], j] for j, i in enumerate(c_idx)}
     a, l, m, y = (supports[i] for i in factual)
-    return cell, ObservedLaw(
+    return ObservedLaw(
         mass=(counts / ds.n).reshape(shape),
         order=occupied[np.lexsort([by_column[i] for i in reversed(range(len(ds.columns)))])],
         c_cells=tuple(map(tuple, c_values.tolist())),
@@ -164,7 +172,7 @@ def empirical_law(
     """Empirical pmf of a dataset; supports are the observed value sets, and
     a required cell that happens to be empty in-sample surfaces later as a
     degenerate-stratum error from whichever functional needs it."""
-    law = ds._indexed[1]
+    law = ds._indexed
     if exposure_levels is None:
         if len(law.a_support) < 2:
             raise DomainError("exposure takes a single value in-sample; specify exposure_levels")
@@ -223,10 +231,17 @@ def estimate(
     exposure_levels: tuple[int, int] | None = None,
 ) -> Estimate:
     """Plug-in estimate of an identification functional with a seeded,
-    counter-based nonparametric bootstrap (rows resampled with replacement;
-    replicate r draws from a Philox stream keyed by (seed, r) and its law
-    counts the drawn rows' table cells). Replicates are scored in blocks,
-    each one batch of laws."""
+    counter-based nonparametric bootstrap.
+
+    Resampling n rows with replacement and counting their table cells gives
+    counts distributed Multinomial(n, empirical cell shares), so replicate r
+    draws exactly that: one multinomial over the law's occupied cells, in
+    key order, from a Philox stream keyed by (seed, r); every other cell
+    counts zero. A replicate costs O(occupied cells), not O(n), and reads
+    the rows only through their counts. The interval's sampling law is the
+    row-resampling bootstrap's, but its Monte Carlo realisation is not the
+    one drawing n row indices gave. Replicates are scored in blocks, each
+    one batch of laws."""
     if n_boot < 0:
         raise DomainError(f"n_boot must be nonnegative, got {n_boot}")
     fn, args = _functional(estimand, m)
@@ -236,15 +251,16 @@ def estimate(
     if n_boot == 0:
         return Estimate(label, value, None, None, 0)
 
-    cell, n, size = ds._indexed[0], ds.n, law.mass.size
+    n, size, occupied = ds.n, law.mass.size, law.order
+    shares = law.mass.ravel()[occupied]
     block = max(1, engine.PROFILE_BYTE_BUDGET // (8 * size * BOOT_TABLE_FACTOR))
     values = np.empty(n_boot)
     for start in range(0, n_boot, block):
         replicates = range(start, min(start + block, n_boot))
-        counts = np.empty((len(replicates), size), dtype=np.int64)
+        counts = np.zeros((len(replicates), size), dtype=np.int64)
         for i, r in enumerate(replicates):
             gen = np.random.Generator(np.random.Philox(key=[seed, r]))
-            counts[i] = np.bincount(cell[gen.integers(0, n, size=n)], minlength=size)
+            counts[i, occupied] = gen.multinomial(n, shares)
         batch = law.with_mass((counts / n).reshape(len(replicates), *law.mass.shape))
         values[start:replicates.stop] = _score_batch(fn, batch, args)
     lo, hi = np.quantile(values, [0.025, 0.975])
@@ -257,7 +273,7 @@ def estimate(
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-CSV_BLOCK = 8192   # rows formatted per write
+CSV_BLOCK = 8192   # rows drawn, and formatted, per block
 
 
 def write_csv(ds: Dataset, path: str) -> None:

@@ -223,12 +223,26 @@ FAMILY_DOCS = {name: M.model.scm_to_dict(build()) for name, build in (
 )}
 
 
+@pytest.mark.parametrize("where", ["edges", "table"])
+def test_a_string_is_not_a_list_of_parents(where, tmp_path, capsys):
+    # "AL" spelled out would be M's parents in t1, A and L
+    doc = copy.deepcopy(FAMILY_DOCS["t1"])
+    if where == "edges":
+        doc["edges"]["M"] = "AL"
+    else:
+        next(t for t in doc["tables"] if t["variable"] == "M")["parents"] = "AL"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (8, "") and "malformed SCM document" in err, err
+
+
 @st.composite
 def perturbed_docs(draw) -> dict:
     """A family's model document with one perturbation that breaks it."""
     doc = copy.deepcopy(FAMILY_DOCS[draw(st.sampled_from(sorted(FAMILY_DOCS)))])
     kind = draw(st.sampled_from(["mass", "drop_row", "level", "role", "pmf",
-                                 "duplicate", "edges"]))
+                                 "duplicate", "edges", "string_parents"]))
     noise = draw(st.sampled_from(doc["noise"]))
     table = draw(st.sampled_from(doc["tables"]))
     if kind == "mass":
@@ -253,6 +267,13 @@ def perturbed_docs(draw) -> dict:
     elif kind == "edges":
         doc["edges"] = draw(st.sampled_from(
             [[], "x", 3, None, {"M": 5}, {"M": None}, {"M": "A"}, {"M": ["Z"]}]))
+    elif kind == "string_parents":
+        # the names are one letter each, so the string spells the same list
+        if draw(st.booleans()):
+            table["parents"] = "".join(table["parents"])
+        else:
+            name = draw(st.sampled_from(sorted(doc["edges"])))
+            doc["edges"][name] = "".join(doc["edges"][name])
     else:
         doc["variables"].append(dict(draw(st.sampled_from(doc["variables"]))))
     return doc

@@ -11,6 +11,10 @@ being an error, and the csv forms of reproduce's grid summary were added.
 row, an undefined functional as such, before its exit-4 error; its pinned
 output had been the error alone. The whole T1 and T3 grids and a t2 sweep over
 two structures were added, hashed before sweep points were scored in batches.
+The four `estimate` commands with `--n-boot` above 0 were recorded again when a
+bootstrap replicate became one multinomial draw of cell counts in place of n
+drawn row indices: each `value` line is unchanged, only `ci_low` and `ci_high`
+moved, a new Monte Carlo realisation of the same interval law.
 """
 
 import hashlib
@@ -177,9 +181,9 @@ GOLDEN: dict[str, str] = {
     'reproduce PE --p 0.9 --m 1 --format csv': 'ac475d1068d5ba0a782c054afd5a1802df5104915b65047a2bd20a8e7315e7e3',
     'sweep t1 --grid pi=0.05:0.95:3,beta=0.05:0.95:3 --effect nie_r': 'b1cf5620c47f7d883c65d0441333bae06466e2149209bb6f8d488297f96fb57a',
     'sample t1 --pi 0.5 --beta 0.9 --n 4000 --sample-seed 7 --out t1.csv': '8dbd2bfd9ad7e7fe5402e3aaa516e1e5136990fae2cc0125ecca0f4f2b51d157',
-    'estimate t1.csv --estimand psi_nie_r_L --n-boot 10 --sample-seed 7 --format csv': '892390cc2a5f4ff8f15d4f5bccb930c6c2928682a12b1fccdc53e213e583fdb4',
+    'estimate t1.csv --estimand psi_nie_r_L --n-boot 10 --sample-seed 7 --format csv': '1d40b8ac239510733164bc173a23da2dc111d17225f6b9ecc95165e353ef1276',
     'sample random.json --n 4000 --sample-seed 7 --out random.csv': 'f7e0dd162dd12bef1db962c089e55a7599927543c5543da666afd9c4167c22a8',
-    'estimate random.csv --estimand psi_nie_r_L --n-boot 10 --sample-seed 7 --format csv': 'b2cee0fdfe983cec9d7e21f6664f47867231147cba2216ed1d588dd2e3facbb3',
+    'estimate random.csv --estimand psi_nie_r_L --n-boot 10 --sample-seed 7 --format csv': 'e83f4f1f545c4851f4fe13c011559ed8b24912079e31d3034f674cd45fe0073e',
     'validate model.json': 'feb2dbcffb22a9c9c74858ce23a7019ae783531ce26da422811967275cb3fe64',
     'effects t1 --pi 0.5 --beta 0.9': '5e4ca5a811e0d9561968662a32b2b7c6352c8b690f8f80fce227aff6cb556294',
     'identify t1 --pi 0.5 --beta 0.9': '62fcb1390dcd1f4c0195bb19b81ecad3e4f29a2aa99eee1fede6cd96bd2bfb33',
@@ -188,7 +192,7 @@ GOLDEN: dict[str, str] = {
     'reproduce T2': 'f8c2682f3bb1a7ef78654ee5a205f303bb2133e7ded6a4984e5e7f9d11f99cbb',
     'sweep t1 --grid pi=0.05:0.95:21,beta=0.05:0.95:21 --effect nie_r': '7a4c80d92d4d23ce24d0cc438821ce531abb6b2365aa4c85f6e272c85bd4f277',
     'sample t1 --pi 0.5 --beta 0.9 --n 100000 --sample-seed 3 --out data.csv': '0f99ca760127dfa7438dc58490ff7c2f78ace722518fe929d5c7b68bf38ae47e',
-    'estimate data.csv --estimand psi_nie_r_L --n-boot 1000 --sample-seed 1': '2b4174617bba2eb5c877d86b2e7973631c900f30b96c6900d922688cbb8479ba',
+    'estimate data.csv --estimand psi_nie_r_L --n-boot 1000 --sample-seed 1': '138bba1fa22c8b62d018b490441590738b92d816be5196cf5de6bda0d873a7d0',
     'effects t1': '5e4ca5a811e0d9561968662a32b2b7c6352c8b690f8f80fce227aff6cb556294',
     'effects t1 --format csv': 'a614950422c409016ecb0bc88d4f5cae386ba6966fa81618f4baf043007f686e',
     'identify t1': '62fcb1390dcd1f4c0195bb19b81ecad3e4f29a2aa99eee1fede6cd96bd2bfb33',
@@ -265,7 +269,7 @@ GOLDEN: dict[str, str] = {
     'sweep t1 --grid pi=0.1:0.2': 'c184604b81a489800d8ca5a83f9ee0a4095e7397c0fdcddd1b2385c472c11f95',
     'estimate degenerate.csv --estimand psi_nie --n-boot 0': 'd78537302cfc04f631e8f3c04660f44d1d49c96d4d6ffd7129da184b59be9be8',
     'estimate t1.csv --estimand psi_cde --n-boot 0': '7375eba3a980eb5a7a16ee79bdbc8ef55070b39622071afc47ecf0d242d48260',
-    'estimate t1.csv --estimand psi_cde --m 1 --n-boot 5 --a-star 1 --a 0': '3b2000c6add89da6e3974cc6f9443516f09c5be8ae1d2aced5c92cd5992b3ddc',
+    'estimate t1.csv --estimand psi_cde --m 1 --n-boot 5 --a-star 1 --a 0': '50ab92e674b46ed955128059d85741a0c0491ef73e8a673f3c27a2504ff1dfe8',
 }
 
 # commands whose output must equal what another command printed before: t3's

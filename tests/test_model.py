@@ -384,6 +384,14 @@ def test_noise_other_than_the_structure_is_a_violation():
     with pytest.raises(M.DomainError, match=f"t1 point: invalid model: .*{mismatch}"):
         one.structure.model(two_level, "t1 point")
     assert one.structure.model(one.noise, "t1 point").structure is one.structure
+    # the engine refuses them where it first reads the masses: a law that
+    # lacks a level, and two laws of the same levels swapped, which read by
+    # position would weight the wrong noise
+    swapped = (one.noise[1], one.noise[0], *one.noise[2:])
+    assert [n.levels() for n in swapped] == [n.levels() for n in one.noise]
+    for noise in (tuple(reversed(one.noise)), swapped):
+        with pytest.raises(M.DomainError, match=f"^invalid model: .*{mismatch}"):
+            M.effect_report(Scm(one.structure, noise))
 
 
 def test_replace_masses_keeps_the_structure():

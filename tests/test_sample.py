@@ -3,11 +3,13 @@ import hashlib
 import io
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import medscm as M
+from medscm.cli import main
 from medscm.model import StructuralTable, Scm
 
 
@@ -265,3 +267,119 @@ def test_repeated_column_names_are_refused(header):
     repeated = next(name for name in header if header.count(name) > 1)
     with pytest.raises(M.DomainError, match=f"^dataset repeats column {repeated}$"):
         M.empirical_law(ds, exposure_levels=(0, 1))
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_drawn_rows_do_not_depend_on_the_block(block, monkeypatch):
+    scm = PINNED_MODELS["random"]()
+    n = 1001
+    rows = M.draw_samples(scm, n, seed=5).rows
+    monkeypatch.setattr(M.sample, "CSV_BLOCK", block or n)
+    assert np.array_equal(M.draw_samples(scm, n, seed=5).rows, rows)
+
+
+def test_drawing_holds_the_rows_and_one_block():
+    scm = M.thm1_counterexample(0.5, 0.9)
+    M.draw_samples(scm, 10, seed=1)   # the structure's lookups, built once
+    tracemalloc.start()
+    try:
+        ds = M.draw_samples(scm, 10**5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.rows.nbytes + 2**20
+
+
+def _replicate_tables(ds, mp, n_boot, seed=0, estimand="psi_nie_r_L"):
+    """The estimate and each bootstrap replicate's mass table, in order."""
+    tables = []
+    score = M.sample._score_batch
+
+    def record(fn, law, args):
+        tables.append(np.array(law.mass))
+        return score(fn, law, args)
+
+    mp.setattr(M.sample, "_score_batch", record)
+    est = M.estimate(ds, estimand, n_boot=n_boot, seed=seed)
+    return est, np.concatenate(tables)
+
+
+def test_bootstrap_reads_the_rows_only_through_their_counts():
+    # with covariates the table's cell layout follows the rows' order
+    scm = M.random_scm(3, "confounded", with_c=True, c_levels=3, l_levels=2,
+                       m_levels=2, y_levels=3)
+    ds = M.draw_samples(scm, 5000, seed=3)
+    shuffled = M.Dataset(ds.columns, ds.rows[np.random.default_rng(0).permutation(ds.n)])
+    assert M.estimate(shuffled, "psi_nie_r_L", n_boot=40, seed=2) == \
+        M.estimate(ds, "psi_nie_r_L", n_boot=40, seed=2)
+
+
+def test_replicate_tables_do_not_depend_on_the_block(monkeypatch):
+    scm = M.random_scm(3, "confounded", with_c=True, c_levels=3, l_levels=2,
+                       m_levels=2, y_levels=3)
+    ds = M.draw_samples(scm, 5000, seed=4)
+    size = M.empirical_law(ds).mass.size
+    runs = []
+    for block in (None, 1, 3):
+        with monkeypatch.context() as mp:
+            if block:
+                factor = M.engine.PROFILE_BYTE_BUDGET // (8 * size * block)
+                mp.setattr(M.sample, "BOOT_TABLE_FACTOR", factor)
+            runs.append(_replicate_tables(ds, mp, 10, seed=6))
+    assert [est for est, _ in runs] == [runs[0][0]] * 3
+    for _, tables in runs[1:]:
+        assert tables.tobytes() == runs[0][1].tobytes()
+
+
+def test_replicate_counts_are_multinomial_over_the_occupied_cells(monkeypatch):
+    ds = M.draw_samples(M.thm1_counterexample(0.5, 0.9), 500, seed=8)
+    law = M.empirical_law(ds)
+    occupied = law.mass.ravel() > 0
+    p = law.mass.ravel()[occupied]
+    with monkeypatch.context() as mp:
+        _, tables = _replicate_tables(ds, mp, 4000, seed=1)
+    counts = tables.reshape(len(tables), -1) * ds.n
+    assert np.array_equal(counts, np.rint(counts))
+    assert (counts.sum(axis=1) == ds.n).all() and not counts[:, ~occupied].any()
+    counts = counts[:, occupied]
+    mean, cov = ds.n * p, ds.n * (np.diag(p) - np.outer(p, p))
+    r = len(counts)
+    # within five standard errors of the sample mean and covariance
+    assert (abs(counts.mean(axis=0) - mean) <= 5 * np.sqrt(np.diag(cov) / r)).all()
+    var = np.diag(cov)
+    se = np.sqrt((np.outer(var, var) + cov**2) / r)
+    assert (abs(np.cov(counts, rowvar=False) - cov) <= 5 * se).all()
+
+
+def test_bootstrap_memory_does_not_grow_with_the_rows():
+    peaks = []
+    for n in (2000, 10**5):
+        ds = M.draw_samples(M.thm1_counterexample(0.5, 0.9), n, seed=9)
+        M.estimate(ds, "psi_nie_r_L", n_boot=2)   # the empirical law, built once
+        tracemalloc.start()
+        try:
+            M.estimate(ds, "psi_nie_r_L", n_boot=50)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # drawing n row indices alone took 8n bytes, 800 KB at the larger n
+    assert peaks[1] < peaks[0] + 2**16
+
+
+def test_bootstrap_over_tens_of_thousands_of_cells(tmp_path, capsys):
+    # 40,000 rows over 2 x 2 x 20,000 cells occupy about 31,000 of them,
+    # each share a few 1/n: numpy's multinomial must accept their sum
+    rng = np.random.default_rng(12)
+    n = 40_000
+    rows = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 2, n),
+                            rng.integers(0, 20_000, n)])
+    ds = M.Dataset(("A", "M", "Y"), rows)
+    assert (M.empirical_law(ds).mass > 0).sum() > 30_000
+    path = tmp_path / "wide.csv"
+    M.write_csv(ds, str(path))
+    code = main(["estimate", str(path), "--estimand", "psi_te", "--n-boot", "20",
+                       "--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    est = M.estimate(ds, "psi_te", n_boot=20)
+    assert est.ci_low <= est.ci_high and f"ci_low,{est.ci_low:.12g}" in out
