@@ -588,9 +588,9 @@ def _evaluate_batch(family: str | Callable[..., Model], points: list[Mapping[str
     print its own weights) and its profile weights are read, and it is
     dropped. The weights of models that share profile columns are gathered
     and scored by one effects.effect_reports call per block; the first model
-    of each structure is kept until its block is scored. At most as many
-    structures are gathered at once as the engine keeps columns for; the
-    oldest is scored when one more opens.
+    of each structure is kept until its block is scored, and with it its
+    columns. At most engine.PROFILE_CACHE_SIZE structures are gathered at
+    once; the oldest is scored when one more opens.
     """
     out: list = []   # point i's NullStatus until its block is scored, then its record
     gathering: dict[int, tuple] = {}   # -> (first model, its profiles, points, weight rows)
@@ -606,7 +606,7 @@ def _evaluate_batch(family: str | Callable[..., Model], points: list[Mapping[str
         out.append(null_status(model))
         key = next((k for k, g in gathering.items() if g[1].shares_columns(p)), None)
         if key is None:
-            if len(gathering) == engine.STRUCTURE_CACHE_SIZE:
+            if len(gathering) == engine.PROFILE_CACHE_SIZE:
                 score(next(iter(gathering)))
             key = i
             gathering[key] = (model, p, [], [])

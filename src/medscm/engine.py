@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -162,7 +162,7 @@ class Profiles:
     y_nested: np.ndarray         # (arm, arm, n): Y{a', M(a'')}
     y_mfix: np.ndarray           # (m, n): Y under do(M=m) only
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _shared_memo: dict = field(default_factory=dict, repr=False)
+    _shared_memo: _SharedMemo = field(repr=False)
 
     def __len__(self) -> int:
         return self.weight.size
@@ -275,12 +275,25 @@ def group_ids(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group[key], first
 
 
-# the weight-free columns of the last few model structures (see profiles)
-STRUCTURE_CACHE_SIZE = 4
-_structures: OrderedDict[tuple, dict] = OrderedDict()   # (structure, mask) -> columns
+# the number of models whose profiles are kept (see profiles)
+PROFILE_CACHE_SIZE = 4
 
 
-@lru_cache(maxsize=32)
+class _SharedMemo(dict):
+    """The results memoised for one column set (Profiles.shared_once), with
+    the columns themselves; _structures refers to it weakly."""
+
+    __slots__ = ("columns", "__weakref__")
+
+    def __init__(self, columns: dict):
+        super().__init__()
+        self.columns = columns
+
+
+_structures: weakref.WeakValueDictionary[tuple, _SharedMemo] = weakref.WeakValueDictionary()
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def profiles(model: Model) -> Profiles:
     """Enumerate units and compute every counterfactual coordinate once.
 
@@ -288,9 +301,9 @@ def profiles(model: Model) -> Profiles:
     configurations have positive mass, not on the masses themselves, so
     models of one Structure object (the parameter points of one family)
     that agree on which have positive mass share them, read-only; each
-    model gets its own weights and memo. The columns of the last
-    STRUCTURE_CACHE_SIZE (structure, mask) pairs are kept, and cache_clear()
-    empties them with the per-model cache.
+    model gets its own weights and memo. The profiles of the last
+    PROFILE_CACHE_SIZE models are kept; a column set lives while some
+    Profiles reads it, so cache_clear() frees every one nothing else holds.
 
     Raises EnumerationSizeError, before allocating, when the columns would
     exceed PROFILE_BYTE_BUDGET bytes.
@@ -312,23 +325,11 @@ def profiles(model: Model) -> Profiles:
     key = (model.structure, np.packbits(positive).tobytes())
     shared = _structures.get(key)
     if shared is None:
-        shared = _structures[key] = _counterfactual_columns(model, units)
-    _structures.move_to_end(key)
-    if len(_structures) > STRUCTURE_CACHE_SIZE:
-        _structures.popitem(last=False)
-    return Profiles(weight=weight[units], **shared)
+        shared = _structures[key] = _SharedMemo(_counterfactual_columns(model, units))
+    if units.size < weight.size:   # else every configuration has mass: no copy
+        weight = weight[units]
+    return Profiles(weight=weight, _shared_memo=shared, **shared.columns)
 
-
-_clear_model_cache = profiles.cache_clear
-
-
-def _clear_profiles() -> None:
-    """Empty the per-model cache and the shared structure table."""
-    _clear_model_cache()
-    _structures.clear()
-
-
-profiles.cache_clear = _clear_profiles
 
 _FACTUAL = (None, None)
 
@@ -378,7 +379,6 @@ def _counterfactual_columns(model: Model, units: np.ndarray) -> dict:
     for value in out.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    out["_shared_memo"] = {}
     return out
 
 
@@ -499,7 +499,6 @@ class ObservedLaw:
     order: np.ndarray
     c_cells: tuple[tuple[int, ...], ...]
     c_names: tuple[str, ...]
-    c_supports: tuple[tuple[int, ...], ...]
     a_support: tuple[int, ...]
     l_support: tuple[int, ...] | None
     m_support: tuple[int, ...]
@@ -718,13 +717,11 @@ def observational_law(model: Model) -> ObservedLaw:
     order of first occurrence."""
     p = profiles(model)
     cell, first, shape = law_cells(model, p)
-    c_names = model.covariate_names
     return ObservedLaw(
         mass=np.bincount(cell, weights=p.weight, minlength=math.prod(shape)).reshape(shape),
         order=cell[first],
         c_cells=tuple(p.c_key(int(u)) for u in p.stratum_first),
-        c_names=c_names,
-        c_supports=tuple(model.var(c).support for c in c_names),
+        c_names=model.covariate_names,
         a_support=model.var(model.exposure_name).support,
         l_support=model.var(model.induced_name).support if model.has_l else None,
         m_support=model.m_support,

@@ -25,7 +25,9 @@ class ShapeError(MedscmError):
 
 
 class EnumerationSizeError(MedscmError):
-    """The exogenous-noise product space exceeds the enumeration cap."""
+    """The exogenous-noise product space exceeds the enumeration cap, or an
+    array (profiles, a law table, a sample, bootstrap replicates) would
+    exceed its memory budget; raised before allocating."""
 
     exit_code = 5
 

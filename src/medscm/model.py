@@ -336,6 +336,14 @@ class Scm(_Lookups):
     def noise_for(self, name: str) -> NoiseSpec:
         return self.noise[self.structure.noise_position[name]]
 
+    def require_structure_noise(self) -> None:
+        """DomainError unless the noise laws are the structure's, names and
+        levels in order: read by position (noise_for), others would miss a
+        level or weight the wrong noise."""
+        mismatch = _noise_mismatch(self)
+        if mismatch:
+            raise DomainError(f"invalid model: {mismatch}")
+
     # -- evaluation ---------------------------------------------------------
     # units/solve evaluate one unit at a time and are the reference; grid is
     # their vectorised twin over every unit at once, in the same unit order.
@@ -349,6 +357,7 @@ class Scm(_Lookups):
         """Positive-mass joint noise configurations with product weights, in
         the canonical order: the product of each variable's noise levels,
         variables in topological order."""
+        self.require_structure_noise()
         size = 1
         for n in self.noise:
             size *= len(n.pmf)
@@ -383,12 +392,8 @@ class Scm(_Lookups):
     def noise_weight(self) -> np.ndarray:
         """Mass of every joint noise configuration in the order of units(),
         zero-mass ones included: the same left-to-right products, so the
-        positive ones are bitwise equal to the scalar weights. Noise laws
-        that are not the structure's raise DomainError: read by position,
-        they would miss a level or weight the wrong noise."""
-        mismatch = _noise_mismatch(self)
-        if mismatch:
-            raise DomainError(f"invalid model: {mismatch}")
+        positive ones are bitwise equal to the scalar weights."""
+        self.require_structure_noise()
         weight = np.ones(1)
         for i, levels in self.structure.weight_gather:
             pmf = self.noise[i].pmf
@@ -476,6 +481,12 @@ class FfrcistgSpec(_Lookups):
         """The joint law, atom -> mass: a read-only view of the atoms and masses."""
         return MappingProxyType(dict(zip(self.structure.atoms, self.masses)))
 
+    def require_structure_noise(self) -> None:
+        """DomainError unless there is one mass per atom of the structure."""
+        if len(self.masses) != len(self.structure.atoms):
+            raise DomainError(f"invalid model: ['{len(self.masses)} masses for "
+                              f"{len(self.structure.atoms)} atoms']")
+
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -488,6 +499,7 @@ class FfrcistgSpec(_Lookups):
     def units(self, cap: int) -> list[tuple[dict[str, int], float]]:
         """Positive-mass atoms as label -> value maps; the atoms are the
         units, so the cap does not apply."""
+        self.require_structure_noise()
         labels = self.labels
         return [(dict(zip(labels, atom)), w)
                 for atom, w in zip(self.structure.atoms, self.masses) if w > 0.0]
@@ -504,6 +516,7 @@ class FfrcistgSpec(_Lookups):
 
     def noise_weight(self) -> np.ndarray:
         """Mass of every atom in the order of units(), zero-mass ones included."""
+        self.require_structure_noise()
         return np.array(self.masses, dtype=float)
 
     def grid(self, units: np.ndarray, rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:

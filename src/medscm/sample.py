@@ -22,7 +22,7 @@ import numpy as np
 
 from . import engine, identify
 from .engine import ObservedLaw
-from .errors import DegenerateStratumError, DomainError
+from .errors import DegenerateStratumError, DomainError, EnumerationSizeError
 from .model import Scm
 
 
@@ -81,14 +81,23 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
     Row k consumes the k-th block of a Philox counter-based stream keyed by
     seed, so the output is reproducible and independent of any chunking;
     the rows are drawn CSV_BLOCK at a time, so no temporary grows with n.
+    Rows over engine.PROFILE_BYTE_BUDGET bytes raise EnumerationSizeError
+    before anything is allocated.
     """
     if not isinstance(scm, Scm):
         raise DomainError("sampling requires a structural-table model")
+    scm.require_structure_noise()
     if n < 0:
         raise DomainError("n must be nonnegative")
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     order, header = _canonical_columns(scm)
+    need = n * len(order) * 8
+    if need > engine.PROFILE_BYTE_BUDGET:
+        raise EnumerationSizeError(
+            f"a sample needs {need} bytes ({n} rows x {len(order)} columns), "
+            f"over the {engine.PROFILE_BYTE_BUDGET}-byte budget"
+        )
     structure = scm.structure
     cdfs = []
     for name in order:
@@ -157,7 +166,6 @@ def _index_rows(ds: Dataset) -> ObservedLaw:
         order=occupied[np.lexsort([by_column[i] for i in reversed(range(len(ds.columns)))])],
         c_cells=tuple(map(tuple, c_values.tolist())),
         c_names=tuple(ds.columns[i] for i in c_idx),
-        c_supports=tuple(supports[i] for i in c_idx),
         a_support=a,
         l_support=l,
         m_support=m,
@@ -241,9 +249,15 @@ def estimate(
     the rows only through their counts. The interval's sampling law is the
     row-resampling bootstrap's, but its Monte Carlo realisation is not the
     one drawing n row indices gave. Replicates are scored in blocks, each
-    one batch of laws."""
+    one batch of laws. More replicates than engine.PROFILE_BYTE_BUDGET
+    bytes hold raise EnumerationSizeError before anything is allocated."""
     if n_boot < 0:
         raise DomainError(f"n_boot must be nonnegative, got {n_boot}")
+    if n_boot * 8 > engine.PROFILE_BYTE_BUDGET:
+        raise EnumerationSizeError(
+            f"{n_boot} bootstrap replicates need {n_boot * 8} bytes, "
+            f"over the {engine.PROFILE_BYTE_BUDGET}-byte budget"
+        )
     fn, args = _functional(estimand, m)
     law = empirical_law(ds, exposure_levels)
     value = fn(law, *args)

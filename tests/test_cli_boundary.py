@@ -148,6 +148,22 @@ def test_estimate_rejects_equal_exposure_levels_and_a_level_it_would_ignore(tmp_
                    "--n-boot", "5")[0] == 0
 
 
+def test_oversize_sample_or_bootstrap_exits_5_before_allocating(tmp_path, capsys):
+    data, out = tmp_path / "d.csv", tmp_path / "x.csv"
+    assert run(capsys, "sample", "t1", "--n", "200", "--out", str(data))[0] == 0
+    huge = "100000000000000"
+    for argv, says in (
+        (["sample", "t1", "--n", huge, "--out", str(out)], f"({huge} rows x 4 columns)"),
+        (["estimate", str(data), "--estimand", "psi_te", "--n-boot", huge],
+         f"{huge} bootstrap replicates need"),
+    ):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (5, ""), argv
+        assert err.startswith("error: ") and says in err and "budget" in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_reproduce_grid_summary_follows_format(capsys):
     code, plain, _ = run(capsys, "reproduce", "PE")
     assert code == 0 and plain.startswith("PE: 18 grid points reproduced; worst ")

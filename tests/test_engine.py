@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -316,15 +318,35 @@ def test_models_of_different_structure_do_not_share():
 
 def test_structure_table_bounded_and_cleared():
     M.engine.profiles.cache_clear()
-    for seed in range(100):   # of more than STRUCTURE_CACHE_SIZE shapes and sizes
+    for seed in range(100):   # of more than PROFILE_CACHE_SIZE shapes and sizes
         M.engine.profiles(M.random_scm(
             seed, ("basic", "confounded")[seed % 2], with_c=seed % 3 == 0,
             m_levels=2 + seed // 2 % 3, y_levels=2 + seed // 6 % 2,
         ))
-    assert len(M.engine._structures) == M.engine.STRUCTURE_CACHE_SIZE
+    assert len(M.engine._structures) == M.engine.PROFILE_CACHE_SIZE
     M.engine.profiles.cache_clear()
     assert len(M.engine._structures) == 0
     assert M.engine.profiles.cache_info().currsize == 0
+
+
+def test_columns_live_as_long_as_the_profiles_that_read_them():
+    M.engine.profiles.cache_clear()
+    gc.disable()   # freed by reference counts alone, no collection
+    try:
+        first = weakref.ref(M.engine.profiles(M.random_scm(0, "confounded")).y_cf)
+        assert first() is not None
+        for seed in range(1, M.engine.PROFILE_CACHE_SIZE + 1):   # each a structure of its own
+            M.engine.profiles(M.random_scm(seed, "confounded"))
+        assert first() is None
+        assert len(M.engine._structures) == M.engine.PROFILE_CACHE_SIZE
+        M.engine.profiles.cache_clear()
+        assert len(M.engine._structures) == 0
+    finally:
+        gc.enable()
+    # a Profiles held outside the cache keeps its columns, and shares them
+    held = M.engine.profiles(M.thm1_counterexample(0.3, 0.6))
+    M.engine.profiles.cache_clear()
+    assert M.engine.profiles(M.thm1_counterexample(0.8, 0.25)).shares_columns(held)
 
 
 def _outputs(model):

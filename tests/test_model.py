@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -390,8 +391,9 @@ def test_noise_other_than_the_structure_is_a_violation():
     swapped = (one.noise[1], one.noise[0], *one.noise[2:])
     assert [n.levels() for n in swapped] == [n.levels() for n in one.noise]
     for noise in (tuple(reversed(one.noise)), swapped):
-        with pytest.raises(M.DomainError, match=f"^invalid model: .*{mismatch}"):
-            M.effect_report(Scm(one.structure, noise))
+        for read in (M.effect_report, M.enumerate_units, lambda m: M.draw_samples(m, 10, 0)):
+            with pytest.raises(M.DomainError, match=f"^invalid model: .*{mismatch}"):
+                read(Scm(one.structure, noise))
 
 
 def test_replace_masses_keeps_the_structure():
@@ -404,9 +406,16 @@ def test_replace_masses_keeps_the_structure():
     halved = dataclasses.replace(spec, masses=tuple(w / 2 for w in spec.masses))
     assert halved.structure is spec.structure
     assert any(v.startswith("joint pmf sums to 0.5") for v in M.validate(halved))
-    short = dataclasses.replace(spec, masses=spec.masses[1:])
+    # one mass too few, or one (positive) too many: the engine refuses both
+    # with validate's text, where it would otherwise weight the wrong atoms
     n = len(spec.masses)
-    assert M.validate(short) == [f"{n - 1} masses for {n} atoms"]
+    for masses in (spec.masses[1:], spec.masses + (0.1,)):
+        wrong = dataclasses.replace(spec, masses=masses)
+        violation = f"{len(masses)} masses for {n} atoms"
+        assert M.validate(wrong) == [violation]
+        for read in (M.effect_report, M.enumerate_units):
+            with pytest.raises(M.DomainError, match=re.escape(f"invalid model: ['{violation}']")):
+                read(wrong)
     with pytest.raises(TypeError):
         spec.joint[next(iter(spec.joint))] = 0.0
 
