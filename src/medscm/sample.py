@@ -33,6 +33,18 @@ class Dataset:
     columns: tuple[str, ...]
     rows: np.ndarray
 
+    def __post_init__(self):
+        # any integer dtype int64 holds, kept as int64 (no copy if it is one):
+        # engine.group_ids codes value minus minimum in the rows' own dtype
+        rows = self.rows
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"
+                and np.can_cast(rows.dtype, np.int64) and rows.shape[1] == len(self.columns)):
+            got = (f"shape {rows.shape} of {rows.dtype}" if isinstance(rows, np.ndarray)
+                   else type(rows).__name__)
+            raise DomainError(f"dataset rows must be a 2-D integer array with one column "
+                              f"per header name ({len(self.columns)}), got {got}")
+        object.__setattr__(self, "rows", rows.astype(np.int64, copy=False))
+
     @property
     def n(self) -> int:
         return int(self.rows.shape[0])
@@ -61,6 +73,19 @@ class Estimate:
 # ---------------------------------------------------------------------------
 
 
+def _integer(name: str, value, bits: int | None = None) -> int:
+    """value as an int, nonnegative and, given bits, below 2**bits; anything
+    else, a float or a bool included, is a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if bits is None and value < 0:
+        raise DomainError(f"{name} must be nonnegative, got {value}")
+    if bits is not None and not 0 <= value < 2**bits:
+        raise DomainError(f"{name} must lie in [0, 2**{bits}), got {value}")
+    return value
+
+
 def _canonical_columns(scm: Scm) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """(variable names in draw order, canonical CSV header names)."""
     order = scm.topo_order
@@ -81,16 +106,14 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
     Row k consumes the k-th block of a Philox counter-based stream keyed by
     seed, so the output is reproducible and independent of any chunking;
     the rows are drawn CSV_BLOCK at a time, so no temporary grows with n.
-    Rows over engine.PROFILE_BYTE_BUDGET bytes raise EnumerationSizeError
-    before anything is allocated.
+    n is a nonnegative integer and seed an integer in [0, 2**128); anything
+    else is a DomainError. Rows over engine.PROFILE_BYTE_BUDGET bytes raise
+    EnumerationSizeError before anything is allocated.
     """
     if not isinstance(scm, Scm):
         raise DomainError("sampling requires a structural-table model")
     scm.require_structure_noise()
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if not 0 <= seed < 2**128:
-        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
+    n, seed = _integer("n", n), _integer("seed", seed, 128)
     order, header = _canonical_columns(scm)
     need = n * len(order) * 8
     if need > engine.PROFILE_BYTE_BUDGET:
@@ -99,12 +122,7 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
             f"over the {engine.PROFILE_BYTE_BUDGET}-byte budget"
         )
     structure = scm.structure
-    cdfs = []
-    for name in order:
-        noise = scm.noise_for(name)
-        cum = np.cumsum([noise.pmf[lv] for lv in noise.levels()])
-        cum[-1] = 1.0
-        cdfs.append(cum)
+    edges = [_cdf_edges(scm.noise_for(name)) for name in order]
     supports = [np.asarray(structure.supports[name]) for name in order]
     gen = np.random.Generator(np.random.Philox(key=seed))
     rows = np.empty((n, len(order)), dtype=np.int64)
@@ -113,12 +131,32 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
         uniforms = gen.random(block.shape)
         position: dict[str, np.ndarray] = {}   # of each value in its sorted support
         for j, name in enumerate(order):
-            idx = np.searchsorted(cdfs[j], uniforms[:, j], side="right")
-            idx = np.minimum(idx, cdfs[j].size - 1)
+            idx = _inverse_cdf(edges[j], uniforms[:, j].copy())
             parents = [position[p] for p in scm.table_for(name).parents]
             position[name] = structure.positions(name, idx, parents)
             block[:, j] = supports[j][position[name]]
     return Dataset(header, rows)
+
+
+def _cdf_edges(noise) -> np.ndarray:
+    """A noise law's CDF over its levels without the last entry, padded with
+    inf to a power of two longer than it: the edges _inverse_cdf searches."""
+    cum = np.cumsum([noise.pmf[lv] for lv in noise.levels()])
+    size = 1 << (cum.size - 1).bit_length()
+    return np.concatenate([cum[:-1], np.full(size - cum.size + 1, np.inf)])
+
+
+def _inverse_cdf(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The noise position of each uniform u: how many edges lie at or below
+    it. The edges are nondecreasing, so those form a prefix, and a branchless
+    binary search finds its length, one comparison pass per halving."""
+    step = edges.size // 2
+    if not step:
+        return np.zeros(u.size, dtype=np.int64)
+    idx = (u >= edges[step - 1]) * step
+    while step := step // 2:
+        idx += (u >= edges.take(idx + step - 1)) * step
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +179,30 @@ def _column_roles(columns: tuple[str, ...]) -> tuple[list[int], int, int | None,
 
 def _index_rows(ds: Dataset) -> ObservedLaw:
     """The empirical law, its exposure levels unset: the rows' counts over
-    their table cells (engine.table_cells)."""
+    their table cells (engine.table_cells).
+
+    The rows are grouped once; supports, covariate cells, table cells and
+    key order all come from the distinct rows, which are in order of first
+    occurrence, and each group's count lands in its cell."""
     if ds.n == 0:
         raise DomainError("cannot build an empirical law from an empty dataset")
     c_idx, *factual = _column_roles(ds.columns)          # factual: A, L, M, Y columns
     factual = [-1 if i is None else i for i in factual]
-    cols = [*ds.rows.T, None]                             # cols[-1]: the missing L
-    # a column's support: the values at its groups' first rows, sorted
-    supports = [tuple(np.sort(col[engine.group_ids(col)[1]]).tolist()) for col in cols[:-1]]
-    supports.append(None)
+    group, first = engine.group_ids(*ds.rows.T)
+    distinct = ds.rows[first]
+    cols = [*distinct.T, None]                            # cols[-1]: the missing L
+    supports = [tuple(np.unique(col).tolist()) for col in cols[:-1]] + [None]
     c_cell, c_first = engine.group_ids(*(cols[i] for i in c_idx)) if c_idx else (0, [0])
     cell, shape = engine.table_cells(
         c_cell, len(c_first), [cols[i] for i in factual], [supports[i] for i in factual]
     )
-    counts = np.bincount(cell, minlength=math.prod(shape))
-    occupied = np.flatnonzero(counts)
-    pos = np.unravel_index(occupied, shape)
-    c_values = ds.rows[c_first][:, c_idx]
-    # key order: the distinct rows sorted column by column
-    by_column = dict(zip(factual, pos[1:])) | {i: c_values[pos[0], j] for j, i in enumerate(c_idx)}
+    counts = np.zeros(math.prod(shape), dtype=np.int64)
+    counts[cell] = np.bincount(group, minlength=first.size)
+    c_values = distinct[c_first][:, c_idx]
     a, l, m, y = (supports[i] for i in factual)
     return ObservedLaw(
         mass=(counts / ds.n).reshape(shape),
-        order=occupied[np.lexsort([by_column[i] for i in reversed(range(len(ds.columns)))])],
+        order=cell[np.lexsort(distinct.T[::-1])],         # key order: the sorted rows
         c_cells=tuple(map(tuple, c_values.tolist())),
         c_names=tuple(ds.columns[i] for i in c_idx),
         a_support=a,
@@ -249,10 +288,11 @@ def estimate(
     the rows only through their counts. The interval's sampling law is the
     row-resampling bootstrap's, but its Monte Carlo realisation is not the
     one drawing n row indices gave. Replicates are scored in blocks, each
-    one batch of laws. More replicates than engine.PROFILE_BYTE_BUDGET
+    one batch of laws. n_boot is a nonnegative integer and seed an integer
+    in [0, 2**64), the range of a Philox key word; anything else is a
+    DomainError. More replicates than engine.PROFILE_BYTE_BUDGET
     bytes hold raise EnumerationSizeError before anything is allocated."""
-    if n_boot < 0:
-        raise DomainError(f"n_boot must be nonnegative, got {n_boot}")
+    n_boot, seed = _integer("n_boot", n_boot), _integer("seed", seed, 64)
     if n_boot * 8 > engine.PROFILE_BYTE_BUDGET:
         raise EnumerationSizeError(
             f"{n_boot} bootstrap replicates need {n_boot * 8} bytes, "
@@ -273,7 +313,8 @@ def estimate(
         replicates = range(start, min(start + block, n_boot))
         counts = np.zeros((len(replicates), size), dtype=np.int64)
         for i, r in enumerate(replicates):
-            gen = np.random.Generator(np.random.Philox(key=[seed, r]))
+            key = np.array([seed, r], dtype=np.uint64)   # a list key rounds seeds >= 2**63
+            gen = np.random.Generator(np.random.Philox(key=key))
             counts[i, occupied] = gen.multinomial(n, shares)
         batch = law.with_mass((counts / n).reshape(len(replicates), *law.mass.shape))
         values[start:replicates.stop] = _score_batch(fn, batch, args)

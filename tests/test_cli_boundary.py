@@ -148,6 +148,18 @@ def test_estimate_rejects_equal_exposure_levels_and_a_level_it_would_ignore(tmp_
                    "--n-boot", "5")[0] == 0
 
 
+def test_estimate_seed_outside_a_philox_key_word_exits_3(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    assert run(capsys, "sample", "t1", "--n", "200", "--out", str(data))[0] == 0
+    for seed in (str(2**64), "-1"):
+        assert_domain_error(capsys, "estimate", str(data), "--estimand", "psi_te",
+                            "--n-boot", "5", "--sample-seed", seed,
+                            says=f"seed must lie in [0, 2**64), got {seed}")
+    code, out, err = run(capsys, "estimate", str(data), "--estimand", "psi_te",
+                         "--n-boot", "5", "--sample-seed", str(2**64 - 1))
+    assert (code, err) == (0, "") and "ci_low" in out
+
+
 def test_oversize_sample_or_bootstrap_exits_5_before_allocating(tmp_path, capsys):
     data, out = tmp_path / "d.csv", tmp_path / "x.csv"
     assert run(capsys, "sample", "t1", "--n", "200", "--out", str(data))[0] == 0

@@ -3,14 +3,18 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medscm as M
 from medscm.cli import main
-from medscm.model import StructuralTable, Scm
+from medscm.model import NoiseSpec, StructuralTable, Scm
 
 
 def test_determinism():
@@ -383,3 +387,139 @@ def test_bootstrap_over_tens_of_thousands_of_cells(tmp_path, capsys):
     assert code == 0, out
     est = M.estimate(ds, "psi_te", n_boot=20)
     assert est.ci_low <= est.ci_high and f"ci_low,{est.ci_low:.12g}" in out
+
+
+# ---------------------------------------------------------------------------
+# The draw's inverse CDF and the empirical law against plain references
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=80)
+@given(weights=st.lists(st.integers(0, 4), min_size=1, max_size=300).filter(any),
+       seed=st.integers(0, 2**32 - 1))
+def test_inverse_cdf_is_the_clipped_searchsorted(weights, seed):
+    # zero weights make flat stretches of the CDF, so edges repeat
+    noise = NoiseSpec("e", {2 * i - 7: w / sum(weights) for i, w in enumerate(weights)})
+    cum = np.cumsum([noise.pmf[lv] for lv in noise.levels()])
+    edges = M.sample._cdf_edges(noise)
+    assert edges.size & (edges.size - 1) == 0 and edges.size >= cum.size
+    inner = cum[:-1]
+    u = np.concatenate([np.random.default_rng(seed).random(257), [0.0], inner,
+                        np.nextafter(inner, 0.0), np.nextafter(inner, 1.0)])
+    u = u[u < 1.0]
+    closed = np.append(inner, 1.0)
+    expected = np.minimum(np.searchsorted(closed, u, side="right"), cum.size - 1)
+    assert np.array_equal(M.sample._inverse_cdf(edges, u), expected)
+
+
+@st.composite
+def _datasets(draw):
+    """Rows over shuffled columns: up to two covariates, A, an optional L, M
+    and Y, each column constant, narrow or wider than 2n + 64."""
+    n = draw(st.integers(1, 40))
+    names = [f"C{i}" for i in range(draw(st.integers(0, 2)))]
+    names = draw(st.permutations([*names, "A", *["L"] * draw(st.booleans()), "M", "Y"]))
+    columns = []
+    for _ in names:
+        kind = draw(st.sampled_from(["constant", "narrow", "wide"]))
+        if kind == "constant":
+            values = [draw(st.integers(-5, 5))]
+        else:
+            scale = 10**9 if kind == "wide" else 1
+            values = [v * scale for v in draw(st.lists(st.integers(-4, 4), min_size=1,
+                                                       max_size=6, unique=True))]
+        column = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+        if kind == "wide" and n > 1:
+            column[:2] = [-(10**12), 10**12]
+        columns.append(column)
+    return M.Dataset(tuple(names), np.array(columns, dtype=np.int64).T.copy())
+
+
+@settings(deadline=None, max_examples=120)
+@given(ds=_datasets())
+def test_empirical_law_is_the_counts_of_the_rows(ds):
+    law = M.sample._index_rows(ds)
+    rows = list(map(tuple, ds.rows.tolist()))
+    counts = Counter(rows)
+    at = {name: i for i, name in enumerate(ds.columns)}
+    c_cols = [i for i, name in enumerate(ds.columns) if name not in ("A", "L", "M", "Y")]
+
+    def key(row):
+        return (tuple(row[i] for i in c_cols), row[at["A"]],
+                row[at["L"]] if "L" in at else None, row[at["M"]], row[at["Y"]])
+
+    assert list(law.pmf.items()) == [(key(row), counts[row] / ds.n) for row in sorted(counts)]
+    assert np.count_nonzero(law.mass) == len(counts)
+    assert law.c_cells == tuple(dict.fromkeys(key(row)[0] for row in rows))
+    assert law.c_names == tuple(ds.columns[i] for i in c_cols)
+    for name, support in (("A", law.a_support), ("L", law.l_support),
+                          ("M", law.m_support), ("Y", law.y_support)):
+        expected = tuple(sorted({row[at[name]] for row in rows})) if name in at else None
+        assert support == expected
+
+
+# ---------------------------------------------------------------------------
+# Row inputs outside their domain
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, seed, says", [
+    (2.5, 0, "n must be an integer, got 2.5"),
+    (True, 0, "n must be an integer, got True"),
+    (-1, 0, "n must be nonnegative, got -1"),
+    (5, 1.5, "seed must be an integer, got 1.5"),
+    (5, 2**128, f"seed must lie in [0, 2**128), got {2**128}"),
+])
+def test_draw_samples_refuses_a_non_integer_count_or_seed(n, seed, says):
+    with pytest.raises(M.DomainError, match=f"^{re.escape(says)}$"):
+        M.draw_samples(M.thm1_counterexample(0.5, 0.9), n, seed)
+
+
+@pytest.mark.parametrize("n_boot, seed, says", [
+    (2.5, 0, "n_boot must be an integer, got 2.5"),
+    (True, 0, "n_boot must be an integer, got True"),
+    (10, 2**64, f"seed must lie in [0, 2**64), got {2**64}"),
+    (10, -1, "seed must lie in [0, 2**64), got -1"),
+    (10, 1.5, "seed must be an integer, got 1.5"),
+    (0, -1, "seed must lie in [0, 2**64), got -1"),
+])
+def test_estimate_refuses_a_non_integer_replicate_count_or_seed(n_boot, seed, says):
+    ds = M.draw_samples(M.thm1_counterexample(0.5, 0.9), 200, seed=1)
+    with pytest.raises(M.DomainError, match=f"^{re.escape(says)}$"):
+        M.estimate(ds, "psi_te", n_boot=n_boot, seed=seed)
+
+
+def test_estimate_takes_every_seed_below_2_to_the_64():
+    ds = M.draw_samples(M.thm1_counterexample(0.5, 0.9), 200, seed=1)
+    top = M.estimate(ds, "psi_te", n_boot=20, seed=2**64 - 1)
+    assert top.ci_low <= top.ci_high
+    # a key given as a list goes through float64 above 2**63, where 2**63,
+    # 2**63 + 1 and 2**63 + 2 drew one stream
+    assert len({M.estimate(ds, "psi_te", n_boot=20, seed=seed)
+                for seed in (2**63, 2**63 + 1, 2**63 + 2, 2**64 - 1)}) == 4
+    assert M.estimate(ds, "psi_te", n_boot=20, seed=np.uint64(7)) == \
+        M.estimate(ds, "psi_te", n_boot=20, seed=7)
+
+
+@pytest.mark.parametrize("rows, got", [
+    (np.array([0, 1, 1]), "shape (3,) of int64"),
+    (np.zeros((2, 4), dtype=np.int64), "shape (2, 4) of int64"),
+    (np.zeros((2, 3)), "shape (2, 3) of float64"),
+    (np.zeros((2, 3), dtype=bool), "shape (2, 3) of bool"),
+    (np.zeros((2, 3), dtype=np.uint64), "shape (2, 3) of uint64"),
+    ([[0, 1, 1]], "list"),
+])
+def test_dataset_rows_must_be_an_integer_table_of_its_columns(rows, got):
+    with pytest.raises(M.DomainError, match=re.escape(
+            f"dataset rows must be a 2-D integer array with one column per header name (3), "
+            f"got {got}")):
+        M.Dataset(("A", "M", "Y"), rows)
+
+
+def test_dataset_rows_of_a_narrow_integer_type_are_kept_as_int64():
+    # in int8, value minus minimum wraps past 127: 28 would take -27's code
+    levels = (-100, 100, 28, -27)
+    rows = np.array([[a, 0, 1] for a in levels] * 20, dtype=np.int8)
+    narrow = M.Dataset(("A", "M", "Y"), rows)
+    assert narrow.rows.dtype == np.int64
+    law = M.empirical_law(narrow)
+    assert law.a_support == tuple(sorted(levels))
+    assert law.pmf == {((), a, None, 0, 1): 0.25 for a in sorted(levels)}
