@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -348,16 +350,18 @@ def write_csv(ds: Dataset, path: str) -> None:
 
 def read_csv(path: str) -> Dataset:
     """A header line, then rows of integers as many as its fields; blank
-    lines are skipped. Anything else is a ValueError naming the file line."""
+    lines are skipped, and so is one byte-order mark before the header.
+    Anything else is a ValueError naming the file line."""
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), None)
+        header = next(csv.reader([fh.readline().removeprefix("\ufeff")]), None)
         if not header:
             raise ValueError(f"{path}: line 1: no header line")
+        source, skip = _row_source(fh, path)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # no rows
-                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None,
-                                  quotechar='"', ndmin=2)
+                rows = np.loadtxt(source, dtype=np.int64, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2, skiprows=skip)
         except ValueError:
             rows = None
     if rows is None or (rows.size and rows.shape[1] != len(header)):
@@ -365,6 +369,26 @@ def read_csv(path: str) -> Dataset:
     if rows.size == 0:
         rows = np.zeros((0, len(header)), dtype=np.int64)
     return Dataset(tuple(header), rows)
+
+
+# the suffixes numpy's DataSource decompresses when np.loadtxt opens a path
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _row_source(fh, path) -> tuple:
+    """np.loadtxt's source of the rows after the header line fh has read,
+    and how many lines it skips first.
+
+    numpy's C reader takes a str path in large chunks but iterates a handle
+    one Python str per line, so a regular file is read again by path,
+    joined to the working directory without folding '..' (the file the
+    kernel opened, and never a URL). A pipe, FIFO or terminal keeps the
+    handle, since reopening it loses what the header read buffered, and so
+    does a name with a suffix numpy would decompress."""
+    if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            and not os.fspath(path).lower().endswith(_COMPRESSED)):
+        return os.path.join(os.getcwd(), path), 1
+    return fh, 0
 
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")

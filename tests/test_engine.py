@@ -318,6 +318,7 @@ def test_models_of_different_structure_do_not_share():
 
 def test_structure_table_bounded_and_cleared():
     M.engine.profiles.cache_clear()
+    gc.collect()   # Profiles an earlier test's traceback holds in a reference cycle
     for seed in range(100):   # of more than PROFILE_CACHE_SIZE shapes and sizes
         M.engine.profiles(M.random_scm(
             seed, ("basic", "confounded")[seed % 2], with_c=seed % 3 == 0,
@@ -331,6 +332,7 @@ def test_structure_table_bounded_and_cleared():
 
 def test_columns_live_as_long_as_the_profiles_that_read_them():
     M.engine.profiles.cache_clear()
+    gc.collect()   # as above
     gc.disable()   # freed by reference counts alone, no collection
     try:
         first = weakref.ref(M.engine.profiles(M.random_scm(0, "confounded")).y_cf)

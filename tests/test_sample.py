@@ -1,10 +1,15 @@
+import codecs
 import csv
 import hashlib
+import importlib
 import io
 import itertools
 import json
+import os
 import re
+import threading
 import tracemalloc
+import urllib.request
 from collections import Counter
 
 import numpy as np
@@ -114,6 +119,144 @@ def test_csv_blank_lines_skipped(tmp_path):
     path.write_text("A,M,Y\n\n0,1,1\n\n1,0,0\n\n")
     back = M.read_csv(str(path))
     assert back.rows.tolist() == [[0, 1, 1], [1, 0, 0]]
+
+
+# -- the read route: a regular file by path, any other file through its handle
+
+@pytest.fixture
+def t1_csv(tmp_path):
+    """A sampled t1 CSV of about 70 KB, more than a pipe holds and more than
+    a text handle buffers when it reads the header line."""
+    path = tmp_path / "t1.csv"
+    M.write_csv(M.draw_samples(M.thm1_counterexample(0.5, 0.7), 10_000, seed=5), str(path))
+    return path
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """What each np.loadtxt call was given to read."""
+    sources, loadtxt = [], np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        sources.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return sources
+
+
+def _assert_same(got, want):
+    assert got.columns == want.columns
+    assert got.rows.shape == want.rows.shape and np.array_equal(got.rows, want.rows)
+
+
+def _read_while_writing(path: str, write) -> M.Dataset:
+    """read_csv(path) while a thread runs write(), which feeds it."""
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        ds = M.read_csv(path)
+    finally:
+        writer.join(10)
+    assert not writer.is_alive()
+    return ds
+
+
+def test_a_regular_file_reaches_loadtxt_as_a_path(t1_csv, loadtxt_sources):
+    rows = M.read_csv(str(t1_csv)).rows
+    assert [type(s) for s in loadtxt_sources] == [str]
+    assert rows.shape == (10_000, 4)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_reads_as_the_regular_file(t1_csv, tmp_path, loadtxt_sources):
+    want = M.read_csv(str(t1_csv))
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    got = _read_while_writing(str(fifo), lambda: fifo.write_bytes(t1_csv.read_bytes()))
+    _assert_same(got, want)
+    assert not isinstance(loadtxt_sources[-1], str)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+def test_a_pipe_named_by_its_descriptor_reads_as_the_regular_file(t1_csv, loadtxt_sources):
+    want = M.read_csv(str(t1_csv))
+    read_end, write_end = os.pipe()
+
+    def write():
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(t1_csv.read_bytes())
+
+    try:
+        got = _read_while_writing(f"/dev/fd/{read_end}", write)
+    finally:
+        os.close(read_end)
+    _assert_same(got, want)
+    assert not isinstance(loadtxt_sources[-1], str)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".GZ"])
+def test_a_plain_text_file_with_a_compressed_suffix_reads_as_text(t1_csv, suffix,
+                                                                   loadtxt_sources):
+    named = t1_csv.with_name(t1_csv.name + suffix)
+    named.write_bytes(t1_csv.read_bytes())
+    _assert_same(M.read_csv(str(named)), M.read_csv(str(t1_csv)))
+    assert not isinstance(loadtxt_sources[0], str)
+
+
+def test_every_suffix_numpy_decompresses_keeps_the_handle():
+    datasource = importlib.import_module("numpy.lib._datasource")
+    assert {s for s in datasource._file_openers.keys() if s} <= set(M.sample._COMPRESSED)
+
+
+def test_a_local_path_that_parses_as_a_url_is_read_without_the_network(tmp_path, monkeypatch):
+    def no_network(*args, **kwargs):
+        raise AssertionError("read_csv opened a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "d.csv").write_text("A,M,Y\n0,1,1\n1,0,0\n")
+    assert M.read_csv("http://host/d.csv").rows.tolist() == [[0, 1, 1], [1, 0, 0]]
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks on this platform")
+def test_a_dotdot_after_a_symlink_reads_the_file_the_name_opens(tmp_path, monkeypatch):
+    (tmp_path / "real" / "sub").mkdir(parents=True)
+    (tmp_path / "real" / "d.csv").write_text("A,M,Y\n1,1,1\n")
+    (tmp_path / "d.csv").write_text("A,M,Y\n0,0,0\n")   # where folding '..' would land
+    (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+    monkeypatch.chdir(tmp_path)
+    assert M.read_csv("link/../d.csv").rows.tolist() == [[1, 1, 1]]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("final", [True, False])
+def test_line_ends_blank_lines_and_a_missing_final_end(tmp_path, end, final):
+    path = tmp_path / "ends.csv"
+    path.write_bytes((end.join(["A,M,Y", "", "0,1,1", "", "", "1,0,0", "1,1,0"])
+                      + end * final).encode())
+    back = M.read_csv(str(path))
+    assert back.columns == ("A", "M", "Y")
+    assert back.rows.tolist() == [[0, 1, 1], [1, 0, 0], [1, 1, 0]]
+    for lines, says in (
+        (["A,M,Y", "0,1,1", "", "0,1"], "line 4: the header has 3 fields, this line 2"),
+        (["A,M,Y", "0,1,1", "", "0,x,1"], "line 4: field 2 is 'x', not an integer"),
+        (["A,M,Y", "0,1,1,1"], "line 2: the header has 3 fields, this line 4"),
+    ):
+        path.write_bytes((end.join(lines) + end * final).encode())
+        with pytest.raises(ValueError) as excinfo:
+            M.read_csv(str(path))
+        assert str(excinfo.value) == f"{path}: {says}"
+
+
+@pytest.mark.parametrize("header", [b"A,L,M,Y", b'"A",L,M,Y'])
+def test_a_byte_order_mark_before_the_header_is_skipped(t1_csv, tmp_path, header):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(t1_csv.read_bytes().replace(b"A,L,M,Y", header, 1))
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    _assert_same(M.read_csv(str(marked)), M.read_csv(str(plain)))
+    assert M.read_csv(str(marked)).columns == ("A", "L", "M", "Y")
 
 
 def test_estimate_constant_outcome():
