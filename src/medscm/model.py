@@ -286,6 +286,19 @@ class Structure:
         return ("A", *(f"M({ap})" for ap in arms),
                 *(f"Y({ap},{m})" for ap in arms for m in self.m_support))
 
+    @cached_property
+    def atom_table(self) -> np.ndarray:
+        """A joint's atoms as a read-only (atoms, labels) int64 array."""
+        table = np.array(self.atoms, dtype=np.int64).reshape(len(self.atoms), len(self.labels))
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def atom_codes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """For each coordinate of a joint's atoms, in label order, its sorted
+        distinct values and each atom's position among them."""
+        return tuple(np.unique(col, return_inverse=True) for col in self.atom_table.T)
+
 
 class _Lookups:
     """A model's lookups, each read off its structure."""
@@ -522,8 +535,7 @@ class FfrcistgSpec(_Lookups):
     def grid(self, units: np.ndarray, rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
         """A, M and Y over the atoms units (positions in noise_weight()), one
         row per regime listed for the variable, as Scm.grid gives them."""
-        atoms = self.structure.atoms
-        cols = np.array(atoms, dtype=np.int64).reshape(len(atoms), len(self.labels))[units]
+        cols = self.structure.atom_table[units]
         at = np.arange(units.size)
         arms, levels = self.exposure_levels, self.m_support
         worlds: dict[Regime, dict] = {}
@@ -797,28 +809,30 @@ def _validate_ffrcistg(spec: FfrcistgSpec) -> list[str]:
 def _one_world_violations(spec: FfrcistgSpec) -> list[str]:
     # For each (a', m) the single-world set {A, M(a'), Y(a',m)} must be
     # mutually independent; cross-world sets are deliberately unconstrained.
+    # Each mass table is one np.bincount over the atoms' value codes, which
+    # adds the masses in atom order, so every sum is the running sum an
+    # atom-by-atom scan gives; the first failing cell is reported, in
+    # itertools.product order over each coordinate's sorted values.
     idx = spec.label_index()
-    out = []
-    for ap in spec.exposure_levels:
-        for m in spec.m_support:
-            cols = (idx["A"], idx[f"M({ap})"], idx[f"Y({ap},{m})"])
-            joint: dict[tuple[int, int, int], float] = {}
-            marg: list[dict[int, float]] = [{}, {}, {}]
-            for atom, w in zip(spec.structure.atoms, spec.masses):
-                key = tuple(atom[c] for c in cols)
-                joint[key] = joint.get(key, 0.0) + w
-                for j, v in enumerate(key):
-                    marg[j][v] = marg[j].get(v, 0.0) + w
-            for vals in itertools.product(*(sorted(mg) for mg in marg)):
-                prod = marg[0][vals[0]] * marg[1][vals[1]] * marg[2][vals[2]]
-                dev = abs(joint.get(vals, 0.0) - prod)
-                if dev > PROB_TOL:
-                    out.append(
-                        f"one-world independence fails for (a'={ap}, m={m}) "
-                        f"at cell {vals} (deviation {dev:.3e})"
-                    )
-                    return out
-    return out
+    codes = spec.structure.atom_codes
+    masses = np.array(spec.masses, dtype=float)
+    sets = [(ap, m, [codes[idx[label]] for label in ("A", f"M({ap})", f"Y({ap},{m})")])
+            for ap in spec.exposure_levels for m in spec.m_support]
+    with np.errstate(invalid="ignore", over="ignore"):   # silent, as float arithmetic is
+        for ap, m, ((va, ca), (vm, cm), (vy, cy)) in sets:
+            shape = (va.size, vm.size, vy.size)
+            joint = np.bincount((ca * vm.size + cm) * vy.size + cy, weights=masses,
+                                minlength=math.prod(shape)).reshape(shape)
+            pa, pm, py = (np.bincount(c, weights=masses, minlength=v.size)
+                          for v, c in ((va, ca), (vm, cm), (vy, cy)))
+            dev = np.abs(joint - pa[:, None, None] * pm[:, None] * py)
+            bad = np.flatnonzero(dev > PROB_TOL)
+            if bad.size:
+                i, j, k = np.unravel_index(bad[0], shape)
+                return [f"one-world independence fails for (a'={ap}, m={m}) "
+                        f"at cell {(int(va[i]), int(vm[j]), int(vy[k]))} "
+                        f"(deviation {dev.flat[bad[0]]:.3e})"]
+    return []
 
 
 def _require_valid(model: Model, context: str) -> Model:

@@ -330,19 +330,34 @@ def estimate(
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-CSV_BLOCK = 8192   # rows drawn, and formatted, per block
+CSV_BLOCK = 8192   # rows drawn, and written, per block
 
 
 def write_csv(ds: Dataset, path: str) -> None:
     """The header, then one line of plain integers per row; \\n line ends.
 
-    Each block of CSV_BLOCK rows numbers its distinct rows (engine.group_ids),
-    formats them in one pass and joins the block's lines by group."""
+    Rows whose every value is a digit 0-9 (every sample of a model whose
+    levels are 0-9) write each block of CSV_BLOCK rows as one (rows, 2f)
+    byte grid, f the columns: the digits in the even columns, a comma in
+    the odd ones and a newline in the last. Any other rows, none included,
+    write each block by numbering its distinct rows (engine.group_ids),
+    formatting them in one pass and joining the block's lines by group.
+    Both give the bytes csv.writer gives."""
+    rows = ds.rows
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(ds.columns)
-        line = ",".join(["%d"] * ds.rows.shape[1]) + "\n"
+        if rows.size and 0 <= rows.min() and rows.max() <= 9:
+            grid = np.full((min(ds.n, CSV_BLOCK), 2 * rows.shape[1]), ord(","), dtype=np.uint8)
+            grid[:, -1] = ord("\n")
+            for k in range(0, ds.n, CSV_BLOCK):
+                block = rows[k : k + CSV_BLOCK]
+                out = grid[: len(block)]
+                out[:, ::2] = block + ord("0")
+                fh.write(out.tobytes().decode("ascii"))
+            return
+        line = ",".join(["%d"] * rows.shape[1]) + "\n"
         for k in range(0, ds.n, CSV_BLOCK):
-            block = ds.rows[k : k + CSV_BLOCK]
+            block = rows[k : k + CSV_BLOCK]
             group, first = engine.group_ids(*block.T)
             text = line * first.size % tuple(block[first].ravel().tolist())
             fh.write("".join(np.array(text.splitlines(keepends=True), dtype=object)[group]))
@@ -351,19 +366,25 @@ def write_csv(ds: Dataset, path: str) -> None:
 def read_csv(path: str) -> Dataset:
     """A header line, then rows of integers as many as its fields; blank
     lines are skipped, and so is one byte-order mark before the header.
-    Anything else is a ValueError naming the file line."""
+    Anything else is a ValueError naming the file line.
+
+    A regular file whose rows are all lines of single digits, the files
+    write_csv writes for rows of 0-9, is read as one byte grid
+    (_digit_grid); any other file is parsed by np.loadtxt."""
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline().removeprefix("\ufeff")]), None)
         if not header:
             raise ValueError(f"{path}: line 1: no header line")
         source, skip = _row_source(fh, path)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # no rows
-                rows = np.loadtxt(source, dtype=np.int64, delimiter=",", comments=None,
-                                  quotechar='"', ndmin=2, skiprows=skip)
-        except ValueError:
-            rows = None
+        rows = _digit_grid(source, len(header)) if isinstance(source, str) else None
+        if rows is None:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)   # no rows
+                    rows = np.loadtxt(source, dtype=np.int64, delimiter=",", comments=None,
+                                      quotechar='"', ndmin=2, skiprows=skip)
+            except ValueError:
+                pass
     if rows is None or (rows.size and rows.shape[1] != len(header)):
         raise ValueError(f"{path}: {_first_bad_line(path, len(header))}")
     if rows.size == 0:
@@ -371,13 +392,34 @@ def read_csv(path: str) -> Dataset:
     return Dataset(tuple(header), rows)
 
 
+def _digit_grid(path: str, fields: int) -> np.ndarray | None:
+    """The rows of a file whose body, after its first line, is one or more
+    lines of fields single digits joined by commas, each ending in \\n;
+    None for any other file.
+
+    Such a body is a (rows, 2 * fields) byte grid, and every byte of it is
+    checked. The first line is skipped only if it ends in \\n and holds no
+    \\r, so that it is the line the text handle read as the header."""
+    with open(path, "rb") as fh:
+        first, body = fh.readline(), fh.read()
+    width = 2 * fields
+    if not first.endswith(b"\n") or b"\r" in first or not body or len(body) % width:
+        return None
+    grid = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
+    digits = grid[:, ::2] - np.uint8(ord("0"))   # a byte below '0' wraps past 9
+    ends = np.frombuffer(b"," * (fields - 1) + b"\n", dtype=np.uint8)
+    if not ((digits <= 9).all() and (grid[:, 1::2] == ends).all()):
+        return None
+    return digits.astype(np.int64)
+
+
 # the suffixes numpy's DataSource decompresses when np.loadtxt opens a path
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _row_source(fh, path) -> tuple:
-    """np.loadtxt's source of the rows after the header line fh has read,
-    and how many lines it skips first.
+    """The source of the rows after the header line fh has read, a path or
+    fh itself, and how many lines np.loadtxt skips first.
 
     numpy's C reader takes a str path in large chunks but iterates a handle
     one Python str per line, so a regular file is read again by path,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -206,6 +207,69 @@ def test_ffrcistg_one_world_violation_detected():
         joint[tuple(forced)] = joint.get(tuple(forced), 0.0) + w
     bad = model.FfrcistgSpec.of(spec.m_support, spec.exposure_levels, joint)
     assert any("one-world independence fails" in v for v in M.validate(bad))
+
+
+def _tied(spec, label, to):
+    """spec's joint with coordinate label replaced by coordinate to."""
+    idx, joint = spec.label_index(), {}
+    for atom, w in spec.joint.items():
+        forced = list(atom)
+        forced[idx[label]] = atom[idx[to]]
+        joint[tuple(forced)] = joint.get(tuple(forced), 0.0) + w
+    return model.FfrcistgSpec.of(spec.m_support, spec.exposure_levels, joint)
+
+
+def test_one_world_violation_messages_are_pinned():
+    spec = M.thm3_counterexample(0.4, (0.1, 0.2, 0.4, 0.3), 0.5)
+    assert M.validate(_tied(spec, "A", f"M({spec.a})")) == [
+        "one-world independence fails for (a'=0, m=0) at cell (0, 0, 0) (deviation 7.200e-02)"]
+    assert M.validate(_tied(spec, "Y(0,1)", "A")) == [
+        "one-world independence fails for (a'=0, m=1) at cell (0, 0, 0) (deviation 1.150e-01)"]
+    assert M.validate(M.thm3_counterexample(0.3, (0.1, 0.2, 0.4, 0.3), 0.6)) == []
+
+
+def _one_world_scan(spec):
+    """The first one-world violation by a scan of the atoms, one running sum
+    per cell: the check as it was first written."""
+    idx = spec.label_index()
+    for ap in spec.exposure_levels:
+        for m in spec.m_support:
+            cols = (idx["A"], idx[f"M({ap})"], idx[f"Y({ap},{m})"])
+            joint, marg = {}, [{}, {}, {}]
+            for atom, w in zip(spec.structure.atoms, spec.masses):
+                key = tuple(atom[c] for c in cols)
+                joint[key] = joint.get(key, 0.0) + w
+                for j, v in enumerate(key):
+                    marg[j][v] = marg[j].get(v, 0.0) + w
+            for vals in itertools.product(*(sorted(mg) for mg in marg)):
+                prod = marg[0][vals[0]] * marg[1][vals[1]] * marg[2][vals[2]]
+                dev = abs(joint.get(vals, 0.0) - prod)
+                if dev > model.PROB_TOL:
+                    return [f"one-world independence fails for (a'={ap}, m={m}) "
+                            f"at cell {vals} (deviation {dev:.3e})"]
+    return []
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 3), size=st.integers(1, 40),
+       factory=st.booleans(), nudge=st.sampled_from([0.0, 1e-13, 1e-9]))
+def test_one_world_check_is_the_atom_by_atom_scan(seed, levels, size, factory, nudge):
+    # t3 points satisfy every one-world independence; a nudge of one mass
+    # lands below or above the tolerance, and random joints mostly fail
+    rng = np.random.default_rng(seed)
+    if factory:
+        betas = rng.dirichlet(np.ones(4))
+        spec = M.thm3_counterexample(rng.uniform(0.05, 0.95), tuple(betas),
+                                     rng.uniform(0.05, 0.95))
+        masses = list(spec.masses)
+        masses[0] += nudge
+        masses[-1] -= nudge
+        atoms = spec.structure.atoms
+    else:
+        atoms = [tuple(row) for row in rng.integers(0, levels, size=(size, 7)).tolist()]
+        masses = (rng.random(size) / size).tolist()
+    spec = model.FfrcistgSpec.of((0, 1), (0, 1), dict(zip(atoms, masses)))
+    assert model._one_world_violations(spec) == _one_world_scan(spec)
 
 
 def test_level_positions_consecutive_gapped_and_unsorted_levels():

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import tempfile
 import threading
 import tracemalloc
 import urllib.request
@@ -162,10 +163,20 @@ def _read_while_writing(path: str, write) -> M.Dataset:
     return ds
 
 
-def test_a_regular_file_reaches_loadtxt_as_a_path(t1_csv, loadtxt_sources):
-    rows = M.read_csv(str(t1_csv)).rows
+def test_a_regular_file_reaches_loadtxt_as_a_path(t1_csv, tmp_path, loadtxt_sources):
+    crlf = tmp_path / "crlf.csv"   # \r\n line ends: not a digit grid
+    crlf.write_bytes(t1_csv.read_bytes().replace(b"\n", b"\r\n"))
+    rows = M.read_csv(str(crlf)).rows
     assert [type(s) for s in loadtxt_sources] == [str]
     assert rows.shape == (10_000, 4)
+
+
+def test_a_digit_grid_file_never_reaches_loadtxt(t1_csv, tmp_path, loadtxt_sources):
+    got = M.read_csv(str(t1_csv))
+    assert loadtxt_sources == []
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(t1_csv.read_bytes().replace(b"\n", b"\r\n"))
+    _assert_same(got, M.read_csv(str(crlf)))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
@@ -248,6 +259,89 @@ def test_line_ends_blank_lines_and_a_missing_final_end(tmp_path, end, final):
         with pytest.raises(ValueError) as excinfo:
             M.read_csv(str(path))
         assert str(excinfo.value) == f"{path}: {says}"
+
+
+# Files at and near the digit grid: each gives the rows, or the error, that
+# np.loadtxt and _first_bad_line gave before the grid route existed
+NEAR_GRID = {
+    "grid": (b"A,M,Y\n0,1,1\n1,0,0\n", [[0, 1, 1], [1, 0, 0]]),
+    "one column": (b"Y\n0\n1\n9\n", [[0], [1], [9]]),
+    "byte-order mark": (codecs.BOM_UTF8 + b"A,M,Y\n0,1,1\n1,0,0\n", [[0, 1, 1], [1, 0, 0]]),
+    "crlf": (b"A,M,Y\r\n0,1,1\r\n1,0,0\r\n", [[0, 1, 1], [1, 0, 0]]),
+    "crlf header": (b"A,M,Y\r\n0,1,1\n1,0,0\n", [[0, 1, 1], [1, 0, 0]]),
+    "lone cr header": (b"A,M,Y\r0,1,1\n1,0,0\n", [[0, 1, 1], [1, 0, 0]]),
+    "cr line ends": (b"A,M,Y\n0,1,1\r1,0,0\r", [[0, 1, 1], [1, 0, 0]]),
+    "blank line": (b"A,M,Y\n0,1,1\n\n1,0,0\n", [[0, 1, 1], [1, 0, 0]]),
+    "trailing blank line": (b"A,M,Y\n0,1,1\n1,0,0\n\n", [[0, 1, 1], [1, 0, 0]]),
+    "no final newline": (b"A,M,Y\n0,1,1\n1,0,0", [[0, 1, 1], [1, 0, 0]]),
+    "trailing space": (b"A,M,Y\n0,1,1\n1,0,0 \n", [[0, 1, 1], [1, 0, 0]]),
+    "plus sign": (b"A,M,Y\n0,1,1\n+1,0,0\n", [[0, 1, 1], [1, 0, 0]]),
+    "quoted": (b'A,M,Y\n0,1,1\n"1",0,0\n', [[0, 1, 1], [1, 0, 0]]),
+    "ten": (b"A,M,Y\n0,1,1\n10,0,0\n", [[0, 1, 1], [10, 0, 0]]),
+    "negative": (b"A,M,Y\n0,1,1\n-1,0,0\n", [[0, 1, 1], [-1, 0, 0]]),
+    "header only": (b"A,M,Y\n", []),
+    "header without newline": (b"A,M,Y", []),
+    "header and a blank line": (b"A,M,Y\n\n", []),
+    "space": (b"A,M,Y\n0,1,1\n1,0 0\n", "line 3: the header has 3 fields, this line 2"),
+    "semicolon": (b"A,M,Y\n0,1,1\n1;0,0\n", "line 3: the header has 3 fields, this line 2"),
+    "extra field": (b"A,M,Y\n0,1,1\n1,0,0,1\n", "line 3: the header has 3 fields, this line 4"),
+    "short lines": (b"A,M,Y\n0,1\n1,0\n0,1\n", "line 2: the header has 3 fields, this line 2"),
+    "trailing comma": (b"A,M,Y\n0,1,1,\n1,0,0,\n", "line 2: the header has 3 fields, this line 4"),
+    "comma before the end": (b"A,M,Y\n0,1,1,0,1,\n", "line 2: the header has 3 fields, this line 6"),
+    "nul": (b"A,M,Y\n0,1,1\n1,\x00,0\n", "line 3: field 2 is '\\x00', not an integer"),
+    "hash": (b"A,M,Y\n0,1,1\n#,0,0\n", "line 3: field 1 is '#', not an integer"),
+    "letter": (b"A,M,Y\n0,a,1\n1,0,0\n", "line 2: field 2 is 'a', not an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_GRID))
+def test_files_near_the_digit_grid_read_as_loadtxt_reads_them(tmp_path, name):
+    data, want = NEAR_GRID[name]
+    path = tmp_path / "near.csv"
+    path.write_bytes(data)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as excinfo:
+            M.read_csv(str(path))
+        assert str(excinfo.value) == f"{path}: {want}"
+        return
+    ds = M.read_csv(str(path))
+    assert ds.columns == (("Y",) if name == "one column" else ("A", "M", "Y"))
+    assert ds.rows.shape == (len(want), len(ds.columns)) and ds.rows.tolist() == want
+
+
+@st.composite
+def _row_tables(draw):
+    """int64 rows of 1-5 columns at, below and above one CSV_BLOCK: all
+    digits, or with one value of 10 or more, or one negative value."""
+    block = M.sample.CSV_BLOCK
+    n = draw(st.sampled_from([0, 1, 2, 37, block - 1, block, block + 1]))
+    fields = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, draw(st.integers(1, 10)), size=(n, fields))
+    spoiler = draw(st.sampled_from([None, st.integers(10, 10**15), st.integers(-(10**15), -1)]))
+    if spoiler is not None and n:
+        rows[draw(st.integers(0, n - 1)), draw(st.integers(0, fields - 1))] = draw(spoiler)
+    return np.asfortranarray(rows) if draw(st.booleans()) else rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=_row_tables())
+def test_written_bytes_are_the_plain_format_and_read_back(rows):
+    ds = M.Dataset(tuple(f"c{j}" for j in range(rows.shape[1])), rows)
+    want = ",".join(ds.columns) + "\n" + "".join(",".join(map(str, row)) + "\n"
+                                                 for row in rows.tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        M.write_csv(ds, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode()
+        _assert_same(M.read_csv(path), ds)
+
+
+def test_a_dataset_without_rows_writes_its_header_alone(tmp_path):
+    path = tmp_path / "empty.csv"
+    M.write_csv(M.Dataset(("A", "M", "Y"), np.zeros((0, 3), dtype=np.int64)), str(path))
+    assert path.read_bytes() == b"A,M,Y\n"
 
 
 @pytest.mark.parametrize("header", [b"A,L,M,Y", b'"A",L,M,Y'])
