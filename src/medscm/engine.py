@@ -245,14 +245,26 @@ def unit_sum(terms: np.ndarray) -> np.ndarray:
 
 def group_ids(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct rows of the columns in order of first occurrence:
-    the group of every unit, and the first unit of every group.
+    the group of every unit, and the first unit of every group. Each
+    group's first unit is one np.minimum.at over a table of row_key values."""
+    n = len(columns[0])
+    key, size = row_key(*columns)
+    first_of = np.full(size, n, dtype=np.int64)
+    np.minimum.at(first_of, key, np.arange(n))
+    first = np.sort(first_of[first_of < n])
+    group = np.empty(size, dtype=np.int64)
+    group[key[first]] = np.arange(first.size)
+    return group[key], first
 
-    The columns are int64. Units are not sorted: a column whose values span
-    at most 2n + 64 (n units) is its own code, value minus minimum, and
-    only a wider one is coded by np.unique. The key over the columns stays
-    below the same bound (np.unique renumbers it when a product passes
-    it), so each group's first unit is one np.minimum.at over a table of
-    key values."""
+
+def row_key(*columns: np.ndarray) -> tuple[np.ndarray, int]:
+    """A key below size for every row of the int64 columns, and size: equal
+    rows share a key, and keys rise with the rows' lexicographic order.
+
+    Units are not sorted: a column whose values span at most 2n + 64 (n
+    units) is its own code, value minus minimum, and only a wider one is
+    coded by np.unique. The key over the columns stays below the same bound
+    (np.unique renumbers it when a product passes it)."""
     n = len(columns[0])
     bound = 2 * n + 64
     key, size = np.zeros(n, dtype=np.int64), 1
@@ -267,12 +279,7 @@ def group_ids(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if size > bound:
             values, key = np.unique(key, return_inverse=True)   # renumber: key < n
             size = values.size
-    first_of = np.full(size, n, dtype=np.int64)
-    np.minimum.at(first_of, key, np.arange(n))
-    first = np.sort(first_of[first_of < n])
-    group = np.empty(size, dtype=np.int64)
-    group[key[first]] = np.arange(first.size)
-    return group[key], first
+    return key, size
 
 
 # the number of models whose profiles are kept (see profiles)

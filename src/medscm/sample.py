@@ -37,7 +37,7 @@ class Dataset:
 
     def __post_init__(self):
         # any integer dtype int64 holds, kept as int64 (no copy if it is one):
-        # engine.group_ids codes value minus minimum in the rows' own dtype
+        # engine.row_key and _index_rows code value minus minimum in that dtype
         rows = self.rows
         if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"
                 and np.can_cast(rows.dtype, np.int64) and rows.shape[1] == len(self.columns)):
@@ -107,11 +107,11 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
 
     Row k consumes the k-th block of a Philox counter-based stream keyed by
     seed, so the output is reproducible and independent of any chunking;
-    the rows are drawn CSV_BLOCK at a time, so no temporary grows with n.
-    n is a nonnegative integer and seed an integer in [0, 2**128); anything
-    else is a DomainError. Rows over engine.PROFILE_BYTE_BUDGET bytes raise
-    EnumerationSizeError before anything is allocated.
-    """
+    the rows are drawn CSV_BLOCK at a time, so no temporary grows with n,
+    and a variable whose support is 0..k-1 stores its support positions as
+    they are. n is a nonnegative integer and seed an integer in [0, 2**128);
+    anything else is a DomainError. Rows over engine.PROFILE_BYTE_BUDGET
+    bytes raise EnumerationSizeError before anything is allocated."""
     if not isinstance(scm, Scm):
         raise DomainError("sampling requires a structural-table model")
     scm.require_structure_noise()
@@ -125,7 +125,8 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
         )
     structure = scm.structure
     edges = [_cdf_edges(scm.noise_for(name)) for name in order]
-    supports = [np.asarray(structure.supports[name]) for name in order]
+    supports = [structure.supports[name] for name in order]
+    supports = [None if s == tuple(range(len(s))) else np.asarray(s) for s in supports]
     gen = np.random.Generator(np.random.Philox(key=seed))
     rows = np.empty((n, len(order)), dtype=np.int64)
     for k in range(0, n, CSV_BLOCK):
@@ -136,7 +137,7 @@ def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
             idx = _inverse_cdf(edges[j], uniforms[:, j].copy())
             parents = [position[p] for p in scm.table_for(name).parents]
             position[name] = structure.positions(name, idx, parents)
-            block[:, j] = supports[j][position[name]]
+            block[:, j] = position[name] if supports[j] is None else supports[j][position[name]]
     return Dataset(header, rows)
 
 
@@ -166,7 +167,7 @@ def _inverse_cdf(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _column_roles(columns: tuple[str, ...]) -> tuple[list[int], int, int | None, int, int]:
+def _column_roles(columns: tuple[str, ...]) -> tuple[list[int], int, int, int, int]:
     names = list(columns)
     for name in names:
         if names.count(name) > 1:
@@ -175,49 +176,54 @@ def _column_roles(columns: tuple[str, ...]) -> tuple[list[int], int, int | None,
         if required not in names:
             raise DomainError(f"dataset is missing required column {required}")
     c_idx = [i for i, c in enumerate(names) if c not in ("A", "L", "M", "Y")]
-    l_idx = names.index("L") if "L" in names else None
-    return c_idx, names.index("A"), l_idx, names.index("M"), names.index("Y")
+    return c_idx, *(names.index(r) if r in names else -1 for r in ("A", "L", "M", "Y"))
 
 
 def _index_rows(ds: Dataset) -> ObservedLaw:
     """The empirical law, its exposure levels unset: the rows' counts over
     their table cells (engine.table_cells).
 
-    The rows are grouped once; supports, covariate cells, table cells and
-    key order all come from the distinct rows, which are in order of first
-    occurrence, and each group's count lands in its cell."""
+    One count of a key rising with the rows' lexicographic order lists the
+    distinct rows, sorted, with their counts. The key is the row read in
+    base max - min + 1 if base**f fits engine.row_key's bound, else row_key;
+    first rows are found only to read row_key's rows or number c cells."""
     if ds.n == 0:
         raise DomainError("cannot build an empirical law from an empty dataset")
-    c_idx, *factual = _column_roles(ds.columns)          # factual: A, L, M, Y columns
-    factual = [-1 if i is None else i for i in factual]
-    group, first = engine.group_ids(*ds.rows.T)
-    distinct = ds.rows[first]
+    c_idx, *factual = _column_roles(ds.columns)          # A, L (-1: none), M, Y columns
+    rows, n, f, lo = ds.rows, ds.n, ds.rows.shape[1], int(ds.rows.min())
+    base = int(rows.max()) - lo + 1
+    if one_base := base**f <= 2 * n + 64:
+        key, size = (rows - lo if lo else rows) @ base ** np.arange(f - 1, -1, -1), base**f
+    else:
+        key, size = engine.row_key(*rows.T)
+    tally = np.bincount(key, minlength=size)
+    occupied = np.flatnonzero(tally)                      # the distinct rows' keys, rising
+    if c_idx or not one_base:                             # each distinct row's first row
+        first = np.full(size, n, dtype=np.int64)
+        np.minimum.at(first, key, np.arange(n))
+        first = first[occupied]
+    distinct = (np.column_stack(np.unravel_index(occupied, (base,) * f)) + lo if one_base
+                else rows[first])
     cols = [*distinct.T, None]                            # cols[-1]: the missing L
     supports = [tuple(np.unique(col).tolist()) for col in cols[:-1]] + [None]
-    c_cell, c_first = engine.group_ids(*(cols[i] for i in c_idx)) if c_idx else (0, [0])
-    cell, shape = engine.table_cells(
-        c_cell, len(c_first), [cols[i] for i in factual], [supports[i] for i in factual]
-    )
+    c_cell, c_values = 0, distinct[:1, c_idx]             # no covariates: one empty cell
+    if c_idx:                                             # cells by first occurrence
+        by_first = np.argsort(first)
+        c_cell, c_first = engine.group_ids(*distinct[by_first][:, c_idx].T)
+        c_cell, c_values = c_cell[np.argsort(by_first)], distinct[by_first[c_first]][:, c_idx]
+    cell, shape = engine.table_cells(c_cell, len(c_values), [cols[i] for i in factual],
+                                     [supports[i] for i in factual])
     counts = np.zeros(math.prod(shape), dtype=np.int64)
-    counts[cell] = np.bincount(group, minlength=first.size)
-    c_values = distinct[c_first][:, c_idx]
+    counts[cell] = tally[occupied]
     a, l, m, y = (supports[i] for i in factual)
     return ObservedLaw(
-        mass=(counts / ds.n).reshape(shape),
-        order=cell[np.lexsort(distinct.T[::-1])],         # key order: the sorted rows
-        c_cells=tuple(map(tuple, c_values.tolist())),
-        c_names=tuple(ds.columns[i] for i in c_idx),
-        a_support=a,
-        l_support=l,
-        m_support=m,
-        y_support=y,
-        exposure_levels=None,
+        mass=(counts / n).reshape(shape), order=cell,     # key order: the sorted rows
+        c_cells=tuple(map(tuple, c_values.tolist())), c_names=tuple(ds.columns[i] for i in c_idx),
+        a_support=a, l_support=l, m_support=m, y_support=y, exposure_levels=None,
     )
 
 
-def empirical_law(
-    ds: Dataset, exposure_levels: tuple[int, int] | None = None
-) -> ObservedLaw:
+def empirical_law(ds: Dataset, exposure_levels: tuple[int, int] | None = None) -> ObservedLaw:
     """Empirical pmf of a dataset; supports are the observed value sets, and
     a required cell that happens to be empty in-sample surfaces later as a
     degenerate-stratum error from whichever functional needs it."""
@@ -270,29 +276,22 @@ def _score_batch(fn, law: ObservedLaw, args: tuple) -> np.ndarray:
         raise
 
 
-def estimate(
-    ds: Dataset,
-    estimand: str,
-    n_boot: int = 1000,
-    seed: int = 0,
-    *,
-    m: int | None = None,
-    exposure_levels: tuple[int, int] | None = None,
-) -> Estimate:
+def estimate(ds: Dataset, estimand: str, n_boot: int = 1000, seed: int = 0, *,
+             m: int | None = None, exposure_levels: tuple[int, int] | None = None) -> Estimate:
     """Plug-in estimate of an identification functional with a seeded,
     counter-based nonparametric bootstrap.
 
     Resampling n rows with replacement and counting their table cells gives
     counts distributed Multinomial(n, empirical cell shares), so replicate r
     draws exactly that: one multinomial over the law's occupied cells, in
-    key order, from a Philox stream keyed by (seed, r); every other cell
-    counts zero. A replicate costs O(occupied cells), not O(n), and reads
-    the rows only through their counts. The interval's sampling law is the
-    row-resampling bootstrap's, but its Monte Carlo realisation is not the
-    one drawing n row indices gave. Replicates are scored in blocks, each
-    one batch of laws. n_boot is a nonnegative integer and seed an integer
-    in [0, 2**64), the range of a Philox key word; anything else is a
-    DomainError. More replicates than engine.PROFILE_BYTE_BUDGET
+    key order, from the Philox stream keyed by (seed, r); one generator is
+    re-keyed to that stream's fresh state per replicate. A replicate costs
+    O(occupied cells), not O(n), and reads the rows only through their
+    counts; its sampling law is the row-resampling bootstrap's, its Monte
+    Carlo realisation not the one drawing n row indices gave. Replicates
+    are scored in blocks, each one batch of laws. n_boot is a nonnegative
+    integer and seed an integer in [0, 2**64), a Philox key word; anything
+    else is a DomainError. More replicates than engine.PROFILE_BYTE_BUDGET
     bytes hold raise EnumerationSizeError before anything is allocated."""
     n_boot, seed = _integer("n_boot", n_boot), _integer("seed", seed, 64)
     if n_boot * 8 > engine.PROFILE_BYTE_BUDGET:
@@ -310,13 +309,14 @@ def estimate(
     n, size, occupied = ds.n, law.mass.size, law.order
     shares = law.mass.ravel()[occupied]
     block = max(1, engine.PROFILE_BYTE_BUDGET // (8 * size * BOOT_TABLE_FACTOR))
-    values = np.empty(n_boot)
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))  # list keys round >= 2**63
+    gen, fresh, values = np.random.Generator(bits), bits.state, np.empty(n_boot)
     for start in range(0, n_boot, block):
         replicates = range(start, min(start + block, n_boot))
         counts = np.zeros((len(replicates), size), dtype=np.int64)
         for i, r in enumerate(replicates):
-            key = np.array([seed, r], dtype=np.uint64)   # a list key rounds seeds >= 2**63
-            gen = np.random.Generator(np.random.Philox(key=key))
+            fresh["state"]["key"][1] = r
+            bits.state = fresh                    # that of a fresh Philox(key=[seed, r])
             counts[i, occupied] = gen.multinomial(n, shares)
         batch = law.with_mass((counts / n).reshape(len(replicates), *law.mass.shape))
         values[start:replicates.stop] = _score_batch(fn, batch, args)

@@ -592,6 +592,25 @@ def test_replicate_counts_are_multinomial_over_the_occupied_cells(monkeypatch):
     assert (abs(np.cov(counts, rowvar=False) - cov) <= 5 * se).all()
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+def test_each_replicate_draws_what_a_fresh_philox_keyed_by_seed_and_r_draws(seed, monkeypatch):
+    # one generator serves every replicate; blocks of three put replicates on
+    # both sides of a block boundary, and the oracle's fresh generators hold
+    # no binomial set-up from an earlier replicate
+    ds = M.draw_samples(PINNED_MODELS["random"](), 3000, seed=6)
+    law = M.empirical_law(ds)
+    shares = law.mass.ravel()[law.order]
+    monkeypatch.setattr(M.sample, "BOOT_TABLE_FACTOR",
+                        M.engine.PROFILE_BYTE_BUDGET // (8 * law.mass.size * 3))
+    _, tables = _replicate_tables(ds, monkeypatch, 8, seed=seed)
+    assert len(tables) == 8
+    for r, table in enumerate(tables):
+        key = np.array([seed, r], dtype=np.uint64)
+        counts = np.zeros(law.mass.size, dtype=np.int64)
+        counts[law.order] = np.random.Generator(np.random.Philox(key=key)).multinomial(ds.n, shares)
+        assert table.tobytes() == (counts / ds.n).reshape(law.mass.shape).tobytes(), r
+
+
 def test_bootstrap_memory_does_not_grow_with_the_rows():
     peaks = []
     for n in (2000, 10**5):
@@ -651,15 +670,21 @@ def test_inverse_cdf_is_the_clipped_searchsorted(weights, seed):
 @st.composite
 def _datasets(draw):
     """Rows over shuffled columns: up to two covariates, A, an optional L, M
-    and Y, each column constant, narrow or wider than 2n + 64."""
+    and Y, each column constant, narrow or wider than 2n + 64; or six or
+    seven columns of up to 9 levels from negative minimums, each narrow but
+    together too many levels for one key base (base**f > 2n + 64)."""
     n = draw(st.integers(1, 40))
-    names = [f"C{i}" for i in range(draw(st.integers(0, 2)))]
-    names = draw(st.permutations([*names, "A", *["L"] * draw(st.booleans()), "M", "Y"]))
+    many = draw(st.integers(0, 3)) == 0
+    names = [f"C{i}" for i in range(draw(st.integers(2, 3) if many else st.integers(0, 2)))]
+    names = draw(st.permutations([*names, "A", *["L"] * (many or draw(st.booleans())), "M", "Y"]))
     columns = []
     for _ in names:
-        kind = draw(st.sampled_from(["constant", "narrow", "wide"]))
+        kind = "many" if many else draw(st.sampled_from(["constant", "narrow", "wide"]))
         if kind == "constant":
             values = [draw(st.integers(-5, 5))]
+        elif kind == "many":
+            lo = draw(st.integers(-9, -1))
+            values = list(range(lo, lo + draw(st.integers(1, 9))))
         else:
             scale = 10**9 if kind == "wide" else 1
             values = [v * scale for v in draw(st.lists(st.integers(-4, 4), min_size=1,
@@ -668,7 +693,30 @@ def _datasets(draw):
         if kind == "wide" and n > 1:
             column[:2] = [-(10**12), 10**12]
         columns.append(column)
+    if many and n > 1:
+        columns[0][:2] = [-9, -1]
     return M.Dataset(tuple(names), np.array(columns, dtype=np.int64).T.copy())
+
+
+def _grouped_law(ds):
+    """The empirical law as one grouping of the rows (engine.group_ids) in
+    order of first occurrence gives it, key order by sorting the distinct
+    rows: the reference _index_rows must agree with field by field."""
+    c_idx, *factual = M.sample._column_roles(ds.columns)
+    group, first = M.engine.group_ids(*ds.rows.T)
+    distinct = ds.rows[first]
+    cols = [*distinct.T, None]
+    supports = [tuple(np.unique(col).tolist()) for col in cols[:-1]] + [None]
+    c_cell, c_first = M.engine.group_ids(*(cols[i] for i in c_idx)) if c_idx else (0, [0])
+    cell, shape = M.engine.table_cells(
+        c_cell, len(c_first), [cols[i] for i in factual], [supports[i] for i in factual]
+    )
+    counts = np.zeros(np.prod(shape, dtype=int), dtype=np.int64)
+    counts[cell] = np.bincount(group, minlength=first.size)
+    return dict(mass=(counts / ds.n).reshape(shape), order=cell[np.lexsort(distinct.T[::-1])],
+                c_cells=tuple(map(tuple, distinct[c_first][:, c_idx].tolist())),
+                c_names=tuple(ds.columns[i] for i in c_idx),
+                supports=tuple(supports[i] for i in factual))
 
 
 @settings(deadline=None, max_examples=120)
@@ -692,6 +740,27 @@ def test_empirical_law_is_the_counts_of_the_rows(ds):
                           ("M", law.m_support), ("Y", law.y_support)):
         expected = tuple(sorted({row[at[name]] for row in rows})) if name in at else None
         assert support == expected
+    grouped = _grouped_law(ds)
+    assert law.mass.shape == grouped["mass"].shape
+    assert law.mass.tobytes() == grouped["mass"].tobytes()
+    assert law.order.dtype == grouped["order"].dtype
+    assert law.order.tobytes() == grouped["order"].tobytes()
+    assert (law.c_cells, law.c_names) == (grouped["c_cells"], grouped["c_names"])
+    assert (law.a_support, law.l_support, law.m_support, law.y_support) == grouped["supports"]
+
+
+def test_indexing_rows_holds_one_key_per_row():
+    # a key per row, counted: grouping column by column held three n-length
+    # int64 arrays at once
+    ds = M.draw_samples(M.thm1_counterexample(0.5, 0.9), 10**5, seed=1)
+    M.sample._index_rows(ds)
+    tracemalloc.start()
+    try:
+        M.sample._index_rows(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * ds.n
 
 
 # ---------------------------------------------------------------------------
