@@ -223,20 +223,20 @@ def effect_reports(model: Model, weight: np.ndarray | None = None) -> list[Effec
         nie_r_l, nie_r_la = _l_conditioned(model, weight)
     h = _h(model, weight)
     rows = 1 if weight is None else len(weight)
-
-    def column(value) -> list:
-        """The value of a field in each row, as floats."""
-        if value is None:
-            return [None] * rows
-        if isinstance(value, dict):
-            return [dict(zip(value, row)) for row in zip(*map(column, value.values()))]
-        return value.tolist() if getattr(value, "ndim", 0) else [float(value)]
-
     fields = (te, nde, nie, te_r, nde_r, nie_r, cde, pe, int_ref, nie_r_l, nie_r_la, h)
-    reports = [EffectReport(*row) for row in zip(*map(column, fields))]
+    reports = [EffectReport(*row) for row in zip(*(_column(value, rows) for value in fields))]
     for report in reports:
         _check_report(report)
     return reports
+
+
+def _column(value, rows: int) -> list:
+    """The value of a report field in each of rows rows, as floats."""
+    if value is None:
+        return [None] * rows
+    if isinstance(value, dict):
+        return [dict(zip(value, row)) for row in zip(*(_column(v, rows) for v in value.values()))]
+    return value.tolist() if getattr(value, "ndim", 0) else [float(value)]
 
 
 def _check_report(report: EffectReport) -> None:

@@ -168,6 +168,14 @@ class Structure:
         return {v.name: tuple(sorted(v.support)) for v in self.variables}
 
     @cached_property
+    def _compiled(self) -> dict[str, np.ndarray | None]:
+        """Each variable's table checked and compiled in one pass (_compile),
+        None where the pass failed; validate and positions both read it."""
+        at = self.noise_position
+        return {name: _compile(t, self.supports, self.noise[at[name]][1] if name in at else None)
+                for name, t in self._by_variable.items()}
+
+    @cached_property
     def _lookups(self) -> dict[str, tuple[tuple[int, ...], np.ndarray]]:
         # each table as a mixed-radix lookup over (parent positions..., noise
         # position), the last parent varying fastest after the noise: the
@@ -175,11 +183,14 @@ class Structure:
         out = {}
         for name in self.topo_order:
             t, levels = self.table_for(name), self.noise[self.noise_position[name]][1]
+            lookup = self._compiled[name]
+            if lookup is None:
+                raise DomainError(f"invalid model: {_table_violation(t, self.supports, levels)}")
             strides, stride = [], len(levels)
             for p in reversed(t.parents):
                 strides.insert(0, stride)
                 stride *= len(self.supports[p])
-            out[name] = tuple(strides), _position_lookup(t, self.supports, levels)
+            out[name] = tuple(strides), lookup
         return out
 
     def positions(self, name: str, noise: np.ndarray | int, parents: Sequence) -> np.ndarray:
@@ -577,20 +588,41 @@ def level_positions(values, levels: tuple[int, ...]):
     return pos
 
 
-def _position_lookup(
-    table: StructuralTable, supports: dict[str, tuple[int, ...]], noise_levels: tuple[int, ...]
-) -> np.ndarray:
-    """A table as a flat array over (parent positions..., noise position),
-    holding the position of each value in the variable's sorted support."""
-    position = {v: i for i, v in enumerate(supports[table.variable])}
-    out = []
-    for pv in itertools.product(*(supports[p] for p in table.parents)):
-        for e in noise_levels:
-            value = table.table[pv, e]
-            if value not in position:
-                raise DomainError(f"table for {table.variable}: value {value} outside support")
-            out.append(position[value])
-    return np.array(out, dtype=np.int64)
+def _compile(table: StructuralTable, supports: Mapping[str, tuple[int, ...]],
+             noise_levels: tuple[int, ...] | None) -> np.ndarray | None:
+    """A table's one pass: the position of each value in the variable's
+    sorted support, as a flat int64 array over (parent positions..., noise
+    position), row by row in that order whatever order the rows were given
+    in. None when a row is missing, the table has other rows besides, a
+    value lies outside the support, or a parent or the noise is unknown."""
+    try:
+        position = {v: i for i, v in enumerate(supports[table.variable])}
+        keys = itertools.product(itertools.product(*(supports[p] for p in table.parents)),
+                                 noise_levels)
+        out = list(map(position.__getitem__, map(table.table.__getitem__, keys)))
+    except (KeyError, TypeError):
+        return None
+    return np.array(out, dtype=np.int64) if len(out) == len(table.table) else None
+
+
+def _table_violation(table: StructuralTable, supports: Mapping[str, tuple[int, ...]],
+                     noise_levels: tuple[int, ...]) -> str | None:
+    """The first fault of a table whose pass failed: an unknown parent, rows
+    not total over parents x noise, or a value outside the support."""
+    for p in table.parents:
+        if p not in supports:
+            return f"table for {table.variable}: unknown parent {p}"
+    expected = set(itertools.product(itertools.product(*(supports[p] for p in table.parents)),
+                                     noise_levels))
+    got = set(table.table)
+    if got != expected:
+        return (f"table for {table.variable}: not total over parents x noise "
+                f"({len(got)} rows, expected {len(expected)})")
+    support = set(supports[table.variable])
+    for key, value in table.table.items():
+        if value not in support:
+            return f"table for {table.variable}: value {value} at {key} outside support"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -672,33 +704,24 @@ def _validate_scm(scm: Scm) -> list[str]:
         out.append("noise terms are not in bijection with variables")
         return out
 
+    # with the noise laws, roles and coverage sound, a table whose one pass
+    # succeeded is valid; any other table gets the full diagnosis
+    compiled = {} if out else scm.structure._compiled
     noise_by_name = {n.name: n for n in scm.noise}
-    var_by_name = {v.name: v for v in scm.variables}
+    supports = scm.structure.supports
     for t in scm.tables:
-        for p in t.parents:
-            if p not in var_by_name:
-                out.append(f"table for {t.variable}: unknown parent {p}")
-                return out
-        parent_space = list(itertools.product(*(var_by_name[p].support for p in t.parents)))
-        noise_levels = noise_by_name[t.noise].levels()
-        expected = {(pv, e) for pv in parent_space for e in noise_levels}
-        got = set(t.table.keys())
-        if got != expected:
-            out.append(
-                f"table for {t.variable}: not total over parents x noise "
-                f"({len(got)} rows, expected {len(expected)})"
-            )
+        if compiled.get(t.variable) is not None:
             continue
-        support = set(var_by_name[t.variable].support)
-        for key, value in t.table.items():
-            if value not in support:
-                out.append(f"table for {t.variable}: value {value} at {key} outside support")
-                break
+        violation = _table_violation(t, supports, noise_by_name[t.noise].levels())
+        if violation:
+            out.append(violation)
+            if not all(p in supports for p in t.parents):
+                return out
 
     out.extend(_validate_shape(scm))
 
     a_star, a = scm.exposure_levels
-    a_support = var_by_name[scm.structure._single(ROLE_EXPOSURE)].support
+    a_support = scm.structure.supports[scm.structure._single(ROLE_EXPOSURE)]
     if a_star == a:
         out.append("exposure levels a* and a must differ")
     if a_star not in a_support or a not in a_support:
@@ -891,6 +914,18 @@ def _parent_names(names) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _table_rows(table: dict) -> dict:
+    """A document table's rows keyed (parents, noise); a key given twice is
+    malformed, as a dict would silently keep the last of its values."""
+    rows = {}
+    for row in table["rows"]:
+        key = tuple(_level(x) for x in row["parents"]), _level(row["noise"])
+        if key in rows:
+            raise ValueError(f"table for {table['variable']}: row {key} given twice")
+        rows[key] = _level(row["value"])
+    return rows
+
+
 def scm_from_dict(doc: dict) -> Scm:
     try:
         variables = tuple(
@@ -902,16 +937,7 @@ def scm_from_dict(doc: dict) -> Scm:
             for n in doc["noise"]
         )
         tables = tuple(
-            StructuralTable(
-                t["variable"],
-                _parent_names(t["parents"]),
-                t["noise"],
-                {
-                    (tuple(_level(x) for x in row["parents"]), _level(row["noise"])):
-                        _level(row["value"])
-                    for row in t["rows"]
-                },
-            )
+            StructuralTable(t["variable"], _parent_names(t["parents"]), t["noise"], _table_rows(t))
             for t in doc["tables"]
         )
         exposure = tuple(_level(x) for x in doc["exposure_levels"])

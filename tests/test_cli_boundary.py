@@ -265,11 +265,26 @@ def test_a_string_is_not_a_list_of_parents(where, tmp_path, capsys):
     assert (code, out) == (8, "") and "malformed SCM document" in err, err
 
 
+def test_a_repeated_table_row_is_malformed(tmp_path, capsys):
+    # t1 with M's first row repeated and its value flipped: kept as the last
+    # of the two, it would give nie_r 0.126 where t1's is 0.042
+    doc = copy.deepcopy(FAMILY_DOCS["t1"])
+    table = next(t for t in doc["tables"] if t["variable"] == "M")
+    row = dict(table["rows"][0], value=1 - table["rows"][0]["value"])
+    table["rows"].append(row)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "effects"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (8, ""), (command, code, out)
+        assert "malformed SCM document: table for M: row ((0, 0), 0) given twice" in err, err
+
+
 @st.composite
 def perturbed_docs(draw) -> dict:
     """A family's model document with one perturbation that breaks it."""
     doc = copy.deepcopy(FAMILY_DOCS[draw(st.sampled_from(sorted(FAMILY_DOCS)))])
-    kind = draw(st.sampled_from(["mass", "drop_row", "level", "role", "pmf",
+    kind = draw(st.sampled_from(["mass", "drop_row", "duplicate_row", "level", "role", "pmf",
                                  "duplicate", "edges", "string_parents"]))
     noise = draw(st.sampled_from(doc["noise"]))
     table = draw(st.sampled_from(doc["tables"]))
@@ -279,6 +294,11 @@ def perturbed_docs(draw) -> dict:
             [float("nan"), float("inf"), float("-inf"), -0.25, 1.5]))
     elif kind == "drop_row":
         del table["rows"][draw(st.integers(0, len(table["rows"]) - 1))]
+    elif kind == "duplicate_row":
+        # a row repeated at the end, with its value kept or another level's
+        row = dict(draw(st.sampled_from(table["rows"])))
+        row["value"] = draw(st.sampled_from([row["value"], 1 - row["value"]]))
+        table["rows"].append(row)
     elif kind == "level":
         row = draw(st.sampled_from(table["rows"]))
         field = draw(st.sampled_from(["value", "noise", "parents"] if row["parents"]

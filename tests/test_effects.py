@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,3 +225,18 @@ def test_thm3_report():
     assert abs(report.nie_r - closed) <= 1e-12
     assert report.nie == 0.0
     assert report.nie_r_L is None and report.nie_r_La is None
+
+
+def test_effect_reports_leave_no_reference_cycles():
+    # what an effect report builds is freed by reference counting alone
+    models = (M.thm2_counterexample(0.2, 0.3, 0.5, 0.9), M.random_scm(3, "confounded", with_c=True))
+    gc.collect()
+    gc.disable()
+    try:
+        for model in models:
+            for _ in range(10):
+                M.effect_report(model)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

@@ -498,3 +498,101 @@ def test_of_builds_a_structure_of_its_own():
     for m in copies:
         assert m.structure.atoms == spec.structure.atoms and m.masses == spec.masses
         assert M.validate(m) == []
+
+
+# -- structural tables: each checked and compiled in one pass ---------------------
+
+def _reference_lookup(table, supports, noise_levels) -> np.ndarray:
+    """A table's lookup by the per-key walk the one pass replaced."""
+    position = {v: i for i, v in enumerate(supports[table.variable])}
+    out = []
+    for pv in itertools.product(*(supports[p] for p in table.parents)):
+        for e in noise_levels:
+            out.append(position[table.table[pv, e]])
+    return np.array(out, dtype=np.int64)
+
+
+def _with_table(scm, name: str, rows: dict, parents=None) -> Scm:
+    """scm on a structure of its own, with name's table holding rows."""
+    t = scm.table_for(name)
+    table = StructuralTable(name, t.parents if parents is None else parents, t.noise, rows)
+    tables = tuple(table if u.variable == name else u for u in scm.tables)
+    return Scm.of(scm.variables, scm.noise, tables, scm.exposure_levels)
+
+
+READERS = (M.effect_report, M.observational_law, lambda m: M.draw_samples(m, 10, 0))
+
+
+def test_table_faults_are_reported_by_validate_and_every_reader():
+    one = M.thm1_counterexample(0.3, 0.6)
+    rows = dict(one.table_for("M").table)
+    missing = {k: v for k, v in rows.items() if k != ((0, 0), 0)}
+    extra = {**rows, ((0, 0), 5): 0}
+    off = {**rows, ((0, 1), 1): 7}
+    cases = (
+        (_with_table(one, "M", missing), "table for M: not total over parents x noise "
+                                         "(7 rows, expected 8)"),
+        (_with_table(one, "M", extra), "table for M: not total over parents x noise "
+                                       "(9 rows, expected 8)"),
+        (_with_table(one, "M", off), "table for M: value 7 at ((0, 1), 1) outside support"),
+        (_with_table(one, "M", rows, parents=("A", "Q")), "table for M: unknown parent Q"),
+    )
+    for bad, violation in cases:
+        assert M.validate(bad) == [violation]
+        assert bad.structure._compiled["M"] is None
+        for read in READERS:
+            with pytest.raises(M.DomainError, match=f"^{re.escape('invalid model: ' + violation)}$"):
+                read(bad)
+
+
+def test_table_rows_in_any_order_compile_alike():
+    for scm in (M.thm1_counterexample(0.3, 0.6), M.random_scm(5, "confounded", with_c=True)):
+        tables = tuple(StructuralTable(t.variable, t.parents, t.noise,
+                                       dict(reversed(list(t.table.items()))))
+                       for t in scm.tables)
+        flipped = Scm.of(scm.variables, scm.noise, tables, scm.exposure_levels)
+        assert [list(t.table) for t in tables] != [list(t.table) for t in scm.tables]
+        for name in scm.topo_order:
+            assert (flipped.structure._lookups[name][1].tobytes()
+                    == scm.structure._lookups[name][1].tobytes())
+        assert _observed(flipped) == _observed(scm)
+
+
+def test_compiled_tables_match_the_per_key_walk():
+    models = [M.random_scm(s, shape, with_c=c) for s in range(4)
+              for shape in ("basic", "confounded") for c in (False, True)]
+    models += [M.random_scm(9, "confounded", with_c=True, c_levels=3, l_levels=3,
+                            m_levels=4, y_levels=3)]
+    models += [M.random_additive_scm(s, shape, with_c=c) for s in range(3)
+               for shape in ("basic", "confounded") for c in (False, True)]
+    models += [M.random_separable_scm(s, with_c=c, m_levels=k) for s in range(3)
+               for c in (False, True) for k in (2, 3)]
+    models += [M.scm_from_json(M.scm_to_json(m)) for m in models[::3]]
+    for scm in models:
+        s = scm.structure
+        for name in s.topo_order:
+            levels = s.noise[s.noise_position[name]][1]
+            want = _reference_lookup(s.table_for(name), s.supports, levels)
+            got = s._lookups[name][1]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_each_table_is_walked_once_per_structure(monkeypatch):
+    calls = []
+
+    def counted(table, supports, noise_levels):
+        calls.append(table.variable)
+        return compile_table(table, supports, noise_levels)
+
+    compile_table = model._compile
+    monkeypatch.setattr(model, "_compile", counted)
+    scm = M.random_scm(4, "confounded", with_c=True)
+    fresh = Scm.of(scm.variables, scm.noise, scm.tables, scm.exposure_levels)
+    assert sorted(calls) == sorted(scm.topo_order)   # the factory's validate
+    calls.clear()
+    assert M.validate(fresh) == []
+    M.effect_report(fresh)
+    M.draw_samples(fresh, 10, 0)
+    assert sorted(calls) == sorted(fresh.topo_order)
+    for name, (_, lookup) in fresh.structure._lookups.items():
+        assert lookup is fresh.structure._compiled[name]
