@@ -742,65 +742,127 @@ def observational_law(model: Model) -> ObservedLaw:
 # ---------------------------------------------------------------------------
 
 
+class _DrawTables:
+    """The per-stratum tables of the randomized draws over one
+    stratification, under w: a model's unit weights, or a (P, units) block
+    of them over p's columns, laid out as P * units virtual units, row r's
+    unit u at r * units + u in stratum r * strata + stratum. Each table, and
+    each arm's mass per stratum, is built on first use and kept; per-unit
+    arrays are not kept, and neither is p."""
+
+    def __init__(self, p: Profiles, w: np.ndarray, strata: tuple[np.ndarray, np.ndarray]):
+        stratum, self.first = strata
+        n_s, a, self.levels = self.first.size, p.a, p.m_levels
+        self.rows, self.size, self.k = None, n_s, len(self.levels)
+        if w.ndim > 1:
+            self.rows, self.size = len(w), len(w) * n_s
+            stratum = (np.arange(self.rows)[:, None] * n_s + stratum).ravel()
+            a, w = np.tile(a, self.rows), w.ravel()
+        self.stratum, self.a, self.w = stratum, a, w
+        self.w_s = np.bincount(stratum, weights=w, minlength=self.size)
+        self._built: dict = {}
+
+    def _tile(self, col: np.ndarray) -> np.ndarray:
+        return col if self.rows is None else np.tile(col, self.rows)
+
+    def _arm_w(self, arm: int | None) -> np.ndarray:
+        """The weights of the units of exposure arm, all units for None."""
+        return self.w if arm is None else self.w * (self.a == arm)
+
+    def mass(self, arm: int) -> np.ndarray:
+        """The mass of exposure arm in each stratum."""
+        if arm not in self._built:
+            self._built[arm] = np.bincount(self.stratum, weights=self._arm_w(arm),
+                                           minlength=self.size)
+        return self._built[arm]
+
+    def draw(self, key, draw_m: np.ndarray, arm: int | None) -> np.ndarray:
+        """D[s, j], the mass of mediator level j in stratum s's law of draw_m,
+        within arm and over the arm's mass there (which must be positive):
+        one np.bincount over stratum * k + level position."""
+        if ("draw", key, arm) not in self._built:
+            share = self._arm_w(arm)
+            if arm is not None:
+                share = share / self.mass(arm)[self.stratum]
+            natural = self.levels == tuple(range(self.k))   # levels are their positions
+            pos = draw_m if natural else level_positions(draw_m, self.levels)
+            bins = self.stratum * self.k + self._tile(pos)
+            mass = np.bincount(bins, weights=share, minlength=self.size * self.k)
+            self._built["draw", key, arm] = mass.reshape(self.size, self.k)
+        return self._built["draw", key, arm]
+
+    def outcome(self, key, out_y: np.ndarray, arm: int | None) -> np.ndarray:
+        """O[s, j], the sum over stratum s of each unit's weight times out_y[j],
+        its outcome at mediator level j, within arm and over the arm's mass
+        there (which must be positive): one np.bincount per level."""
+        if ("outcome", key, arm) not in self._built:
+            arm_w = self._arm_w(arm)
+            den = None if arm is None else self.mass(arm)[self.stratum]
+            table = np.empty((self.size, self.k))
+            for j in range(self.k):
+                terms = arm_w * self._tile(out_y[j])
+                table[:, j] = np.bincount(self.stratum, weights=terms if den is None else terms / den,
+                                          minlength=self.size)
+            self._built["outcome", key, arm] = table
+        return self._built["outcome", key, arm]
+
+
+def _draw_tables(p: Profiles, weight: np.ndarray | None, by,
+                 strata: tuple[np.ndarray, np.ndarray]) -> _DrawTables:
+    """The draw tables over the strata named by under weight; those of the
+    model's own weights (weight None) are kept with its profiles."""
+    if weight is None:
+        return p.once(("draw tables", by), lambda: _DrawTables(p, p.weight, strata))
+    return _DrawTables(p, weight, strata)
+
+
 def _stratified_draw(
-    p: Profiles,
-    w: np.ndarray,
-    strata: tuple[np.ndarray, np.ndarray],
-    draw_m: np.ndarray,
-    out_y: np.ndarray,
+    tables: _DrawTables,
+    draw: tuple[object, np.ndarray],
+    out: tuple[object, np.ndarray],
     arms: tuple[int, int] | None = None,
     describe: Callable[[int], str] | None = None,
     out_role: str = "outcome",
-) -> np.ndarray:
+):
     """Mean outcome when, within each stratum, the mediator is set to a draw
-    from the stratum's law of draw_m and the outcome at mediator level
-    m_levels[j] is out_y[j], under w: the unit weights of a model, or a
-    (P, units) block of them over p's columns, one mean per row.
+    from the stratum's law of the draw column and the outcome at mediator
+    level m_levels[j] is row j of the out column: one mean per row of the
+    tables' weight block, a float for a model's own weights. draw and out
+    are (key, column) pairs, the key naming the column among the tables.
 
-    strata is (stratum of every unit, first unit of every stratum). With
-    arms = (a_draw, a_out) the draw law is taken among units of exposure
-    a_draw and the outcome mean among units of exposure a_out, each
-    normalised within the stratum, and an empty arm raises
-    DegenerateStratumError naming describe(first unit of the stratum), for
-    the first row that has one; otherwise the whole stratum feeds both.
+    With arms = (a_draw, a_out) the draw law is taken among units of
+    exposure a_draw and the outcome mean among units of exposure a_out, each
+    normalised within the stratum; an empty arm raises DegenerateStratumError
+    naming describe(first unit of the stratum), for the first row that has
+    one, the draw arm first, before any table is built. Otherwise the whole
+    stratum feeds both.
 
-    A block is laid out as rows * units virtual units, row r's unit u at
-    r * units + u, in stratum row * strata + stratum: each np.bincount then
-    adds every row's units in unit order, and each row adds its strata in
-    order with running_sum.
+    The mean contracts the draw table D[s, j] with the outcome table O[s, j]
+    (see _DrawTables): each stratum adds D[s, j] * O[s, j] over the levels
+    in order, is divided by (or, with arms, scaled by) its mass, and each
+    row adds its strata in order with running_sum. The bits are those of
+    the per-level loop this replaced, which summed share * (draw_m == m)
+    over every unit of the stratum at every level m: D drops only the terms
+    of units at another level, each +0.0, and as no share is negative no
+    partial sum is -0.0, so adding +0.0 changed none. Tables are shared by
+    key: the three draws behind nie_r build two draw and two outcome
+    tables, and the pairs behind nie_r_L and h_contrast three each.
     """
-    stratum, first = strata
-    lead, n_s = w.shape[:-1], first.size
-    a, size = p.a, n_s
-    if lead:
-        rows = len(w)
-        stratum, size = (np.arange(rows)[:, None] * n_s + stratum).ravel(), rows * n_s
-        a, draw_m, out_y = (np.tile(col, rows) for col in (a, draw_m, out_y))
-        w = w.ravel()
-    w_s = np.bincount(stratum, weights=w, minlength=size)
-    if arms is None:
-        draw_w, out_w = w, w
-        draw_den = out_den = np.ones(size)
-    else:
-        a_draw, a_out = arms
-        draw_w, out_w = w * (a == a_draw), w * (a == a_out)
-        draw_den = np.bincount(stratum, weights=draw_w, minlength=size)
-        out_den = np.bincount(stratum, weights=out_w, minlength=size)
+    draw_arm, out_arm = arms or (None, None)
+    if arms is not None:
+        draw_den, out_den = tables.mass(draw_arm), tables.mass(out_arm)
         empty = np.flatnonzero((draw_den <= 0.0) | (out_den <= 0.0))
         if empty.size:
             s = empty[0]   # the first row that has one, then its first stratum
-            where = describe(int(first[s % n_s]))
+            where = describe(int(tables.first[s % tables.first.size]))
             if draw_den[s] <= 0.0:
-                raise DegenerateStratumError(f"draw arm A={a_draw} within {where}")
-            raise DegenerateStratumError(f"{out_role} arm A={a_out} within {where}")
-    draw_share = draw_w / draw_den[stratum]
-    inner = np.zeros(size)
-    for j, m in enumerate(p.m_levels):
-        draw = np.bincount(stratum, weights=draw_share * (draw_m == m), minlength=size)
-        out = np.bincount(stratum, weights=out_w * out_y[j] / out_den[stratum], minlength=size)
-        inner = inner + draw * out
-    per_stratum = inner / w_s if arms is None else w_s * inner
-    return running_sum(per_stratum.reshape(rows, n_s)) if lead else float(running_sum(per_stratum))
+                raise DegenerateStratumError(f"draw arm A={draw_arm} within {where}")
+            raise DegenerateStratumError(f"{out_role} arm A={out_arm} within {where}")
+    inner = running_sum(tables.draw(*draw, draw_arm) * tables.outcome(*out, out_arm))
+    per_stratum = inner / tables.w_s if arms is None else tables.w_s * inner
+    if tables.rows is None:
+        return float(running_sum(per_stratum))
+    return running_sum(per_stratum.reshape(tables.rows, -1))
 
 
 def g_draw_mean(model: Model, a_set: int, a_draw: int, conditioning: str = COND_C, *,
@@ -820,26 +882,21 @@ def g_draw_mean(model: Model, a_set: int, a_draw: int, conditioning: str = COND_
     them), an array of one mean per row.
     """
     p = profiles(model)
-    w = p.weight if weight is None else weight
+    arms = describe = None
     if conditioning == COND_C:
-        strata = (p.stratum, p.stratum_first)
-        return _stratified_draw(p, w, strata, p.m_cf[p.arm(a_draw)], p.y_cf[p.arm(a_set)])
-    if not model.has_l:
+        by, strata = COND_C, (p.stratum, p.stratum_first)
+    elif not model.has_l:
         raise ShapeError(f"conditioning {conditioning!r} requires an induced confounder")
-    if conditioning == COND_C_L_DRAW:
-        return _stratified_draw(p, w, p.cl_strata(a_draw), p.m_cf[p.arm(a_draw)],
-                                p.y_cf[p.arm(a_set)])
-    if conditioning == COND_C_L_OBSERVED:
-        return _stratified_draw(
-            p,
-            w,
-            p.cl_strata(),
-            p.m_cf[p.arm(a_draw)],
-            p.y_cf[p.arm(a_set)],
-            arms=(a_draw, a_set),
-            describe=lambda u: f"(c, l)={(p.c_key(u), int(p.l[u]))!r}",
-        )
-    raise DomainError(f"unknown conditioning {conditioning!r}")
+    elif conditioning == COND_C_L_DRAW:
+        by, strata = (COND_C_L_DRAW, a_draw), p.cl_strata(a_draw)
+    elif conditioning == COND_C_L_OBSERVED:
+        by, strata, arms = COND_C_L_OBSERVED, p.cl_strata(), (a_draw, a_set)
+        describe = lambda u: f"(c, l)={(p.c_key(u), int(p.l[u]))!r}"   # noqa: E731
+    else:
+        raise DomainError(f"unknown conditioning {conditioning!r}")
+    draw = (("m_cf", a_draw), p.m_cf[p.arm(a_draw)])
+    out = (("y_cf", a_set), p.y_cf[p.arm(a_set)])
+    return _stratified_draw(_draw_tables(p, weight, by, strata), draw, out, arms, describe)
 
 
 def h_draw_mean(model: Model, a_stratum: int, a_draw: int, *, weight: np.ndarray | None = None):
@@ -849,12 +906,10 @@ def h_draw_mean(model: Model, a_stratum: int, a_draw: int, *, weight: np.ndarray
     A float for the model, or one mean per row of weight (see g_draw_mean)."""
     p = profiles(model)
     return _stratified_draw(
-        p,
-        p.weight if weight is None else weight,
-        (p.stratum, p.stratum_first),
-        p.m,
-        p.y_mfix,
-        arms=(a_draw, a_stratum),
+        _draw_tables(p, weight, COND_C, (p.stratum, p.stratum_first)),
+        ("m", p.m),
+        ("y_mfix", p.y_mfix),
+        (a_draw, a_stratum),
         describe=lambda u: f"c={p.c_key(u)!r}",
         out_role="stratum",
     )

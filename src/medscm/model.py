@@ -363,8 +363,12 @@ class Scm(_Lookups):
     def require_structure_noise(self) -> None:
         """DomainError unless the noise laws are the structure's, names and
         levels in order: read by position (noise_for), others would miss a
-        level or weight the wrong noise."""
+        level or weight the wrong noise; nor may a table's noise be none of
+        them, which would leave its variable without a noise to read."""
         mismatch = _noise_mismatch(self)
+        structure = self.structure
+        if not mismatch and len(structure.noise_position) < len(structure._by_variable):
+            mismatch = ["noise terms are not in bijection with variables"]
         if mismatch:
             raise DomainError(f"invalid model: {mismatch}")
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -251,6 +252,63 @@ def test_cl_strata_grouped_once_per_profile(monkeypatch):
     monkeypatch.setattr(M.engine, "group_ids", lambda *cols: grouped.append(cols))
     again = {cond: M.g_draw_mean(scm, 1, 0, cond) for cond in (COND_C_L_OBSERVED, COND_C_L_DRAW)}
     assert again == first and grouped == []
+
+
+def _per_level_draw(p, strata, draw_m, out_y, arms=None):
+    """A draw mean as the per-level loop summed it, every unit at every
+    mediator level: the reference the draw tables must match bit for bit."""
+    (stratum, first), w = strata, p.weight
+    w_s = np.bincount(stratum, weights=w, minlength=first.size)
+    draw_w = out_w = w
+    draw_den = out_den = np.ones(first.size)
+    if arms is not None:
+        draw_w, out_w = w * (p.a == arms[0]), w * (p.a == arms[1])
+        draw_den = np.bincount(stratum, weights=draw_w, minlength=first.size)
+        out_den = np.bincount(stratum, weights=out_w, minlength=first.size)
+    share, inner = draw_w / draw_den[stratum], np.zeros(first.size)
+    for j, m in enumerate(p.m_levels):
+        draw = np.bincount(stratum, weights=share * (draw_m == m), minlength=first.size)
+        out = np.bincount(stratum, weights=out_w * out_y[j] / out_den[stratum],
+                          minlength=first.size)
+        inner = inner + draw * out
+    return float(M.engine.running_sum(inner / w_s if arms is None else w_s * inner))
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10**6), with_c=st.booleans(), m_levels=st.integers(2, 4))
+def test_draw_tables_match_the_per_level_loop(seed, with_c, m_levels):
+    scm = M.random_scm(seed, "confounded", with_c=with_c, c_levels=3, m_levels=m_levels,
+                       y_levels=5)
+    p = M.engine.profiles(scm)
+    c = (p.stratum, p.stratum_first)
+    for a_set, a_draw in itertools.product(p.arms, p.arms):
+        draw_m, out_y = p.m_cf[p.arm(a_draw)], p.y_cf[p.arm(a_set)]
+        expected = {
+            COND_C: _per_level_draw(p, c, draw_m, out_y),
+            COND_C_L_DRAW: _per_level_draw(p, p.cl_strata(a_draw), draw_m, out_y),
+            COND_C_L_OBSERVED: _per_level_draw(p, p.cl_strata(), draw_m, out_y, (a_draw, a_set)),
+        }
+        for cond, value in expected.items():
+            assert M.g_draw_mean(scm, a_set, a_draw, cond).hex() == value.hex()
+        h = _per_level_draw(p, c, p.m, p.y_mfix, (a_draw, a_set))
+        assert M.h_draw_mean(scm, a_set, a_draw).hex() == h.hex()
+
+
+def test_a_report_shares_its_draw_tables():
+    """nie_r's three draws build two draw and two outcome tables, and the
+    pairs behind nie_r_L and h_contrast three tables each."""
+    scm = M.random_scm(3, "confounded", with_c=True)
+    M.effect_report(scm)
+    memo = M.engine.profiles(scm)._memo
+
+    def built(by):
+        return collections.Counter(key[0] for key in memo["draw tables", by]._built
+                                   if isinstance(key, tuple))   # the others are arm masses
+
+    assert built(COND_C) == {"draw": 2 + 2, "outcome": 2 + 1}   # nie_r's, then h_contrast's
+    assert built(COND_C_L_OBSERVED) == {"draw": 2, "outcome": 1}
+    for a_draw in scm.exposure_levels:   # nie_r_La's two draws stratify apart
+        assert built((COND_C_L_DRAW, a_draw)) == {"draw": 1, "outcome": 1}
 
 
 COLUMNS = ("stratum", "stratum_first", "a", "l", "m", "y", "m_cf", "l_cf", "y_cf", "y_nested",

@@ -460,6 +460,25 @@ def test_noise_other_than_the_structure_is_a_violation():
                 read(Scm(one.structure, noise))
 
 
+@pytest.mark.parametrize("read", [
+    M.effect_report, M.observational_law, lambda m: M.draw_samples(m, 10, 0),
+    M.check_all_assumptions, M.null_status,
+])
+def test_a_table_on_no_noise_law_is_refused_with_validates_text(read):
+    """A table whose noise is none of the model's noise laws (t1 with M's
+    table on eps_Q) is refused where the engine first reads the noise, with
+    validate's message, not a KeyError from a noise lookup."""
+    one = M.thm1_counterexample(0.5, 0.9)
+    tables = tuple(dataclasses.replace(t, noise="eps_Q") if t.variable == "M" else t
+                   for t in one.tables)
+    bad = Scm.of(one.variables, one.noise, tables, one.exposure_levels)
+    bijection = "noise terms are not in bijection with variables"
+    assert M.validate(bad) == [bijection]
+    with pytest.raises(M.DomainError) as err:
+        read(bad)
+    assert str(err.value) == f"invalid model: [{bijection!r}]"
+
+
 def test_replace_masses_keeps_the_structure():
     spec = M.thm3_counterexample(0.4, (0.1, 0.2, 0.4, 0.3), 0.5)
     other = M.thm3_counterexample(0.7, (0.3, 0.1, 0.2, 0.4), 0.2)
