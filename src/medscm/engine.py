@@ -771,10 +771,10 @@ class _DrawTables:
 
     def mass(self, arm: int) -> np.ndarray:
         """The mass of exposure arm in each stratum."""
-        if arm not in self._built:
-            self._built[arm] = np.bincount(self.stratum, weights=self._arm_w(arm),
-                                           minlength=self.size)
-        return self._built[arm]
+        if ("mass", arm) not in self._built:
+            self._built["mass", arm] = np.bincount(self.stratum, weights=self._arm_w(arm),
+                                                   minlength=self.size)
+        return self._built["mass", arm]
 
     def draw(self, key, draw_m: np.ndarray, arm: int | None) -> np.ndarray:
         """D[s, j], the mass of mediator level j in stratum s's law of draw_m,

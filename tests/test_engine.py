@@ -302,8 +302,8 @@ def test_a_report_shares_its_draw_tables():
     memo = M.engine.profiles(scm)._memo
 
     def built(by):
-        return collections.Counter(key[0] for key in memo["draw tables", by]._built
-                                   if isinstance(key, tuple))   # the others are arm masses
+        return collections.Counter(kind for kind, *_ in memo["draw tables", by]._built
+                                   if kind != "mass")
 
     assert built(COND_C) == {"draw": 2 + 2, "outcome": 2 + 1}   # nie_r's, then h_contrast's
     assert built(COND_C_L_OBSERVED) == {"draw": 2, "outcome": 1}
