@@ -784,9 +784,7 @@ class _DrawTables:
             share = self._arm_w(arm)
             if arm is not None:
                 share = share / self.mass(arm)[self.stratum]
-            natural = self.levels == tuple(range(self.k))   # levels are their positions
-            pos = draw_m if natural else level_positions(draw_m, self.levels)
-            bins = self.stratum * self.k + self._tile(pos)
+            bins = self.stratum * self.k + self._tile(level_positions(draw_m, self.levels))
             mass = np.bincount(bins, weights=share, minlength=self.size * self.k)
             self._built["draw", key, arm] = mass.reshape(self.size, self.k)
         return self._built["draw", key, arm]

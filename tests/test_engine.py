@@ -13,7 +13,7 @@ import medscm as M
 from medscm.cli import main
 from medscm.engine import COND_C, COND_C_L_DRAW, COND_C_L_OBSERVED
 from medscm.criteria import FAMILIES, default_grid
-from medscm.model import NoiseSpec, Scm, StructuralTable
+from medscm.model import NoiseSpec, Scm, StructuralTable, VariableSpec
 
 
 def grid(lo, hi, n):
@@ -274,11 +274,35 @@ def _per_level_draw(p, strata, draw_m, out_y, arms=None):
     return float(M.engine.running_sum(inner / w_s if arms is None else w_s * inner))
 
 
+def _relabel_m(scm, new):
+    """scm with M's level i renamed new[i]: in M's support, in M's table
+    values and in the M keys of its children's tables."""
+    m = scm.mediator_name
+    variables = tuple(VariableSpec(v.name, tuple(new[x] for x in v.support), v.role)
+                      if v.name == m else v for v in scm.variables)
+    tables = []
+    for t in scm.tables:
+        if t.variable == m:
+            table = {key: new[value] for key, value in t.table.items()}
+        elif m in t.parents:
+            i = t.parents.index(m)
+            table = {(tuple(new[x] if j == i else x for j, x in enumerate(pv)), e): value
+                     for (pv, e), value in t.table.items()}
+        else:
+            table = dict(t.table)
+        tables.append(StructuralTable(t.variable, t.parents, t.noise, table))
+    return Scm.of(variables, scm.noise, tuple(tables), scm.exposure_levels)
+
+
 @settings(deadline=None, max_examples=30)
-@given(seed=st.integers(0, 10**6), with_c=st.booleans(), m_levels=st.integers(2, 4))
-def test_draw_tables_match_the_per_level_loop(seed, with_c, m_levels):
+@given(seed=st.integers(0, 10**6), with_c=st.booleans(), m_levels=st.integers(2, 4),
+       gapped=st.booleans())
+def test_draw_tables_match_the_per_level_loop(seed, with_c, m_levels, gapped):
     scm = M.random_scm(seed, "confounded", with_c=with_c, c_levels=3, m_levels=m_levels,
                        y_levels=5)
+    if gapped:   # a gapped, unsorted mediator support: (5, -1, 2, 11)[:m_levels]
+        scm = _relabel_m(scm, (5, -1, 2, 11))
+        assert M.validate(scm) == [] and scm.m_support == (5, -1, 2, 11)[:m_levels]
     p = M.engine.profiles(scm)
     c = (p.stratum, p.stratum_first)
     for a_set, a_draw in itertools.product(p.arms, p.arms):
