@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -338,3 +339,91 @@ def test_a7_without_l_is_a2_retagged():
         assert "M | L, A=" in a7.witness
         assert (a7.holds, a7.worst_violation) == (a2.holds, a2.worst_violation)
         assert a7.witness == a2.witness.replace(" vs M | A=", " vs M | L, A=", 1)
+
+
+def _reference_positivity(model):
+    """(worst, witness) of A6 in plain Python over UnitProfile views: the
+    exact law's cells (c, a, l, m, y) in order of first occurrence, each
+    cell's mass added in unit order, then the stratum, arm and (arm, level)
+    masses added cell by cell in that order; every required cell of every
+    stratum, and the least name among the cells attaining the minimum."""
+    units = list(M.engine.profiles(model))
+    arms, levels = model.exposure_levels, model.m_support
+    cells = {}
+    for u in units:
+        key = (u.c, u.a, u.l, u.m, u.y)
+        cells[key] = cells.get(key, 0.0) + u.weight
+    w_c, w_arm, w_cell = {}, {}, {}
+    for (c, a, _l, m, _y), mass in cells.items():
+        w_c[c] = w_c.get(c, 0.0) + mass
+        for ap in arms:
+            w_arm[c, ap] = w_arm.get((c, ap), 0.0) + (mass if a == ap else 0.0)
+            for lv in levels:
+                w_cell[c, ap, lv] = (w_cell.get((c, ap, lv), 0.0)
+                                     + (mass if a == ap and m == lv else 0.0))
+    required = []
+    for ap in arms:
+        required += [(w_arm[c, ap] / w_c[c], f"Pr(A={ap} | c={c!r})") for c in w_c]
+    for ap in arms:
+        seen = {u.m for u in units} | {u.m_cf[ap] for u in units}
+        for lv in sorted(seen):
+            required += [(w_cell[c, ap, lv] / w_arm[c, ap] if w_arm[c, ap] > 0.0 else 0.0,
+                          f"f(M={lv} | A={ap}, c={c!r})") for c in w_c]
+    min_cell = min(value for value, _ in required)
+    min_name = min(name for value, name in required if value == min_cell)
+    if min_cell <= 0.0:
+        return 1.0, f"empty required cell {min_name}"
+    return -min_cell, f"smallest required cell {min_name}"
+
+
+@settings(deadline=None, max_examples=40)
+@given(model=CHECK_MODELS)
+def test_positivity_check_matches_scalar_reference(model):
+    verdict = M.check_assumption(model, "A6")
+    worst, witness = _reference_positivity(model)
+    assert verdict.worst_violation.hex() == worst.hex()
+    assert verdict.holds == (worst <= identify.INDEPENDENCE_TOL)
+    assert verdict.witness == witness
+
+
+def _fields(verdict):
+    return (verdict.assumption, verdict.holds, verdict.worst_violation.hex(), verdict.witness)
+
+
+@settings(deadline=None, max_examples=30)
+@given(model=CHECK_MODELS, one_per_block=st.booleans())
+def test_all_checks_equal_the_checks_one_at_a_time(model, one_per_block):
+    budget = 1 if one_per_block else identify.CHECK_BLOCK_ELEMENTS
+    with mock.patch.object(identify, "CHECK_BLOCK_ELEMENTS", budget):
+        together = M.check_all_assumptions(model)
+        alone = [M.check_assumption(model, which) for which in identify.ASSUMPTIONS]
+    assert [_fields(v) for v in together] == [_fields(v) for v in alone]
+
+
+def test_all_checks_call_check_assumption_once_each_in_order():
+    # perfbench times the checks by the spans of identify.check_assumption
+    model = M.random_scm(5, "confounded", with_c=True)
+    with mock.patch.object(identify, "check_assumption", wraps=identify.check_assumption) as spy:
+        verdicts = M.check_all_assumptions(model)
+    assert spy.call_args_list == [mock.call(model, which) for which in identify.ASSUMPTIONS]
+    assert [v.assumption for v in verdicts] == list(identify.ASSUMPTIONS)
+
+
+# the peak of traced allocations of check_all_assumptions on a 16/5/5/5
+# confounded model (10,368 units) when its block layout was first bounded,
+# 1,517,272 bytes, plus 128 KiB for allocator and library differences
+CHECKS_PEAK_BYTES = 1_517_272 + 128 * 1024
+
+
+def test_checks_stay_within_their_memory_bound():
+    model = M.random_scm(2001, "confounded", with_c=True, c_levels=16, l_levels=5, m_levels=5,
+                         y_levels=5)
+    M.engine.profiles(model)
+    M.observational_law(model)
+    tracemalloc.start()
+    try:
+        M.check_all_assumptions(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHECKS_PEAK_BYTES, peak
