@@ -10,6 +10,7 @@ engine's profile columns.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 from typing import Callable
 
@@ -205,85 +206,164 @@ FUNCTIONALS = {
 
 # a block of independence checks lays out at most this many (check, unit)
 # entries per index array; a larger block is scored a part at a time
-CHECK_BLOCK_ELEMENTS = 1 << 16
+CHECK_BLOCK_ELEMENTS = 1 << 13
 
 
-def _independence(
-    p: engine.Profiles,
-    tags: list[str],
-    x: tuple[np.ndarray, tuple[int, ...]],
-    z: tuple[np.ndarray, tuple[int, ...]],
-    by: tuple[tuple[np.ndarray, np.ndarray], Callable[[int], object]],
-    members: np.ndarray | None = None,
-) -> tuple[float, str]:
-    """Max |P(x,z | s) - P(x | s) P(z | s)| over a block of checks, strata s
-    (among members) and the cells (x, z) whose values both occur in s; the
-    witness names the first check attaining it (its tag), then its first
-    stratum and cell attaining it, strata and values in order of first
-    occurrence. x is (block, support), one row per check, and z (column,
-    support), shared by the checks. by is ((stratum of every unit, first unit
-    of every stratum), name of a unit's stratum), the strata renumbered among
-    the members when members (the member units) is given.
+@dataclass(frozen=True, eq=False)
+class _Strata:
+    """The units one stratification scores, all of them (units None) or
+    those of one exposure arm: the stratum of each, numbered as among all
+    units (n_strata of them), the name of a unit's stratum, and each unit's
+    share of its stratum's weight among them."""
 
-    The checks share the stratum shares and the z table, and their x and joint
-    tables lie side by side in one np.bincount each: every bin still adds its
-    own check's units in unit order, so each deviation is that of a table of
-    its own."""
-    (x, x_levels), (z, z_levels) = x, z
-    (s, first), key_of = by
-    w = p.weight
-    if members is not None:
-        if members.size == 0:
-            return 0.0, ""
-        z, w = z[members], w[members]
-    zc = level_positions(z, z_levels)
-    n, ns, nx, nz = w.size, first.size, len(x_levels), len(z_levels)
-    share = w / np.bincount(s, weights=w, minlength=ns)[s]
-    pz = np.bincount(s * nz + zc, weights=share, minlength=ns * nz).reshape(ns, 1, nz)
-    s_x, worst, winner = s * nx, 0.0, None
-    size = max(1, CHECK_BLOCK_ELEMENTS // n)
-    for lo in range(0, len(tags), size):
-        rows = x[lo:lo + size]
-        xc = level_positions(rows if members is None else rows[:, members], x_levels)
-        k = xc.shape[0]
-        sx = np.arange(k)[:, None] * (ns * nx) + s_x   # bins of (check, stratum, x)
-        sx += xc
-        shares = np.tile(share, k)
-        px = np.bincount(sx.ravel(), weights=shares, minlength=k * ns * nx).reshape(k, ns, nx, 1)
-        sx *= nz
-        sx += zc
-        joint = np.bincount(sx.ravel(), weights=shares, minlength=k * ns * nx * nz)
-        dev = np.abs(joint.reshape(k, ns, nx, nz) - px * pz)
-        dev[(px == 0.0) | (pz == 0.0)] = 0.0   # values absent from the stratum
-        top = dev.reshape(k, -1).max(axis=1)
-        i = int(np.argmax(top))
-        if top[i] > worst:
-            worst, winner = float(top[i]), (lo + i, xc[i], dev[i])
+    s: np.ndarray
+    n_strata: int
+    key_of: Callable[[int], object]
+    units: np.ndarray | None
+    share: np.ndarray
+
+
+class _CheckTables:
+    """What the assumption checks of one model read, each built on first use
+    and kept by key: the level codes of A, M, M(a') and Y(a', m) over every
+    unit; the strata of every unit by C, and of each arm's units by C or
+    (C, L), with their shares; each arm's codes of a z column; and the
+    marginal tables P(column | stratum) of the columns a check has scored.
+    check_all_assumptions shares one set among its checks for that call
+    only; a lone check builds its own. Nothing the size of a block of checks
+    is kept."""
+
+    def __init__(self, model: Model):
+        self.model, self.p = model, engine.profiles(model)
+        self._built: dict = {}
+        # (by, row) -> P(row's level | stratum), (strata, levels), once scored
+        self.tables: dict[tuple, np.ndarray] = {}
+
+    def _once(self, key, compute: Callable[[], object]):
+        if key not in self._built:
+            self._built[key] = compute()
+        return self._built[key]
+
+    def codes(self, name: str) -> np.ndarray:
+        """Level positions of column name ("a", "m", "m_cf" or "y_cf")."""
+        model, p = self.model, self.p
+        supports = {"a": model.var(model.exposure_name).support, "m": p.m_levels,
+                    "m_cf": p.m_levels, "y_cf": model.var(model.outcome_name).support}
+        return self._once(("codes", name), lambda: level_positions(getattr(self.p, name),
+                                                                   supports[name]))
+
+    def strata(self, arm: int | None = None, with_l: bool = False) -> _Strata:
+        """The units of exposure arm (every unit for None) stratified by C, or
+        with with_l by (C, L)."""
+        return self._once(("strata", arm, with_l), lambda: self._stratify(arm, with_l))
+
+    def _stratify(self, arm: int | None, with_l: bool) -> _Strata:
+        p, w, units = self.p, self.p.weight, None
+        s, n_strata, key_of = p.stratum, p.stratum_first.size, p.c_key
+        if with_l:
+            s, first = p.cl_strata(keep=False)
+            n_strata, key_of = first.size, lambda u: (p.c_key(u), int(p.l[u]))
+        if arm is not None:
+            units = self.units(arm)
+            s, w = s[units], w[units]
+        share = w / np.bincount(s, weights=w, minlength=n_strata)[s]
+        return _Strata(s, n_strata, key_of, units, share)
+
+    def units(self, arm: int) -> np.ndarray:
+        """The units of exposure arm."""
+        return self._once(("units", arm), lambda: np.flatnonzero(self.p.a == arm))
+
+    def column(self, arm: int | None, row: tuple) -> np.ndarray:
+        """Codes of a column row (name, index...) over the units of exposure
+        arm, every unit for None."""
+        codes = self.codes(row[0])[row[1:]]
+        if arm is None:
+            return codes
+        return self._once(("column", arm, row), lambda: codes[self.units(arm)])
+
+
+_TABLES: contextvars.ContextVar[_CheckTables | None] = contextvars.ContextVar(
+    "check_tables", default=None)
+
+
+def _search(t: _CheckTables, blocks: list) -> tuple[float, str]:
+    """Max |P(x,z | s) - P(x | s) P(z | s)| over checks, strata s and the
+    cells (x, z) whose values both occur in s; the witness names the first
+    check attaining it (its tag), then its first stratum and cell attaining
+    it, strata and values in order of first occurrence. Each block is (by,
+    tags, x rows, x codes, x levels, z row, z levels): by = (arm, with_l)
+    names the strata (see _CheckTables.strata), each check's x is a row of
+    the (checks, units) codes, named by the row of x rows, and z is one row
+    shared by the checks.
+
+    The checks of a block share the stratum shares and the z table, and their
+    x and joint tables lie side by side in one np.bincount each, at most
+    CHECK_BLOCK_ELEMENTS entries at a time; an x table already scored under
+    the same strata is read instead. Every bin adds its own check's units in
+    unit order, so each deviation is that of a table of its own. The witness
+    search runs once, over the winning check."""
+    worst, winner = 0.0, None
+    for by, tags, x_rows, x, x_levels, z_row, z_levels in blocks:
+        st = t.strata(*by)
+        n, ns, nx, nz = st.s.size, st.n_strata, len(x_levels), len(z_levels)
+        if n == 0:
+            continue   # an empty arm: nothing to test
+        zc = t.column(by[0], z_row)
+        pz = t.tables.get((by, z_row))
+        if pz is None:
+            pz = t.tables[by, z_row] = np.bincount(st.s * nz + zc, weights=st.share,
+                                                   minlength=ns * nz).reshape(ns, nz)
+        pz = pz[:, None, :]
+        s_x, size = st.s * nx, max(1, CHECK_BLOCK_ELEMENTS // n)
+        for lo in range(0, len(tags), size):
+            rows = x_rows[lo:lo + size]
+            xc = x[lo:lo + size] if st.units is None else x[lo:lo + size][:, st.units]
+            k = xc.shape[0]
+            sx = np.arange(k)[:, None] * (ns * nx) + s_x   # bins of (check, stratum, x)
+            sx += xc
+            shares = st.share if k == 1 else np.tile(st.share, k)
+            known = [t.tables.get((by, row)) for row in rows]
+            if any(table is None for table in known):
+                px = np.bincount(sx.ravel(), weights=shares, minlength=k * ns * nx).reshape(k, ns, nx)
+                t.tables.update(((by, row), table) for row, table in zip(rows, px))
+            else:
+                px = np.stack(known)
+            sx *= nz
+            sx += zc
+            joint = np.bincount(sx.ravel(), weights=shares, minlength=k * ns * nx * nz)
+            del sx, shares
+            px = px[..., None]
+            dev = np.abs(joint.reshape(k, ns, nx, nz) - px * pz)
+            dev[(px == 0.0) | (pz == 0.0)] = 0.0   # values absent from the stratum
+            top = dev.reshape(k, -1).max(axis=1)
+            i = int(np.argmax(top))
+            if top[i] > worst:
+                worst = float(top[i])
+                winner = (st, tags[lo + i], xc[i].copy(), zc, dev[i], x_levels, z_levels)
+            del xc
     if winner is None:
         return 0.0, ""
-    i, xc, dev = winner
-    j = int(np.argmax(dev.max(axis=(1, 2)) == worst))
-    # cells of stratum j in visit order: by first occurrence of x, then of z
-    in_j = s == j
-    x_seen, z_seen = np.full(nx, n), np.full(nz, n)
-    for seen, code in ((x_seen, xc[in_j]), (z_seen, zc[in_j])):
-        codes, at = np.unique(code, return_index=True)
-        seen[codes] = at
+    st, tag, xc, zc, dev, x_levels, z_levels = winner
+    # the first stratum attaining it: that of the first unit in a stratum that does
+    tied = dev.max(axis=(1, 2)) == worst
+    u = int(np.argmax(tied[st.s]))
+    in_j = st.s == st.s[u]
+    # its cells in visit order: by first occurrence of x, then of z
+    n = st.s.size
+    x_seen, z_seen = (_first_seen(code[in_j], len(levels), n)
+                      for code, levels in ((xc, x_levels), (zc, z_levels)))
     visit = x_seen[:, None] * n + z_seen[None, :]
-    visit[dev[j] != worst] = visit.max() + 1
+    visit[dev[st.s[u]] != worst] = visit.max() + 1
     xi, zi = np.unravel_index(np.argmin(visit), visit.shape)
     cell = f"cell (x={x_levels[xi]}, z={z_levels[zi]})"
-    return worst, f"{tags[i]}: stratum {key_of(int(first[j]))!r}, {cell}"
+    return worst, f"{tag}: stratum {st.key_of(u if st.units is None else int(st.units[u]))!r}, {cell}"
 
 
-def _members(mask: np.ndarray, by: tuple) -> tuple[tuple, np.ndarray]:
-    """(strata renumbered among the units in mask, stratum name) and those units."""
-    (strata, first), key_of = by
-    unit = np.flatnonzero(mask)
-    if unit.size:
-        strata, first = engine.group_ids(strata[unit])
-        first = unit[first]
-    return ((strata, first), key_of), unit
+def _first_seen(codes: np.ndarray, k: int, absent: int) -> np.ndarray:
+    """Index of the first occurrence of each level 0..k-1 in codes, absent
+    for a level that does not occur."""
+    hit = codes == np.arange(k)[:, None]
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), absent)
 
 
 def check_assumption(model: Model, which: str) -> AssumptionVerdict:
@@ -294,73 +374,84 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
     the largest deviation."""
     if which not in ASSUMPTIONS:
         raise DomainError(f"unknown assumption {which!r}; expected one of {ASSUMPTIONS}")
-    p = engine.profiles(model)
+    t = _TABLES.get()
+    if t is None or t.model is not model:
+        t = _CheckTables(model)
     if which == "A6":
-        return _check_positivity(model, p)
+        return _check_positivity(t)
+    p = t.p
     a_star, a = arms = model.exposure_levels
-    levels = p.m_levels
-    a_col, m_col = (p.a, model.var(model.exposure_name).support), (p.m, levels)
-    y_lv = model.var(model.outcome_name).support
-    by_c = ((p.stratum, p.stratum_first), p.c_key)   # (strata, stratum name)
+    levels, k = p.m_levels, len(p.m_levels)
+    a_lv, y_lv = model.var(model.exposure_name).support, model.var(model.outcome_name).support
+    y = t.codes("y_cf")
+
+    def y_rows(*ap):   # the rows Y(a', m) of the arms ap
+        return [("y_cf", p.arm(x), j) for x in ap for j in range(k)]
+
     if which == "A1":
         # Y(a', m) independent of the factual exposure given C
-        blocks = [([f"Y({ap},{m}) vs A" for ap in arms for m in levels],
-                   (p.y_cf.reshape(-1, len(p)), y_lv), a_col, by_c, None)]
+        blocks = [((None, False), [f"Y({ap},{m}) vs A" for ap in arms for m in levels],
+                   y_rows(*arms), y.reshape(-1, len(p)), y_lv, ("a",), a_lv)]
     elif which == "A3":
-        blocks = [([f"M({ap}) vs A" for ap in arms], (p.m_cf, levels), a_col, by_c, None)]
+        blocks = [((None, False), [f"M({ap}) vs A" for ap in arms], [("m_cf", 0), ("m_cf", 1)],
+                   t.codes("m_cf"), levels, ("a",), a_lv)]
     elif which == "A4":
         # the cross-world independence: Y(a, m) vs M(a*) given C
-        blocks = [([f"Y({a},{m}) vs M({a_star})" for m in levels], (p.y_cf[p.arm(a)], y_lv),
-                   (p.m_cf[p.arm(a_star)], levels), by_c, None)]
+        blocks = [((None, False), [f"Y({a},{m}) vs M({a_star})" for m in levels], y_rows(a),
+                   y[p.arm(a)], y_lv, ("m_cf", p.arm(a_star)), levels)]
     else:
         # A2: Y(a', m) independent of the factual mediator given C within arm
         # a'; A7 the same given (C, L), which coincides with A2 when there is
         # no induced confounder
         given_l = "L, " if which == "A7" else ""
-        if which == "A7" and model.has_l:
-            by_c = (p.cl_strata(keep=False), lambda u: (p.c_key(u), int(p.l[u])))
-        blocks = [([f"Y({ap},{m}) vs M | {given_l}A={ap}" for m in levels],
-                   (p.y_cf[p.arm(ap)], y_lv), m_col, *_members(p.a == ap, by_c)) for ap in arms]
-
-    worst, witness = 0.0, ""
-    for block in blocks:
-        dev, cell = _independence(p, *block)
-        if dev > worst:
-            worst, witness = dev, cell
+        by_l = which == "A7" and model.has_l
+        blocks = [((ap, by_l), [f"Y({ap},{m}) vs M | {given_l}A={ap}" for m in levels],
+                   y_rows(ap), y[p.arm(ap)], y_lv, ("m",), levels) for ap in arms]
+    worst, witness = _search(t, blocks)
     return AssumptionVerdict(which, worst <= INDEPENDENCE_TOL, worst, witness)
 
 
-def _check_positivity(model: Model, p: engine.Profiles) -> AssumptionVerdict:
+def _check_positivity(t: _CheckTables) -> AssumptionVerdict:
     # Cell probabilities of the exact observed law, summed cell by cell in
-    # law order as ObservedLaw.prob does.
+    # law order as ObservedLaw.prob does: the stratum, (stratum, arm) and
+    # (stratum, arm, level) masses come from one np.bincount, each bin adding
+    # its cells in that order (an exposure level off the arms in a third slot)
+    model, p = t.model, t.p
     cell, first, _shape = engine.law_cells(model, p, keep=False)
     mass = np.bincount(cell, weights=p.weight)[cell[first]]
-    s, a, m = p.stratum[first], p.a[first], p.m[first]
-    ns = p.stratum_first.size
-    w_c = np.bincount(s, weights=mass, minlength=ns)
-    w_arm = [np.bincount(s, weights=mass * (a == ap), minlength=ns) for ap in p.arms]
-    c_repr = [repr(p.c_key(int(u))) for u in p.stratum_first]
-    required: list[tuple[np.ndarray, Callable[[str], str]]] = [
-        (w_arm[i] / w_c, lambda c, ap=ap: f"Pr(A={ap} | c={c})") for i, ap in enumerate(p.arms)
-    ]
-    # mediator levels that must be observable in each arm, in value order:
-    # the factual support united with the counterfactual support of M(a')
-    levels = p.m_levels
-    seen = [np.bincount(level_positions(col, levels), minlength=len(levels)) > 0
-            for col in (p.m, *p.m_cf)]
-    for i, ap in enumerate(p.arms):
-        for lv in sorted(lv for lv, on in zip(levels, (seen[0] | seen[1 + i]).tolist()) if on):
-            w_cell = np.bincount(s, weights=mass * ((a == ap) & (m == lv)), minlength=ns)
-            f_cell = np.divide(w_cell, w_arm[i], out=np.zeros(ns), where=w_arm[i] > 0.0)
-            required.append((f_cell, lambda c, ap=ap, lv=lv: f"f(M={lv} | A={ap}, c={c})"))
-    min_cell = min(float(values.min()) for values, _name in required)
-    min_name = min(
-        name(c_repr[k]) for values, name in required for k in np.flatnonzero(values == min_cell)
-    )
+    a_star, a = arms = p.arms
+    levels, k, ns = p.m_levels, len(p.m_levels), p.stratum_first.size
+    s, on_a = p.stratum[first], p.a[first]
+    sa = s * 3 + (on_a == a) + 2 * ((on_a != a_star) & (on_a != a))
+    bins = np.concatenate([s, ns + sa, ns * 4 + sa * k + t.codes("m")[first]])
+    counts = np.bincount(bins, weights=np.tile(mass, 3), minlength=ns * (4 + 3 * k))
+    w_c = counts[:ns]
+    w_arm = counts[ns:ns * 4].reshape(ns, 3)[:, :2].T                        # (arm, stratum)
+    w_cell = counts[ns * 4:].reshape(ns, 3, k)[:, :2].transpose(1, 2, 0)     # (arm, level, stratum)
+    pr_arm = w_arm / w_c
+    f_cell = np.divide(w_cell, w_arm[:, None], out=np.zeros_like(w_cell), where=w_arm[:, None] > 0.0)
+    # mediator levels that must be observable in each arm: the factual
+    # support united with the counterfactual support of M(a')
+    seen = [np.bincount(col, minlength=k) > 0 for col in (t.codes("m"), *t.codes("m_cf"))]
+    required = np.stack([seen[0] | seen[1 + i] for i in range(2)])       # (arm, level)
+    min_cell = min(float(pr_arm.min()), float(f_cell[required].min()))
+
+    def c(u):
+        return repr(p.c_key(int(p.stratum_first[u])))
+
+    names = [f"Pr(A={arms[i]} | c={c(u)})" for i, u in zip(*np.nonzero(pr_arm == min_cell))]
+    names += [f"f(M={levels[j]} | A={arms[i]}, c={c(u)})"
+              for i, j, u in zip(*np.nonzero(required[..., None] & (f_cell == min_cell)))]
     if min_cell <= 0.0:
-        return AssumptionVerdict("A6", False, 1.0, f"empty required cell {min_name}")
-    return AssumptionVerdict("A6", True, -min_cell, f"smallest required cell {min_name}")
+        return AssumptionVerdict("A6", False, 1.0, f"empty required cell {min(names)}")
+    return AssumptionVerdict("A6", True, -min_cell, f"smallest required cell {min(names)}")
 
 
 def check_all_assumptions(model: Model) -> list[AssumptionVerdict]:
-    return [check_assumption(model, which) for which in ASSUMPTIONS]
+    """check_assumption of every assumption in ASSUMPTIONS order, the checks
+    sharing one _CheckTables for this call only."""
+    token = _TABLES.set(_CheckTables(model))
+    try:
+        return [check_assumption(model, which) for which in ASSUMPTIONS]
+    finally:
+        _TABLES.reset(token)

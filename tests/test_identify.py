@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -427,3 +429,67 @@ def test_checks_stay_within_their_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= CHECKS_PEAK_BYTES, peak
+
+
+def _bincounts_per_check(run):
+    """The np.bincount calls of each assumption while run() checks."""
+    counts, current = collections.Counter(), [None]
+    check, bincount = identify.check_assumption, np.bincount
+
+    def spy_check(model, which):
+        current[0] = which
+        return check(model, which)
+
+    def spy_bincount(*args, **kwargs):
+        counts[current[0]] += 1
+        return bincount(*args, **kwargs)
+
+    with mock.patch.object(identify, "check_assumption", spy_check), \
+            mock.patch.object(np, "bincount", spy_bincount):
+        run()
+    return dict(counts)
+
+
+def test_the_checks_share_their_tables():
+    """Alone, each check counts its shares, z table, x tables and joint
+    tables (A2 and A7 once per arm); together, A3 reads A1's shares and z
+    table, A4 A1's x tables and A3's table of M(a*), and A7 without an
+    induced confounder A2's shares, z and x tables. A6 counts cell masses,
+    one table of stratum, arm and cell masses, and the levels each mediator
+    column takes."""
+    for model, a7_alone, a7_together in ((M.random_scm(3, "confounded", with_c=True), 8, 8),
+                                         (M.random_scm(3, "basic", with_c=True), 8, 2)):
+        def alone():
+            for which in identify.ASSUMPTIONS:
+                identify.check_assumption(model, which)
+
+        assert _bincounts_per_check(alone) == {"A1": 4, "A2": 8, "A3": 4, "A4": 4, "A6": 5,
+                                               "A7": a7_alone}
+        assert _bincounts_per_check(lambda: M.check_all_assumptions(model)) == {
+            "A1": 4, "A2": 8, "A3": 2, "A4": 1, "A6": 5, "A7": a7_together}
+
+
+class _Failure(Exception):
+    pass
+
+
+def test_a_check_that_raises_leaves_no_tables():
+    model = M.random_scm(4, "confounded", with_c=True)
+    expected = [_fields(v) for v in M.check_all_assumptions(model)]
+    made = []
+
+    class Recorded(identify._CheckTables):
+        def __init__(self, model):
+            super().__init__(model)
+            made.append(self)
+
+    with mock.patch.object(identify, "_CheckTables", Recorded):
+        with mock.patch.object(identify, "_check_positivity", side_effect=_Failure):
+            with pytest.raises(_Failure):
+                M.check_all_assumptions(model)
+        assert identify._TABLES.get() is None
+        assert [_fields(v) for v in M.check_all_assumptions(model)] == expected
+        # a check after the call builds tables of its own
+        assert _fields(M.check_assumption(model, "A4")) == expected[3]
+    assert len(made) == 3 and made[0]._built and made[0] is not made[1]
+    assert identify._TABLES.get() is None
