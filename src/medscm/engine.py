@@ -748,7 +748,8 @@ class _DrawTables:
     of them over p's columns, laid out as P * units virtual units, row r's
     unit u at r * units + u in stratum r * strata + stratum. Each table, and
     each arm's mass per stratum, is built on first use and kept; per-unit
-    arrays are not kept, and neither is p."""
+    arrays are not kept, and neither is p. empty is the first stratum of no
+    mass in that layout (the first row's first that has one), or None."""
 
     def __init__(self, p: Profiles, w: np.ndarray, strata: tuple[np.ndarray, np.ndarray]):
         stratum, self.first = strata
@@ -760,7 +761,13 @@ class _DrawTables:
             a, w = np.tile(a, self.rows), w.ravel()
         self.stratum, self.a, self.w = stratum, a, w
         self.w_s = np.bincount(stratum, weights=w, minlength=self.size)
+        empty = np.flatnonzero(self.w_s <= 0.0)
+        self.empty = int(empty[0]) if empty.size else None
         self._built: dict = {}
+
+    def first_unit(self, s: int) -> int:
+        """The first unit of stratum s of the layout (of any row)."""
+        return int(self.first[s % self.first.size])
 
     def _tile(self, col: np.ndarray) -> np.ndarray:
         return col if self.rows is None else np.tile(col, self.rows)
@@ -818,8 +825,8 @@ def _stratified_draw(
     tables: _DrawTables,
     draw: tuple[object, np.ndarray],
     out: tuple[object, np.ndarray],
+    describe: Callable[[int], str],
     arms: tuple[int, int] | None = None,
-    describe: Callable[[int], str] | None = None,
     out_role: str = "outcome",
 ):
     """Mean outcome when, within each stratum, the mediator is set to a draw
@@ -833,7 +840,7 @@ def _stratified_draw(
     normalised within the stratum; an empty arm raises DegenerateStratumError
     naming describe(first unit of the stratum), for the first row that has
     one, the draw arm first, before any table is built. Otherwise the whole
-    stratum feeds both.
+    stratum feeds both, and a stratum of no mass raises the same way.
 
     The mean contracts the draw table D[s, j] with the outcome table O[s, j]
     (see _DrawTables): each stratum adds D[s, j] * O[s, j] over the levels
@@ -847,12 +854,15 @@ def _stratified_draw(
     tables, and the pairs behind nie_r_L and h_contrast three each.
     """
     draw_arm, out_arm = arms or (None, None)
-    if arms is not None:
+    if arms is None:
+        if tables.empty is not None:
+            raise DegenerateStratumError(f"no mass within {describe(tables.first_unit(tables.empty))}")
+    else:
         draw_den, out_den = tables.mass(draw_arm), tables.mass(out_arm)
         empty = np.flatnonzero((draw_den <= 0.0) | (out_den <= 0.0))
         if empty.size:
             s = empty[0]   # the first row that has one, then its first stratum
-            where = describe(int(tables.first[s % tables.first.size]))
+            where = describe(tables.first_unit(s))
             if draw_den[s] <= 0.0:
                 raise DegenerateStratumError(f"draw arm A={draw_arm} within {where}")
             raise DegenerateStratumError(f"{out_role} arm A={out_arm} within {where}")
@@ -877,16 +887,21 @@ def g_draw_mean(model: Model, a_set: int, a_draw: int, conditioning: str = COND_
 
     A float for the model; given weight, a (P, units) block of unit weights
     over the model's profile columns (the weights of P models that share
-    them), an array of one mean per row.
+    them), an array of one mean per row. A stratum of no mass in a row (or,
+    conditioning on the observed confounder, an empty arm in one) raises
+    DegenerateStratumError naming the first, of the first row with one.
     """
     p = profiles(model)
-    arms = describe = None
+    arms = None
     if conditioning == COND_C:
         by, strata = COND_C, (p.stratum, p.stratum_first)
+        describe = lambda u: f"c={p.c_key(u)!r}"   # noqa: E731
     elif not model.has_l:
         raise ShapeError(f"conditioning {conditioning!r} requires an induced confounder")
     elif conditioning == COND_C_L_DRAW:
         by, strata = (COND_C_L_DRAW, a_draw), p.cl_strata(a_draw)
+        l_draw = p.l_cf[p.arm(a_draw)]
+        describe = lambda u: f"(c, L({a_draw}))={(p.c_key(u), int(l_draw[u]))!r}"   # noqa: E731
     elif conditioning == COND_C_L_OBSERVED:
         by, strata, arms = COND_C_L_OBSERVED, p.cl_strata(), (a_draw, a_set)
         describe = lambda u: f"(c, l)={(p.c_key(u), int(p.l[u]))!r}"   # noqa: E731
@@ -894,7 +909,7 @@ def g_draw_mean(model: Model, a_set: int, a_draw: int, conditioning: str = COND_
         raise DomainError(f"unknown conditioning {conditioning!r}")
     draw = (("m_cf", a_draw), p.m_cf[p.arm(a_draw)])
     out = (("y_cf", a_set), p.y_cf[p.arm(a_set)])
-    return _stratified_draw(_draw_tables(p, weight, by, strata), draw, out, arms, describe)
+    return _stratified_draw(_draw_tables(p, weight, by, strata), draw, out, describe, arms)
 
 
 def h_draw_mean(model: Model, a_stratum: int, a_draw: int, *, weight: np.ndarray | None = None):
@@ -907,7 +922,7 @@ def h_draw_mean(model: Model, a_stratum: int, a_draw: int, *, weight: np.ndarray
         _draw_tables(p, weight, COND_C, (p.stratum, p.stratum_first)),
         ("m", p.m),
         ("y_mfix", p.y_mfix),
+        lambda u: f"c={p.c_key(u)!r}",
         (a_draw, a_stratum),
-        describe=lambda u: f"c={p.c_key(u)!r}",
         out_role="stratum",
     )
