@@ -1360,13 +1360,6 @@ def _random_pmf(rng: random.Random, levels: tuple[int, ...]) -> dict[int, float]
     return {lv: w / total for lv, w in zip(levels, weights)}
 
 
-def _surjective_column(rng: random.Random, n_noise: int, support: tuple[int, ...]) -> list[int]:
-    col = list(support)
-    rng.shuffle(col)
-    col += [rng.choice(support) for _ in range(n_noise - len(support))]
-    return col
-
-
 def _random_table(
     rng: random.Random,
     variable: str,
@@ -1376,13 +1369,33 @@ def _random_table(
     n_noise: int,
 ) -> StructuralTable:
     """Random total table whose every parent-stratum column covers the full
-    support, so all downstream conditionals stay strictly positive."""
-    rows = {}
-    for pv in itertools.product(*parent_supports):
-        col = _surjective_column(rng, n_noise, support)
-        for e, val in enumerate(col):
-            rows[(pv, e)] = val
-    return StructuralTable(variable, parents, f"eps_{variable}", rows)
+    support, so all downstream conditionals stay strictly positive: per
+    stratum, the support shuffled, then n_noise - len(support) draws from
+    it. These are what rng.shuffle and rng.choice return: each index below n
+    is rng.getrandbits(n.bit_length()), drawn again until it is below n, as
+    CPython's Random._randbelow_with_getrandbits does (n = 1 draws bits too)."""
+    getrandbits = rng.getrandbits
+    # (position, positions to pick from, bits) of each shuffle step
+    swaps = [(i, i + 1, (i + 1).bit_length()) for i in range(len(support) - 1, 0, -1)]
+    n, k = len(support), len(support).bit_length()
+    extra = range(n_noise - n)
+    strata = list(itertools.product(*parent_supports))
+    values = []
+    for _ in strata:
+        col = list(support)
+        for i, below, bits in swaps:
+            j = getrandbits(bits)
+            while j >= below:
+                j = getrandbits(bits)
+            col[i], col[j] = col[j], col[i]
+        for _ in extra:
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            col.append(support[j])
+        values += col
+    keys = itertools.product(strata, range(n_noise))
+    return StructuralTable(variable, parents, f"eps_{variable}", dict(zip(keys, values)))
 
 
 def _random_node(rng: random.Random, name: str, role: str, parents: tuple[str, ...],

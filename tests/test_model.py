@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -615,3 +616,29 @@ def test_each_table_is_walked_once_per_structure(monkeypatch):
     assert sorted(calls) == sorted(fresh.topo_order)
     for name, (_, lookup) in fresh.structure._lookups.items():
         assert lookup is fresh.structure._compiled[name]
+
+
+def _table_by_shuffle_and_choice(rng, parent_supports, support, n_noise):
+    """The rows of a random table as random.Random draws them: per parent
+    stratum, the support shuffled, then n_noise - len(support) choices."""
+    rows = {}
+    for pv in itertools.product(*parent_supports):
+        col = list(support)
+        rng.shuffle(col)
+        col += [rng.choice(support) for _ in range(n_noise - len(support))]
+        for e, value in enumerate(col):
+            rows[(pv, e)] = value
+    return rows
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_random_tables_draw_what_shuffle_and_choice_draw(size):
+    support = tuple(3 * v - 4 for v in range(size))   # gapped levels, some negative
+    parent_supports = ((0, 1, 2), (5, 7))
+    for seed in range(25):
+        for n_noise in (size, size + 1, size + 4):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            table = model._random_table(ours, "V", ("P", "Q"), parent_supports, support, n_noise)
+            expected = _table_by_shuffle_and_choice(theirs, parent_supports, support, n_noise)
+            assert list(table.table.items()) == list(expected.items())
+            assert ours.getstate() == theirs.getstate()   # the same bits consumed
