@@ -856,7 +856,8 @@ def _stratified_draw(
     draw_arm, out_arm = arms or (None, None)
     if arms is None:
         if tables.empty is not None:
-            raise DegenerateStratumError(f"no mass within {describe(tables.first_unit(tables.empty))}")
+            where = describe(tables.first_unit(tables.empty))
+            raise DegenerateStratumError(f"no mass within {where}")
     else:
         draw_den, out_den = tables.mass(draw_arm), tables.mass(out_arm)
         empty = np.flatnonzero((draw_den <= 0.0) | (out_den <= 0.0))

@@ -205,7 +205,9 @@ FUNCTIONALS = {
 # ---------------------------------------------------------------------------
 
 # a block of independence checks lays out at most this many (check, unit)
-# entries per index array; a larger block is scored a part at a time
+# entries per index array (64 KiB of int64), a larger block a part at a time:
+# the parts stay in cache, and a model of more units scores one check at a
+# time without repeating its shares
 CHECK_BLOCK_ELEMENTS = 1 << 13
 
 
@@ -246,11 +248,15 @@ class _CheckTables:
 
     def codes(self, name: str) -> np.ndarray:
         """Level positions of column name ("a", "m", "m_cf" or "y_cf")."""
-        model, p = self.model, self.p
-        supports = {"a": model.var(model.exposure_name).support, "m": p.m_levels,
-                    "m_cf": p.m_levels, "y_cf": model.var(model.outcome_name).support}
         return self._once(("codes", name), lambda: level_positions(getattr(self.p, name),
-                                                                   supports[name]))
+                                                                   self.levels(name)))
+
+    def levels(self, name: str) -> tuple[int, ...]:
+        """The levels of column name."""
+        model = self.model
+        if name in ("m", "m_cf"):
+            return model.m_support
+        return model.var(model.exposure_name if name == "a" else model.outcome_name).support
 
     def strata(self, arm: int | None = None, with_l: bool = False) -> _Strata:
         """The units of exposure arm (every unit for None) stratified by C, or
@@ -291,9 +297,9 @@ def _search(t: _CheckTables, blocks: list) -> tuple[float, str]:
     cells (x, z) whose values both occur in s; the witness names the first
     check attaining it (its tag), then its first stratum and cell attaining
     it, strata and values in order of first occurrence. Each block is (by,
-    tags, x rows, x codes, x levels, z row, z levels): by = (arm, with_l)
-    names the strata (see _CheckTables.strata), each check's x is a row of
-    the (checks, units) codes, named by the row of x rows, and z is one row
+    tags, x rows, x codes, z row): by = (arm, with_l) names the strata (see
+    _CheckTables.strata), each check's x is a row of the (checks, units)
+    codes, named by its row (name, index...) in x rows, and z is one row
     shared by the checks.
 
     The checks of a block share the stratum shares and the z table, and their
@@ -303,8 +309,9 @@ def _search(t: _CheckTables, blocks: list) -> tuple[float, str]:
     unit order, so each deviation is that of a table of its own. The witness
     search runs once, over the winning check."""
     worst, winner = 0.0, None
-    for by, tags, x_rows, x, x_levels, z_row, z_levels in blocks:
+    for by, tags, x_rows, x, z_row in blocks:
         st = t.strata(*by)
+        x_levels, z_levels = t.levels(x_rows[0][0]), t.levels(z_row[0])
         n, ns, nx, nz = st.s.size, st.n_strata, len(x_levels), len(z_levels)
         if n == 0:
             continue   # an empty arm: nothing to test
@@ -313,34 +320,38 @@ def _search(t: _CheckTables, blocks: list) -> tuple[float, str]:
         if pz is None:
             pz = t.tables[by, z_row] = np.bincount(st.s * nz + zc, weights=st.share,
                                                    minlength=ns * nz).reshape(ns, nz)
-        pz = pz[:, None, :]
+        known = [t.tables.get((by, row)) for row in x_rows]
+        scored = all(table is not None for table in known)
+        px = np.stack(known) if scored else np.empty((len(tags), ns, nx))
+        joint = np.empty((len(tags), ns, nx, nz))
         s_x, size = st.s * nx, max(1, CHECK_BLOCK_ELEMENTS // n)
         for lo in range(0, len(tags), size):
-            rows = x_rows[lo:lo + size]
             xc = x[lo:lo + size] if st.units is None else x[lo:lo + size][:, st.units]
             k = xc.shape[0]
-            sx = np.arange(k)[:, None] * (ns * nx) + s_x   # bins of (check, stratum, x)
-            sx += xc
-            shares = st.share if k == 1 else np.tile(st.share, k)
-            known = [t.tables.get((by, row)) for row in rows]
-            if any(table is None for table in known):
-                px = np.bincount(sx.ravel(), weights=shares, minlength=k * ns * nx).reshape(k, ns, nx)
-                t.tables.update(((by, row), table) for row, table in zip(rows, px))
-            else:
-                px = np.stack(known)
+            sx = xc + s_x   # bins of (check, stratum, x)
+            del xc
+            if k > 1:
+                sx += np.arange(k)[:, None] * (ns * nx)
+            shares = st.share if k == 1 else st.share[None].repeat(k, axis=0).ravel()
+            if not scored:
+                px[lo:lo + k] = np.bincount(sx.ravel(), weights=shares,
+                                            minlength=k * ns * nx).reshape(k, ns, nx)
             sx *= nz
             sx += zc
-            joint = np.bincount(sx.ravel(), weights=shares, minlength=k * ns * nx * nz)
+            joint[lo:lo + k] = np.bincount(sx.ravel(), weights=shares,
+                                           minlength=k * ns * nx * nz).reshape(k, ns, nx, nz)
             del sx, shares
-            px = px[..., None]
-            dev = np.abs(joint.reshape(k, ns, nx, nz) - px * pz)
-            dev[(px == 0.0) | (pz == 0.0)] = 0.0   # values absent from the stratum
-            top = dev.reshape(k, -1).max(axis=1)
-            i = int(np.argmax(top))
-            if top[i] > worst:
-                worst = float(top[i])
-                winner = (st, tags[lo + i], xc[i].copy(), zc, dev[i], x_levels, z_levels)
-            del xc
+        if not scored:
+            t.tables.update(zip(((by, row) for row in x_rows), px))
+        px, pz = px[..., None], pz[:, None, :]
+        dev = np.abs(joint - px * pz)
+        dev[(px == 0.0) | (pz == 0.0)] = 0.0   # values absent from the stratum
+        top = dev.reshape(len(tags), -1).max(axis=1)
+        i = int(np.argmax(top))
+        if top[i] > worst:
+            worst = float(top[i])
+            winner = (st, tags[i], x[i] if st.units is None else x[i][st.units], zc, dev[i],
+                      x_levels, z_levels)
     if winner is None:
         return 0.0, ""
     st, tag, xc, zc, dev, x_levels, z_levels = winner
@@ -356,7 +367,8 @@ def _search(t: _CheckTables, blocks: list) -> tuple[float, str]:
     visit[dev[st.s[u]] != worst] = visit.max() + 1
     xi, zi = np.unravel_index(np.argmin(visit), visit.shape)
     cell = f"cell (x={x_levels[xi]}, z={z_levels[zi]})"
-    return worst, f"{tag}: stratum {st.key_of(u if st.units is None else int(st.units[u]))!r}, {cell}"
+    key = st.key_of(u if st.units is None else int(st.units[u]))
+    return worst, f"{tag}: stratum {key!r}, {cell}"
 
 
 def _first_seen(codes: np.ndarray, k: int, absent: int) -> np.ndarray:
@@ -382,7 +394,6 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
     p = t.p
     a_star, a = arms = model.exposure_levels
     levels, k = p.m_levels, len(p.m_levels)
-    a_lv, y_lv = model.var(model.exposure_name).support, model.var(model.outcome_name).support
     y = t.codes("y_cf")
 
     def y_rows(*ap):   # the rows Y(a', m) of the arms ap
@@ -391,14 +402,14 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
     if which == "A1":
         # Y(a', m) independent of the factual exposure given C
         blocks = [((None, False), [f"Y({ap},{m}) vs A" for ap in arms for m in levels],
-                   y_rows(*arms), y.reshape(-1, len(p)), y_lv, ("a",), a_lv)]
+                   y_rows(*arms), y.reshape(-1, len(p)), ("a",))]
     elif which == "A3":
         blocks = [((None, False), [f"M({ap}) vs A" for ap in arms], [("m_cf", 0), ("m_cf", 1)],
-                   t.codes("m_cf"), levels, ("a",), a_lv)]
+                   t.codes("m_cf"), ("a",))]
     elif which == "A4":
         # the cross-world independence: Y(a, m) vs M(a*) given C
         blocks = [((None, False), [f"Y({a},{m}) vs M({a_star})" for m in levels], y_rows(a),
-                   y[p.arm(a)], y_lv, ("m_cf", p.arm(a_star)), levels)]
+                   y[p.arm(a)], ("m_cf", p.arm(a_star)))]
     else:
         # A2: Y(a', m) independent of the factual mediator given C within arm
         # a'; A7 the same given (C, L), which coincides with A2 when there is
@@ -406,7 +417,7 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
         given_l = "L, " if which == "A7" else ""
         by_l = which == "A7" and model.has_l
         blocks = [((ap, by_l), [f"Y({ap},{m}) vs M | {given_l}A={ap}" for m in levels],
-                   y_rows(ap), y[p.arm(ap)], y_lv, ("m",), levels) for ap in arms]
+                   y_rows(ap), y[p.arm(ap)], ("m",)) for ap in arms]
     worst, witness = _search(t, blocks)
     return AssumptionVerdict(which, worst <= INDEPENDENCE_TOL, worst, witness)
 
@@ -429,7 +440,8 @@ def _check_positivity(t: _CheckTables) -> AssumptionVerdict:
     w_arm = counts[ns:ns * 4].reshape(ns, 3)[:, :2].T                        # (arm, stratum)
     w_cell = counts[ns * 4:].reshape(ns, 3, k)[:, :2].transpose(1, 2, 0)     # (arm, level, stratum)
     pr_arm = w_arm / w_c
-    f_cell = np.divide(w_cell, w_arm[:, None], out=np.zeros_like(w_cell), where=w_arm[:, None] > 0.0)
+    f_cell = np.divide(w_cell, w_arm[:, None], out=np.zeros_like(w_cell),
+                       where=w_arm[:, None] > 0.0)
     # mediator levels that must be observable in each arm: the factual
     # support united with the counterfactual support of M(a')
     seen = [np.bincount(col, minlength=k) > 0 for col in (t.codes("m"), *t.codes("m_cf"))]
