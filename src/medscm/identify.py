@@ -383,7 +383,8 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
     model's full counterfactual joint. The independence checks of an
     assumption are scored as one block (one per arm for A2 and A7), and the
     witness names the first check, in the order listed here, that attains
-    the largest deviation."""
+    the largest deviation. Within check_all_assumptions it reads that call's
+    tables; otherwise it builds what it reads itself."""
     if which not in ASSUMPTIONS:
         raise DomainError(f"unknown assumption {which!r}; expected one of {ASSUMPTIONS}")
     t = _TABLES.get()
