@@ -411,9 +411,10 @@ def test_all_checks_call_check_assumption_once_each_in_order():
     assert [v.assumption for v in verdicts] == list(identify.ASSUMPTIONS)
 
 
-# the peak of traced allocations of check_all_assumptions on a 16/5/5/5
-# confounded model (10,368 units) when its block layout was first bounded,
-# 1,517,272 bytes, plus 128 KiB for allocator and library differences
+# the traced peak of check_all_assumptions on a 16/5/5/5 confounded model
+# (10,368 units) scored in 65,536-entry blocks without shared check tables,
+# 1,517,272 bytes, plus 128 KiB for allocator and library differences; with
+# the shared tables and 8,192-entry blocks it peaks near 0.9 MB
 CHECKS_PEAK_BYTES = 1_517_272 + 128 * 1024
 
 
