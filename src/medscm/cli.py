@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from . import criteria, effects, identify, sample
 from .engine import observational_law
 from .errors import PARSE_EXIT_CODE, DegenerateStratumError, DomainError, MedscmError
-from .model import Model, scm_from_json, validate
+from .model import Model, _require_valid, scm_from_json, validate
 
 
 def _fmt(v: float) -> str:
@@ -42,16 +42,6 @@ def _print_rows(rows: list[tuple[str, str]], output_format: str) -> None:
 def _given(args, names) -> dict:
     """The named arguments the user gave, in the order of names."""
     return {name: value for name in names if (value := getattr(args, name)) is not None}
-
-
-def _load_model(args) -> Model:
-    """The model the arguments name; a model file must pass validate, or the
-    command fails with a DomainError (exit 3) listing the violations."""
-    model = _read_model(args)
-    violations = validate(model) if args.scm not in criteria.FAMILIES else []
-    if violations:
-        raise DomainError(f"{args.scm}: invalid model: " + "; ".join(violations))
-    return model
 
 
 def _read_model(args) -> Model:
@@ -105,14 +95,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_effects(args) -> int:
-    model = _load_model(args)
+    model = _require_valid(_read_model(args), args.scm)
     report = effects.effect_report(model)
     _print_rows([(k, _fmt(v)) for k, v in report.rows()], args.output_format)
     return 0
 
 
 def _cmd_identify(args) -> int:
-    model = _load_model(args)
+    model = _require_valid(_read_model(args), args.scm)
     law = observational_law(model)
     rows: list[tuple[str, str]] = []
     undefined: list[DegenerateStratumError] = []
@@ -147,7 +137,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    model = _load_model(args)
+    model = _require_valid(_read_model(args), args.scm)
     status = criteria.null_status(model)
     report = effects.effect_report(model)
     rows = [
@@ -236,7 +226,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = _load_model(args)
+    model = _require_valid(_read_model(args), args.scm)
     ds = sample.draw_samples(model, args.n, args.sample_seed)
     sample.write_csv(ds, args.out)
     print(f"wrote {ds.n} rows to {args.out}")

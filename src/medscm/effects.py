@@ -209,8 +209,8 @@ def effect_reports(model: Model, weight: np.ndarray | None = None) -> list[Effec
     block, every row added in the order a model on its own adds, so report i
     is bitwise that of the i-th model; the decomposition identities are then
     checked report by report, in row order."""
+    te = _total(model, weight)   # its profiles refuse a model validate rejects
     msup = model.m_support
-    te = _total(model, weight)
     nie, nde = _natural(model, weight)
     nie_r, nde_r, te_r = _randomized(model, weight)
     cde = {m: _cde(model, m, weight) for m in msup}

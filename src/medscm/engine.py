@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import DegenerateStratumError, DomainError, EnumerationSizeError, ShapeError
-from .model import Model, level_positions
+from .model import Model, _require_valid, level_positions
 
 DEFAULT_UNIT_CAP = 10**8
 
@@ -312,9 +312,11 @@ def profiles(model: Model) -> Profiles:
     PROFILE_CACHE_SIZE models are kept; a column set lives while some
     Profiles reads it, so cache_clear() frees every one nothing else holds.
 
-    Raises EnumerationSizeError, before allocating, when the columns would
-    exceed PROFILE_BYTE_BUDGET bytes.
+    Raises DomainError("invalid model: [...]") unless validate accepts the
+    model, and EnumerationSizeError, before allocating, when the columns
+    would exceed PROFILE_BYTE_BUDGET bytes.
     """
+    _require_valid(model)
     c_names, levels = model.covariate_names, model.m_support
     # weight, stratum, a, m, y, c..., l and l_cf, m_cf, y_nested, y_cf and y_mfix
     columns = 5 + len(c_names) + (3 if model.has_l else 0) + 2 + 4 + 3 * len(levels)
@@ -327,8 +329,6 @@ def profiles(model: Model) -> Profiles:
     weight = model.noise_weight()
     positive = weight > 0.0
     units = np.flatnonzero(positive)
-    if units.size == 0:
-        raise DomainError("the model has no positive-probability unit")
     key = (model.structure, np.packbits(positive).tobytes())
     shared = _structures.get(key)
     if shared is None:

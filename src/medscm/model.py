@@ -99,7 +99,8 @@ class Structure:
     structure object, so the models model() builds from one structure share
     them and structures built apart never do. Nothing is checked when a
     structure is built, so a malformed model still builds and validate lists
-    its faults; a lookup that raises is not cached and raises again.
+    its faults. The lookups assume a model _require_valid accepts, as every
+    reader checks first; a lookup that raises is not cached and raises again.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -120,18 +121,12 @@ class Structure:
         return cls(variables, exposure_levels, atoms=atoms)
 
     def model(self, masses, context: str) -> Model:
-        """The model of this structure under masses: its noise laws, in
-        order, or its joint's masses, atom by atom. Only what noise laws can
-        change is checked, their masses and their names and levels; a joint
-        is validated in full, as its one-world check reads the masses. A
-        violation raises DomainError("<context>: invalid model: [...]")."""
-        if self.atoms is not None:
-            return _require_valid(FfrcistgSpec(self, masses), context)
-        scm = Scm(self, masses)
-        violations = [v for n in masses for v in _mass_violations(n)] + _noise_mismatch(scm)
-        if violations:
-            raise DomainError(f"{context}: invalid model: {violations}")
-        return scm
+        """The model of this structure under masses (its noise laws in order,
+        or its joint's masses atom by atom), once _require_valid accepts it;
+        the structure's own findings are made once, so each model checks only
+        its noise laws or masses."""
+        model = Scm(self, masses) if self.atoms is None else FfrcistgSpec(self, masses)
+        return _require_valid(model, context)
 
     # -- lookups ------------------------------------------------------------
 
@@ -153,7 +148,7 @@ class Structure:
     def noise_position(self) -> dict[str, int]:
         """Position among the noise terms of each variable's noise."""
         position = {name: i for i, (name, _) in reversed(list(enumerate(self.noise)))}
-        return {v: position[t.noise] for v, t in self._by_variable.items() if t.noise in position}
+        return {v: position[t.noise] for v, t in self._by_variable.items()}
 
     @cached_property
     def weight_gather(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -172,8 +167,14 @@ class Structure:
         """Each variable's table checked and compiled in one pass (_compile),
         None where the pass failed; validate and positions both read it."""
         at = self.noise_position
-        return {name: _compile(t, self.supports, self.noise[at[name]][1] if name in at else None)
+        return {name: _compile(t, self.supports, self.noise[at[name]][1])
                 for name, t in self._by_variable.items()}
+
+    @cached_property
+    def _findings(self) -> tuple[list[str], list[str], list[str]]:
+        """validate's findings that read no masses (_validate_structure),
+        made once per structure."""
+        return _validate_structure(self)
 
     @cached_property
     def _lookups(self) -> dict[str, tuple[tuple[int, ...], np.ndarray]]:
@@ -183,20 +184,17 @@ class Structure:
         out = {}
         for name in self.topo_order:
             t, levels = self.table_for(name), self.noise[self.noise_position[name]][1]
-            lookup = self._compiled[name]
-            if lookup is None:
-                raise DomainError(f"invalid model: {_table_violation(t, self.supports, levels)}")
             strides, stride = [], len(levels)
             for p in reversed(t.parents):
                 strides.insert(0, stride)
                 stride *= len(self.supports[p])
-            out[name] = tuple(strides), lookup
+            out[name] = tuple(strides), self._compiled[name]
         return out
 
     def positions(self, name: str, noise: np.ndarray | int, parents: Sequence) -> np.ndarray:
         """Positions in name's sorted support of its table's values at noise
         positions and its parents' positions (in table order); Scm.grid and
-        draw_samples evaluate every table this way."""
+        Scm.draw evaluate every table this way."""
         strides, lookup = self._lookups[name]
         for position, stride in zip(parents, strides):
             noise = noise + position * stride
@@ -213,27 +211,21 @@ class Structure:
         names = self._roles.get(role, ())
         return names[0] if names else None
 
-    def _required(self, role: str, what: str) -> str:
-        name = self._single(role)
-        if name is None:
-            raise DomainError(f"model has no {what} variable")
-        return name
-
     @cached_property
     def covariate_names(self) -> tuple[str, ...]:
         return self._roles.get(ROLE_COVARIATE, ())
 
     @cached_property
     def exposure_name(self) -> str:
-        return self._required(ROLE_EXPOSURE, "exposure")
+        return self._single(ROLE_EXPOSURE)
 
     @cached_property
     def mediator_name(self) -> str:
-        return self._required(ROLE_MEDIATOR, "mediator")
+        return self._single(ROLE_MEDIATOR)
 
     @cached_property
     def outcome_name(self) -> str:
-        return self._required(ROLE_OUTCOME, "outcome")
+        return self._single(ROLE_OUTCOME)
 
     @cached_property
     def induced_name(self) -> str | None:
@@ -312,7 +304,7 @@ class Structure:
 
 
 class _Lookups:
-    """A model's lookups, each read off its structure."""
+    """A model's lookups, each read off its structure, and its violations."""
 
     structure: Structure
     variables = property(attrgetter("structure.variables"))
@@ -333,6 +325,12 @@ class _Lookups:
     labels = property(attrgetter("structure.labels"))
     a_star = property(lambda self: self.exposure_levels[0])
     a = property(lambda self: self.exposure_levels[1])
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Every invariant the model violates, in validate's order, made once
+        per model: validate and _require_valid read it."""
+        return tuple(self._violations())
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,17 +358,15 @@ class Scm(_Lookups):
     def noise_for(self, name: str) -> NoiseSpec:
         return self.noise[self.structure.noise_position[name]]
 
-    def require_structure_noise(self) -> None:
-        """DomainError unless the noise laws are the structure's, names and
-        levels in order: read by position (noise_for), others would miss a
-        level or weight the wrong noise; nor may a table's noise be none of
-        them, which would leave its variable without a noise to read."""
-        mismatch = _noise_mismatch(self)
-        structure = self.structure
-        if not mismatch and len(structure.noise_position) < len(structure._by_variable):
-            mismatch = ["noise terms are not in bijection with variables"]
-        if mismatch:
-            raise DomainError(f"invalid model: {mismatch}")
+    def _violations(self) -> list[str]:
+        """The noise laws' names and levels against the structure's (they are
+        read by position), the structure's findings and the laws' masses."""
+        variables, head, tail = self.structure._findings
+        same = tuple((n.name, n.levels()) for n in self.noise) == self.structure.noise
+        mismatch = [] if same else ["noise names or levels differ from the structure"]
+        if mismatch or variables:
+            return mismatch + variables
+        return head + [v for n in self.noise for v in _mass_violations(n)] + tail
 
     # -- evaluation ---------------------------------------------------------
     # units/solve evaluate one unit at a time and are the reference; grid is
@@ -385,7 +381,7 @@ class Scm(_Lookups):
         """Positive-mass joint noise configurations with product weights, in
         the canonical order: the product of each variable's noise levels,
         variables in topological order."""
-        self.require_structure_noise()
+        _require_valid(self)
         size = 1
         for n in self.noise:
             size *= len(n.pmf)
@@ -421,7 +417,7 @@ class Scm(_Lookups):
         """Mass of every joint noise configuration in the order of units(),
         zero-mass ones included: the same left-to-right products, so the
         positive ones are bitwise equal to the scalar weights."""
-        self.require_structure_noise()
+        _require_valid(self)
         weight = np.ones(1)
         for i, levels in self.structure.weight_gather:
             pmf = self.noise[i].pmf
@@ -434,7 +430,7 @@ class Scm(_Lookups):
         for the variable; an intervened variable takes its fixed level.
 
         Each table is evaluated in position space (Structure.positions), as
-        in draw_samples. A variable is solved once per distinct regime of the
+        in draw. A variable is solved once per distinct regime of the
         interventions upstream of it, so the covariates are solved once and
         A, L and M once per exposure arm.
         """
@@ -480,6 +476,30 @@ class Scm(_Lookups):
                 out[name][i] = values[solved[at]]
         return out
 
+    @cached_property
+    def _draw_plan(self) -> tuple[tuple[str, np.ndarray, np.ndarray | None], ...]:
+        # per variable, in topological order: its noise's CDF edges and its
+        # support, None where the support is 0..k-1 and positions are values
+        plan = []
+        for name in self.topo_order:
+            pmf, support = self.noise_for(name).pmf, self.structure.supports[name]
+            plan.append((name, _cdf_edges([pmf[lv] for lv in sorted(pmf)]),
+                         None if support == tuple(range(len(support))) else np.asarray(support)))
+        return tuple(plan)
+
+    def draw(self, uniforms: np.ndarray, out: np.ndarray) -> None:
+        """Rows of the observational law into out, one per row of uniforms,
+        both (rows, variables) in topological order: each variable's noise
+        position is the inverse CDF of its uniform, its value its table's
+        there (Structure.positions)."""
+        _require_valid(self)
+        structure, position = self.structure, {}
+        for j, (name, edges, support) in enumerate(self._draw_plan):
+            idx = _inverse_cdf(edges, uniforms[:, j].copy())
+            parents = [position[p] for p in self.table_for(name).parents]
+            position[name] = structure.positions(name, idx, parents)
+            out[:, j] = position[name] if support is None else support[position[name]]
+
 
 @dataclass(frozen=True, eq=False)
 class FfrcistgSpec(_Lookups):
@@ -509,12 +529,6 @@ class FfrcistgSpec(_Lookups):
         """The joint law, atom -> mass: a read-only view of the atoms and masses."""
         return MappingProxyType(dict(zip(self.structure.atoms, self.masses)))
 
-    def require_structure_noise(self) -> None:
-        """DomainError unless there is one mass per atom of the structure."""
-        if len(self.masses) != len(self.structure.atoms):
-            raise DomainError(f"invalid model: ['{len(self.masses)} masses for "
-                              f"{len(self.structure.atoms)} atoms']")
-
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -527,7 +541,7 @@ class FfrcistgSpec(_Lookups):
     def units(self, cap: int) -> list[tuple[dict[str, int], float]]:
         """Positive-mass atoms as label -> value maps; the atoms are the
         units, so the cap does not apply."""
-        self.require_structure_noise()
+        _require_valid(self)
         labels = self.labels
         return [(dict(zip(labels, atom)), w)
                 for atom, w in zip(self.structure.atoms, self.masses) if w > 0.0]
@@ -544,7 +558,7 @@ class FfrcistgSpec(_Lookups):
 
     def noise_weight(self) -> np.ndarray:
         """Mass of every atom in the order of units(), zero-mass ones included."""
-        self.require_structure_noise()
+        _require_valid(self)
         return np.array(self.masses, dtype=float)
 
     def grid(self, units: np.ndarray, rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
@@ -571,6 +585,45 @@ class FfrcistgSpec(_Lookups):
                 out[name][i] = worlds[regime][name]
         return out
 
+    def draw(self, uniforms: np.ndarray, out: np.ndarray) -> None:
+        """Rows of the observational law into out, as Scm.draw: each row's
+        atom is the inverse CDF of its first uniform over the masses, its
+        A, M(A) and Y(A, M(A)) read off by grid at the factual regime."""
+        _require_valid(self)
+        atoms = _inverse_cdf(_cdf_edges(self.masses), uniforms[:, 0].copy())
+        solved = self.grid(atoms, {name: [(None, None)] for name in self.topo_order})
+        for j, name in enumerate(self.topo_order):
+            out[:, j] = solved[name][0]
+
+    def _violations(self) -> list[str]:
+        # the levels, one finite non-negative mass per atom summing to 1,
+        # atoms of every coordinate and every one-world independence
+        out: list[str] = []
+        atoms, masses = self.structure.atoms, self.masses
+        if self.exposure_levels[0] == self.exposure_levels[1]:
+            out.append("exposure levels a* and a must differ")
+        if len(set(self.m_support)) != len(self.m_support) or not self.m_support:
+            out.append("mediator support must be non-empty and duplicate-free")
+        if len(masses) != len(atoms):
+            out.append(f"{len(masses)} masses for {len(atoms)} atoms")
+            return out
+        if not masses:
+            out.append("joint pmf is empty")
+            return out
+        total = sum(masses)
+        if not abs(total - 1.0) <= PROB_TOL:
+            out.append(f"joint pmf sums to {total!r}")
+        if not all(math.isfinite(p) for p in masses):
+            out.append("joint pmf has a non-finite mass")
+        if any(p < 0 for p in masses):
+            out.append("joint pmf has a negative mass")
+        width = len(self.labels)
+        if any(len(atom) != width for atom in atoms):
+            out.append(f"atoms must assign all {width} counterfactual coordinates")
+            return out
+        out.extend(_one_world_violations(self))
+        return out
+
 
 Model = Scm | FfrcistgSpec
 
@@ -592,13 +645,35 @@ def level_positions(values, levels: tuple[int, ...]):
     return pos
 
 
+def _cdf_edges(masses) -> np.ndarray:
+    """The CDF of masses without its last entry, padded with inf to a power
+    of two longer than it: the edges _inverse_cdf searches."""
+    cum = np.cumsum(masses)
+    size = 1 << (cum.size - 1).bit_length()
+    return np.concatenate([cum[:-1], np.full(size - cum.size + 1, np.inf)])
+
+
+def _inverse_cdf(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The position of each uniform u among the masses: how many edges lie
+    at or below it. The edges are nondecreasing, so those form a prefix, and
+    a branchless binary search finds its length, one comparison pass per
+    halving."""
+    step = edges.size // 2
+    if not step:
+        return np.zeros(u.size, dtype=np.int64)
+    idx = (u >= edges[step - 1]) * step
+    while step := step // 2:
+        idx += (u >= edges.take(idx + step - 1)) * step
+    return idx
+
+
 def _compile(table: StructuralTable, supports: Mapping[str, tuple[int, ...]],
-             noise_levels: tuple[int, ...] | None) -> np.ndarray | None:
+             noise_levels: tuple[int, ...]) -> np.ndarray | None:
     """A table's one pass: the position of each value in the variable's
     sorted support, as a flat int64 array over (parent positions..., noise
     position), row by row in that order whatever order the rows were given
     in. None when a row is missing, the table has other rows besides, a
-    value lies outside the support, or a parent or the noise is unknown."""
+    value lies outside the support, or a parent is unknown."""
     try:
         position = {v: i for i, v in enumerate(supports[table.variable])}
         keys = itertools.product(itertools.product(*(supports[p] for p in table.parents)),
@@ -657,20 +732,21 @@ _SHAPE_PARENT_RULES: dict[str, dict[str, tuple[str, ...]]] = {
 
 
 def validate(model: Model) -> list[str]:
-    """Return every violated invariant; an empty list means the model is valid."""
-    if isinstance(model, FfrcistgSpec):
-        return _validate_ffrcistg(model)
-    return _validate_scm(model)
+    """Return every violated invariant; an empty list means the model is
+    valid. The list is the model's violations, made once per model."""
+    return list(model.violations)
 
 
-def _validate_scm(scm: Scm) -> list[str]:
-    out = _noise_mismatch(scm)
-    names = [v.name for v in scm.variables]
+def _validate_structure(s: Structure) -> tuple[list[str], list[str], list[str]]:
+    """A structural model's findings that read no masses, in validate's
+    order: (variables, head, tail), the variables and roles, which end the
+    list when they fail, then those before the masses and those after."""
+    out: list[str] = []
+    names = [v.name for v in s.variables]
     if len(set(names)) != len(names):
-        out.append("duplicate variable names")
-        return out
+        return ["duplicate variable names"], [], []
 
-    for v in scm.variables:
+    for v in s.variables:
         if not v.support:
             out.append(f"variable {v.name}: empty support")
         if len(set(v.support)) != len(v.support):
@@ -678,7 +754,7 @@ def _validate_scm(scm: Scm) -> list[str]:
         if v.role not in _ROLES:
             out.append(f"variable {v.name}: unknown role {v.role!r}")
 
-    role_counts = {r: len([v for v in scm.variables if v.role == r]) for r in _ROLES}
+    role_counts = {r: len([v for v in s.variables if v.role == r]) for r in _ROLES}
     for role in (ROLE_EXPOSURE, ROLE_MEDIATOR, ROLE_OUTCOME):
         if role_counts[role] != 1:
             out.append(f"exactly one variable must have role {role}, found {role_counts[role]}")
@@ -691,57 +767,45 @@ def _validate_scm(scm: Scm) -> list[str]:
     if role_counts[ROLE_SEP_MEDIATOR_PATH] and role_counts[ROLE_INDUCED]:
         out.append("separable-component and induced-confounder variables cannot coexist")
     if out:
-        return out
+        return out, [], []
 
-    noise_names = [n.name for n in scm.noise]
-    if len(set(noise_names)) != len(noise_names):
-        out.append("duplicate noise names")
-    for n in scm.noise:
-        out.extend(_mass_violations(n))
+    noise_names = [name for name, _ in s.noise]
+    head = ["duplicate noise names"] if len(set(noise_names)) != len(noise_names) else []
 
-    table_vars = [t.variable for t in scm.tables]
+    table_vars = [t.variable for t in s.tables]
     if sorted(table_vars) != sorted(names):
-        out.append("structural tables do not cover the variables exactly once each")
-        return out
-    used_noise = [t.noise for t in scm.tables]
+        return [], head, ["structural tables do not cover the variables exactly once each"]
+    used_noise = [t.noise for t in s.tables]
     if sorted(used_noise) != sorted(noise_names):
-        out.append("noise terms are not in bijection with variables")
-        return out
+        return [], head, ["noise terms are not in bijection with variables"]
 
-    # with the noise laws, roles and coverage sound, a table whose one pass
+    # with the noise names, roles and coverage sound, a table whose one pass
     # succeeded is valid; any other table gets the full diagnosis
-    compiled = {} if out else scm.structure._compiled
-    noise_by_name = {n.name: n for n in scm.noise}
-    supports = scm.structure.supports
-    for t in scm.tables:
+    compiled = {} if head else s._compiled
+    levels_of = dict(s.noise)
+    for t in s.tables:
         if compiled.get(t.variable) is not None:
             continue
-        violation = _table_violation(t, supports, noise_by_name[t.noise].levels())
+        violation = _table_violation(t, s.supports, levels_of[t.noise])
         if violation:
             out.append(violation)
-            if not all(p in supports for p in t.parents):
-                return out
+            if not all(p in s.supports for p in t.parents):
+                return [], head, out
 
-    out.extend(_validate_shape(scm))
+    out.extend(_validate_shape(s))
 
-    a_star, a = scm.exposure_levels
-    a_support = scm.structure.supports[scm.structure._single(ROLE_EXPOSURE)]
+    a_star, a = s.exposure_levels
+    a_support = s.supports[s._single(ROLE_EXPOSURE)]
     if a_star == a:
         out.append("exposure levels a* and a must differ")
     if a_star not in a_support or a not in a_support:
         out.append("exposure levels must lie in the exposure support")
 
     try:
-        scm.topo_order
+        s.topo_order
     except DomainError as exc:
         out.append(str(exc))
-    return out
-
-
-def _noise_mismatch(scm: Scm) -> list[str]:
-    """The violation of noise laws whose names or levels, in order, are not the structure's."""
-    same = tuple((n.name, n.levels()) for n in scm.noise) == scm.structure.noise
-    return [] if same else ["noise names or levels differ from the structure"]
+    return [], head, out
 
 
 def _mass_violations(noise: NoiseSpec) -> list[str]:
@@ -761,11 +825,11 @@ def _mass_violations(noise: NoiseSpec) -> list[str]:
     return out
 
 
-def _validate_shape(scm: Scm) -> list[str]:
+def _validate_shape(s: Structure) -> list[str]:
     out: list[str] = []
-    rules = _SHAPE_PARENT_RULES[scm.shape]
-    role_of = {v.name: v.role for v in scm.variables}
-    for t in scm.tables:
+    rules = _SHAPE_PARENT_RULES[s.shape]
+    role_of = {v.name: v.role for v in s.variables}
+    for t in s.tables:
         role = role_of[t.variable]
         if role == ROLE_COVARIATE:
             bad = [p for p in t.parents if role_of[p] != ROLE_COVARIATE]
@@ -782,54 +846,26 @@ def _validate_shape(scm: Scm) -> list[str]:
                 f"graph not a supported mediation shape: {t.variable} (role {role}) "
                 f"has disallowed parents {bad}"
             )
-    if scm.shape == "separable":
-        out.extend(_validate_separable_determinism(scm))
+    if s.shape == "separable":
+        out.extend(_validate_separable_determinism(s))
     return out
 
 
-def _validate_separable_determinism(scm: Scm) -> list[str]:
+def _validate_separable_determinism(s: Structure) -> list[str]:
     # The A->N and A->O links must be deterministic identities.
     out: list[str] = []
     for role in (ROLE_SEP_MEDIATOR_PATH, ROLE_SEP_DIRECT_PATH):
-        name = scm.structure._single(role)
+        name = s._single(role)
         if name is None:
             continue
-        t = scm.table_for(name)
-        if t.parents != (scm.exposure_name,):
+        t = s.table_for(name)
+        if t.parents != (s.exposure_name,):
             out.append(f"separable component {name} must have the exposure as sole parent")
             continue
         for (pv, _e), value in t.table.items():
             if value != pv[0]:
                 out.append(f"separable component {name} is not a deterministic copy of the exposure")
                 break
-    return out
-
-
-def _validate_ffrcistg(spec: FfrcistgSpec) -> list[str]:
-    out: list[str] = []
-    atoms, masses = spec.structure.atoms, spec.masses
-    if spec.exposure_levels[0] == spec.exposure_levels[1]:
-        out.append("exposure levels a* and a must differ")
-    if len(set(spec.m_support)) != len(spec.m_support) or not spec.m_support:
-        out.append("mediator support must be non-empty and duplicate-free")
-    if len(masses) != len(atoms):
-        out.append(f"{len(masses)} masses for {len(atoms)} atoms")
-        return out
-    if not masses:
-        out.append("joint pmf is empty")
-        return out
-    total = sum(masses)
-    if not abs(total - 1.0) <= PROB_TOL:
-        out.append(f"joint pmf sums to {total!r}")
-    if not all(math.isfinite(p) for p in masses):
-        out.append("joint pmf has a non-finite mass")
-    if any(p < 0 for p in masses):
-        out.append("joint pmf has a negative mass")
-    width = len(spec.labels)
-    if any(len(atom) != width for atom in atoms):
-        out.append(f"atoms must assign all {width} counterfactual coordinates")
-        return out
-    out.extend(_one_world_violations(spec))
     return out
 
 
@@ -862,10 +898,12 @@ def _one_world_violations(spec: FfrcistgSpec) -> list[str]:
     return []
 
 
-def _require_valid(model: Model, context: str) -> Model:
-    violations = validate(model)
-    if violations:
-        raise DomainError(f"{context}: invalid model: {violations}")
+def _require_valid(model: Model, context: str | None = None) -> Model:
+    """The model, if validate accepts it, else DomainError("[<context>: ]
+    invalid model: [...]"): the gate of every factory and reader."""
+    if model.violations:
+        where = f"{context}: " if context else ""
+        raise DomainError(f"{where}invalid model: {list(model.violations)}")
     return model
 
 

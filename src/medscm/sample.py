@@ -25,7 +25,7 @@ import numpy as np
 from . import engine, identify
 from .engine import ObservedLaw
 from .errors import DegenerateStratumError, DomainError, EnumerationSizeError
-from .model import Scm
+from .model import Model, _require_valid
 
 
 @dataclass(frozen=True)
@@ -88,78 +88,33 @@ def _integer(name: str, value, bits: int | None = None) -> int:
     return value
 
 
-def _canonical_columns(scm: Scm) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(variable names in draw order, canonical CSV header names)."""
-    order = scm.topo_order
-    header = []
-    for name in order:
-        role = scm.var(name).role
-        header.append(name if role == "C" else role)
-    if len(set(header)) != len(header):
-        raise DomainError(
-            "covariate names collide with the canonical A/L/M/Y column names"
-        )
-    return order, tuple(header)
-
-
-def draw_samples(scm: Scm, n: int, seed: int) -> Dataset:
-    """Draw n i.i.d. rows from the observational law.
+def draw_samples(model: Model, n: int, seed: int) -> Dataset:
+    """Draw n i.i.d. rows from the observational law of a model of either
+    type, by its draw method; a model validate rejects is a DomainError.
 
     Row k consumes the k-th block of a Philox counter-based stream keyed by
     seed, so the output is reproducible and independent of any chunking;
-    the rows are drawn CSV_BLOCK at a time, so no temporary grows with n,
-    and a variable whose support is 0..k-1 stores its support positions as
-    they are. n is a nonnegative integer and seed an integer in [0, 2**128);
-    anything else is a DomainError. Rows over engine.PROFILE_BYTE_BUDGET
-    bytes raise EnumerationSizeError before anything is allocated."""
-    if not isinstance(scm, Scm):
-        raise DomainError("sampling requires a structural-table model")
-    scm.require_structure_noise()
+    the rows are drawn CSV_BLOCK at a time, so no temporary grows with n.
+    n is a nonnegative integer and seed an integer in [0, 2**128); anything
+    else is a DomainError. Rows over engine.PROFILE_BYTE_BUDGET bytes raise
+    EnumerationSizeError before anything is allocated."""
+    _require_valid(model)
     n, seed = _integer("n", n), _integer("seed", seed, 128)
-    order, header = _canonical_columns(scm)
-    need = n * len(order) * 8
+    header = tuple(v.name if v.role == "C" else v.role for v in map(model.var, model.topo_order))
+    if len(set(header)) != len(header):
+        raise DomainError("covariate names collide with the canonical A/L/M/Y column names")
+    need = n * len(header) * 8
     if need > engine.PROFILE_BYTE_BUDGET:
         raise EnumerationSizeError(
-            f"a sample needs {need} bytes ({n} rows x {len(order)} columns), "
+            f"a sample needs {need} bytes ({n} rows x {len(header)} columns), "
             f"over the {engine.PROFILE_BYTE_BUDGET}-byte budget"
         )
-    structure = scm.structure
-    edges = [_cdf_edges(scm.noise_for(name)) for name in order]
-    supports = [structure.supports[name] for name in order]
-    supports = [None if s == tuple(range(len(s))) else np.asarray(s) for s in supports]
     gen = np.random.Generator(np.random.Philox(key=seed))
-    rows = np.empty((n, len(order)), dtype=np.int64)
+    rows = np.empty((n, len(header)), dtype=np.int64)
     for k in range(0, n, CSV_BLOCK):
         block = rows[k : k + CSV_BLOCK]
-        uniforms = gen.random(block.shape)
-        position: dict[str, np.ndarray] = {}   # of each value in its sorted support
-        for j, name in enumerate(order):
-            idx = _inverse_cdf(edges[j], uniforms[:, j].copy())
-            parents = [position[p] for p in scm.table_for(name).parents]
-            position[name] = structure.positions(name, idx, parents)
-            block[:, j] = position[name] if supports[j] is None else supports[j][position[name]]
+        model.draw(gen.random(block.shape), block)
     return Dataset(header, rows)
-
-
-def _cdf_edges(noise) -> np.ndarray:
-    """A noise law's CDF over its levels without the last entry, padded with
-    inf to a power of two longer than it: the edges _inverse_cdf searches."""
-    cum = np.cumsum([noise.pmf[lv] for lv in noise.levels()])
-    size = 1 << (cum.size - 1).bit_length()
-    return np.concatenate([cum[:-1], np.full(size - cum.size + 1, np.inf)])
-
-
-def _inverse_cdf(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The noise position of each uniform u: how many edges lie at or below
-    it. The edges are nondecreasing, so those form a prefix, and a branchless
-    binary search finds its length, one comparison pass per halving."""
-    step = edges.size // 2
-    if not step:
-        return np.zeros(u.size, dtype=np.int64)
-    idx = (u >= edges[step - 1]) * step
-    while step := step // 2:
-        idx += (u >= edges.take(idx + step - 1)) * step
-    return idx
 
 
 # ---------------------------------------------------------------------------

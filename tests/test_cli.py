@@ -149,6 +149,20 @@ def test_sample_estimate_round_trip(tmp_path, capsys):
     assert abs(value - 0.2) < 0.03
 
 
+def test_sample_t3_then_estimate(tmp_path, capsys):
+    # the counterfactual-joint family samples its factual A, M and Y
+    out_csv = tmp_path / "t3.csv"
+    code, out, _ = run(capsys, "sample", "t3", "--n", "20000", "--sample-seed", "3",
+                       "--out", str(out_csv))
+    assert code == 0 and out_csv.read_text().startswith("A,M,Y\n")
+    code, out, _ = run(capsys, "estimate", str(out_csv), "--estimand", "psi_nie",
+                       "--n-boot", "20", "--sample-seed", "1")
+    assert code == 0
+    value = float(next(l for l in out.splitlines() if l.startswith("value")).split()[-1])
+    exact = M.psi_nie(M.observational_law(M.thm3_counterexample(0.1, (0.1, 0.2, 0.4, 0.3), 0.5)))
+    assert abs(value - exact) < 0.03
+
+
 def test_estimate_degenerate_exit(tmp_path, capsys):
     path = tmp_path / "tiny.csv"
     path.write_text("A,M,Y\n0,0,0\n0,0,1\n1,0,0\n1,1,1\n")

@@ -14,7 +14,9 @@ two structures were added, hashed before sweep points were scored in batches.
 The four `estimate` commands with `--n-boot` above 0 were recorded again when a
 bootstrap replicate became one multinomial draw of cell counts in place of n
 drawn row indices: each `value` line is unchanged, only `ci_low` and `ci_high`
-moved, a new Monte Carlo realisation of the same interval law.
+moved, a new Monte Carlo realisation of the same interval law. `sample t3`
+and an estimate from its rows were added when the counterfactual-joint model
+type began to sample; no earlier hash moved.
 """
 
 import hashlib
@@ -113,6 +115,10 @@ OTHER_ARGV = [
     ["sweep", "t3", "--grid", "pi=0.2|0.6,beta1=0.1,beta2=0.2,beta3=0.3,beta4=0.4,gamma=0.5"],
     # pi2=0 empties a level of L: one grid over two structures
     ["sweep", "t2", "--grid", "pi1=0.1|0.3,pi2=0|0.2,beta=0.3", "--effect", "nie_r"],
+    # the atom-joint model type sampled, and an estimate from its rows
+    ["sample", "t3", "--n", "4000", "--sample-seed", "7", "--out", "t3.csv"],
+    ["estimate", "t3.csv", "--estimand", "psi_nie", "--n-boot", "10", "--sample-seed", "7",
+     "--format", "csv"],
     # failures whose exit code and message stay
     ["reproduce", "T1", "--pi", "1.5"],
     ["reproduce", "T1", "--pi", "0.5"],
@@ -254,6 +260,8 @@ GOLDEN: dict[str, str] = {
     'sweep additive --grid seed=0:3:4 --effect nie --tol 0.5': 'bd15181d7be15a23b8970da204fbf1517f2203e812ca15162e24e86405971ae9',
     'sweep t3 --grid pi=0.2|0.6,beta1=0.1,beta2=0.2,beta3=0.3,beta4=0.4,gamma=0.5': '0ca0e5bc3391d90d2369997bc29dcc33dcd5c29094c93cd24d12b771e1a71158',
     'sweep t2 --grid pi1=0.1|0.3,pi2=0|0.2,beta=0.3 --effect nie_r': '5d18b0ca03e88f23237569ba248eed6b434944040b33ac24ab03bccd3a97401c',
+    'sample t3 --n 4000 --sample-seed 7 --out t3.csv': 'c3edd1c8cdc0db31a2ca71e812015518d072c3ee4d36c32a92c544372e8f5983',
+    'estimate t3.csv --estimand psi_nie --n-boot 10 --sample-seed 7 --format csv': '632d7932fb85946b4594dc52a1f66f53958fda5ff8dfbd4fcb6b5ca59952b508',
     'reproduce T1 --pi 1.5': 'e851c66f84dda46916e10aeeb2818edaf5c56d1750599c9abfbe63fd3ac4d5cb',
     'reproduce T1 --pi 0.5': 'e851c66f84dda46916e10aeeb2818edaf5c56d1750599c9abfbe63fd3ac4d5cb',
     'reproduce T2 --pi1 0.3': 'db4ce29195c233f53198c23434ff6e2ac58fbd63433a85d4d8e5aa7fe6db5174',

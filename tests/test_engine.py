@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import gc
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -237,11 +238,13 @@ def test_profile_byte_budget(monkeypatch, capsys):
 
 
 def test_profiles_reject_zero_mass_model():
+    # a model of no positive-mass unit has a law of no mass: the gate refuses it
     scm = M.thm1_counterexample(0.5, 0.5)
     noise = tuple(
         NoiseSpec("eps_M", {0: 0.0, 1: 0.0}) if n.name == "eps_M" else n for n in scm.noise
     )
-    with pytest.raises(M.DomainError, match="no positive-probability unit"):
+    with pytest.raises(M.DomainError,
+                       match=re.escape("invalid model: ['noise eps_M: pmf sums to 0.0']")):
         M.engine.profiles(Scm.of(scm.variables, noise, scm.tables, scm.exposure_levels))
 
 

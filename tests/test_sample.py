@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import medscm as M
 from medscm.cli import main
-from medscm.model import NoiseSpec, StructuralTable, Scm
+from medscm.model import StructuralTable, Scm
 
 
 def test_determinism():
@@ -68,6 +68,50 @@ def test_total_variation_convergence(scm):
     cells = set(exact.pmf) | set(emp.pmf)
     tv = 0.5 * sum(abs(exact.pmf.get(k, 0.0) - emp.pmf.get(k, 0.0)) for k in cells)
     assert tv < 0.01
+
+
+T3 = M.thm3_counterexample(0.1, (0.1, 0.2, 0.4, 0.3), 0.5)
+
+
+def test_t3_sample_lies_within_five_binomial_errors_of_its_law():
+    """The counterfactual-joint type samples too: each (A, M, Y) cell's
+    frequency lies within 5 binomial standard errors (plus 5 counts for a
+    sparse cell) of observational_law(t3), and a cell of no mass is never
+    drawn: the benchmark's cell check."""
+    n = 200_000
+    ds = M.draw_samples(T3, n, seed=3)
+    assert ds.columns == ("A", "M", "Y")
+    cells, counts = np.unique(ds.rows, axis=0, return_counts=True)
+    drawn = dict(zip(map(tuple, cells.tolist()), counts.tolist()))
+    exact = {(a, m, y): p for (_, a, _, m, y), p in M.observational_law(T3).pmf.items()}
+    assert len(exact) == 8 and drawn.keys() <= exact.keys()
+    for cell, p in exact.items():
+        tol = 5.0 * np.sqrt(p * (1.0 - p) / n) + 5.0 / n
+        assert abs(drawn.get(cell, 0) / n - p) <= tol, cell
+
+
+def test_t3_rows_are_the_factual_coordinates_of_the_inverse_cdf_atom():
+    # the reference: each row's atom by searchsorted over the masses' CDF
+    # from its first uniform, then A, M(A) and Y(A, M(A)) read off the atom
+    n, seed = 1000, 9
+    u = np.random.Generator(np.random.Philox(key=seed)).random((n, 3))[:, 0]
+    cum = np.cumsum(T3.masses)
+    picks = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    labels = T3.labels
+    want = []
+    for k in picks.tolist():
+        atom = dict(zip(labels, T3.structure.atoms[k]))
+        a = atom["A"]
+        m = atom[f"M({a})"]
+        want.append((a, m, atom[f"Y({a},{m})"]))
+    assert M.draw_samples(T3, n, seed).rows.tolist() == [list(row) for row in want]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_t3_rows_do_not_depend_on_the_block(block, monkeypatch):
+    rows = M.draw_samples(T3, 501, seed=4).rows
+    monkeypatch.setattr(M.sample, "CSV_BLOCK", block)
+    assert np.array_equal(M.draw_samples(T3, 501, seed=4).rows, rows)
 
 
 def test_single_row_point_mass():
@@ -654,9 +698,9 @@ def test_bootstrap_over_tens_of_thousands_of_cells(tmp_path, capsys):
        seed=st.integers(0, 2**32 - 1))
 def test_inverse_cdf_is_the_clipped_searchsorted(weights, seed):
     # zero weights make flat stretches of the CDF, so edges repeat
-    noise = NoiseSpec("e", {2 * i - 7: w / sum(weights) for i, w in enumerate(weights)})
-    cum = np.cumsum([noise.pmf[lv] for lv in noise.levels()])
-    edges = M.sample._cdf_edges(noise)
+    masses = [w / sum(weights) for w in weights]
+    cum = np.cumsum(masses)
+    edges = M.model._cdf_edges(masses)
     assert edges.size & (edges.size - 1) == 0 and edges.size >= cum.size
     inner = cum[:-1]
     u = np.concatenate([np.random.default_rng(seed).random(257), [0.0], inner,
@@ -664,7 +708,7 @@ def test_inverse_cdf_is_the_clipped_searchsorted(weights, seed):
     u = u[u < 1.0]
     closed = np.append(inner, 1.0)
     expected = np.minimum(np.searchsorted(closed, u, side="right"), cum.size - 1)
-    assert np.array_equal(M.sample._inverse_cdf(edges, u), expected)
+    assert np.array_equal(M.model._inverse_cdf(edges, u), expected)
 
 
 @st.composite
