@@ -5,7 +5,10 @@ unit once per mediator level, so any change to how a sum is built or ordered
 (not only a change of value beyond a tolerance) fails here. Covered:
 effect_report of the four families and a 16/5/5/5 confounded random model,
 the effect_reports rows of a t1 weight block, and the nie_r_L records of a t2
-evaluate_points grid over two column tables (pi2 = 0 and pi2 > 0).
+evaluate_points grid over two column tables (pi2 = 0 and pi2 > 0). The
+check_all_assumptions verdicts of the same models and of a basic random
+model with C (where A7 reads A2's tables) are pinned by worst_violation.hex()
+and witness, recorded when an assumption's checks were scored side by side.
 """
 
 import numpy as np
@@ -27,6 +30,9 @@ MODELS = {
     "random_16_5_5_5": lambda: M.random_scm(2001, "confounded", with_c=True, c_levels=16,
                                             l_levels=5, m_levels=5, y_levels=5),
 }
+
+CHECK_MODELS = {**MODELS, "basic_c": lambda: M.random_scm(7, "basic", with_c=True, c_levels=4,
+                                                          m_levels=3, y_levels=3)}
 
 T1_BLOCK = [(pi, beta) for pi in (0.2, 0.5, 0.8) for beta in (0.1, 0.6, 0.9)]
 
@@ -130,6 +136,48 @@ T2_GRID_NIE_R_L = ('-0x1.9999999999998p-3', '0x1.9999999999998p-2', '0x1.47ae147
  '0x1.47ae147ae1480p-5', '0x1.0a3d70a3d70a4p-1', '-0x1.9999999999998p-3',
  '0x1.9999999999998p-2', '0x1.47ae147ae1480p-5', '0x1.0a3d70a3d70a4p-1')
 
+VERDICTS = {
+    "t1": (("A1", "0x1.0000000000000p-53", "Y(0,0) vs A: stratum (), cell (x=0, z=0)"),
+           ("A2", "0x1.5810624dd2f1cp-5", "Y(0,1) vs M | A=0: stratum (), cell (x=0, z=0)"),
+           ("A3", "0x1.0000000000000p-54", "M(1) vs A: stratum (), cell (x=1, z=0)"),
+           ("A4", "0x1.5810624dd2f20p-5", "Y(1,0) vs M(0): stratum (), cell (x=0, z=0)"),
+           ("A6", "-0x1.9999999999999p-2", "smallest required cell f(M=0 | A=1, c=())"),
+           ("A7", "0x0.0p+0", "")),
+    "t2": (("A1", "0x0.0p+0", ""),
+           ("A2", "0x1.0e56041893750p-5", "Y(0,1) vs M | A=0: stratum (), cell (x=1, z=1)"),
+           ("A3", "0x1.0000000000000p-56", "M(0) vs A: stratum (), cell (x=1, z=0)"),
+           ("A4", "0x1.0e56041893750p-5", "Y(1,0) vs M(0): stratum (), cell (x=0, z=1)"),
+           ("A6", "-0x1.9999999999998p-5", "smallest required cell f(M=0 | A=1, c=())"),
+           ("A7", "0x0.0p+0", "")),
+    "t3": (("A1", "0x1.0000000000000p-55", "Y(0,0) vs A: stratum (), cell (x=0, z=0)"),
+           ("A2", "0x1.8000000000000p-53", "Y(0,0) vs M | A=0: stratum (), cell (x=1, z=1)"),
+           ("A3", "0x1.0000000000000p-53", "M(1) vs A: stratum (), cell (x=0, z=0)"),
+           ("A4", "0x1.0a3d70a3d70a5p-3", "Y(1,1) vs M(0): stratum (), cell (x=0, z=0)"),
+           ("A6", "-0x1.3333333333333p-2", "smallest required cell f(M=1 | A=1, c=())"),
+           ("A7", "0x1.8000000000000p-53", "Y(0,0) vs M | L, A=0: stratum (), cell (x=1, z=1)")),
+    "pe": (("A1", "0x0.0p+0", ""),
+           ("A2", "0x0.0p+0", ""),
+           ("A3", "0x0.0p+0", ""),
+           ("A4", "0x0.0p+0", ""),
+           ("A6", "-0x1.6666666666666p-2", "smallest required cell f(M=1 | A=0, c=())"),
+           ("A7", "0x0.0p+0", "")),
+    "random_16_5_5_5": (
+        ("A1", "0x1.0000000000000p-51", "Y(0,1) vs A: stratum (10,), cell (x=3, z=0)"),
+        ("A2", "0x1.ad8acb7ab16d0p-7", "Y(1,4) vs M | A=1: stratum (7,), cell (x=3, z=1)"),
+        ("A3", "0x1.2000000000000p-51", "M(0) vs A: stratum (7,), cell (x=0, z=1)"),
+        ("A4", "0x1.6a136a509bb6cp-7", "Y(1,1) vs M(0): stratum (5,), cell (x=3, z=3)"),
+        ("A6", "-0x1.f1972df66b186p-4", "smallest required cell f(M=4 | A=1, c=(10,))"),
+        ("A7", "0x1.0000000000000p-53",
+         "Y(0,1) vs M | L, A=0: stratum ((2,), 3), cell (x=1, z=0)")),
+    "basic_c": (("A1", "0x1.0000000000000p-53", "Y(0,0) vs A: stratum (2,), cell (x=2, z=1)"),
+                ("A2", "0x1.0000000000000p-53", "Y(0,1) vs M | A=0: stratum (0,), cell (x=1, z=2)"),
+                ("A3", "0x1.0000000000000p-52", "M(0) vs A: stratum (2,), cell (x=1, z=1)"),
+                ("A4", "0x1.0000000000000p-54", "Y(1,0) vs M(0): stratum (2,), cell (x=0, z=1)"),
+                ("A6", "-0x1.45f52b4311e38p-3", "smallest required cell f(M=0 | A=0, c=(0,))"),
+                ("A7", "0x1.0000000000000p-53",
+                 "Y(0,1) vs M | L, A=0: stratum (0,), cell (x=1, z=2)")),
+}
+
 
 @pytest.mark.parametrize("name", list(MODELS))
 def test_effect_report_bits(name):
@@ -148,3 +196,10 @@ def test_weight_block_bits():
 def test_evaluate_points_bits():
     records = criteria.evaluate_points("t2", T2_GRID, "nie_r_L")
     assert tuple(record.effect_value.hex() for record in records) == T2_GRID_NIE_R_L
+
+
+@pytest.mark.parametrize("name", list(CHECK_MODELS))
+def test_check_verdict_bits(name):
+    verdicts = M.check_all_assumptions(CHECK_MODELS[name]())
+    assert tuple((v.assumption, v.worst_violation.hex(), v.witness) for v in verdicts) == \
+        VERDICTS[name]
