@@ -204,13 +204,6 @@ FUNCTIONALS = {
 # Assumption checks on the counterfactual joint
 # ---------------------------------------------------------------------------
 
-# a block of independence checks lays out at most this many (check, unit)
-# entries per index array (64 KiB of int64), a larger block a part at a time:
-# the parts stay in cache, and a model of more units scores one check at a
-# time without repeating its shares
-CHECK_BLOCK_ELEMENTS = 1 << 13
-
-
 @dataclass(frozen=True, eq=False)
 class _Strata:
     """The units one stratification scores, all of them (units None) or
@@ -232,14 +225,12 @@ class _CheckTables:
     (C, L), with their shares; each arm's codes of a z column; and the
     marginal tables P(column | stratum) of the columns a check has scored.
     check_all_assumptions shares one set among its checks for that call
-    only; a lone check builds its own. Nothing the size of a block of checks
-    is kept."""
+    only; a lone check builds its own. A check's x codes over an arm and its
+    joint table are not kept."""
 
     def __init__(self, model: Model):
         self.model, self.p = model, engine.profiles(model)
         self._built: dict = {}
-        # (by, row) -> P(row's level | stratum), (strata, levels), once scored
-        self.tables: dict[tuple, np.ndarray] = {}
 
     def _once(self, key, compute: Callable[[], object]):
         if key not in self._built:
@@ -287,71 +278,57 @@ class _CheckTables:
             return codes
         return self._once(("column", arm, row), lambda: codes[self.units(arm)])
 
+    def marginal(self, by: tuple, row: tuple, bins: Callable[[], np.ndarray]) -> np.ndarray:
+        """P(level of column row | stratum) under the strata by, (strata,
+        levels): one np.bincount of the shares over bins() = stratum * levels
+        + code, in unit order, on first use."""
+        def count():
+            st = self.strata(*by)
+            ns, k = st.n_strata, len(self.levels(row[0]))
+            return np.bincount(bins(), weights=st.share, minlength=ns * k).reshape(ns, k)
+        return self._once(("marginal", by, row), count)
+
 
 _TABLES: contextvars.ContextVar[_CheckTables | None] = contextvars.ContextVar(
     "check_tables", default=None)
 
 
-def _search(t: _CheckTables, blocks: list) -> tuple[float, str]:
+def _search(t: _CheckTables, checks: list) -> tuple[float, str]:
     """Max |P(x,z | s) - P(x | s) P(z | s)| over checks, strata s and the
     cells (x, z) whose values both occur in s; the witness names the first
     check attaining it (its tag), then its first stratum and cell attaining
-    it, strata and values in order of first occurrence. Each block is (by,
-    tags, x rows, x codes, z row): by = (arm, with_l) names the strata (see
-    _CheckTables.strata), each check's x is a row of the (checks, units)
-    codes, named by its row (name, index...) in x rows, and z is one row
-    shared by the checks.
+    it, strata and values in order of first occurrence. Each check is (tag,
+    by, x row, z row): by = (arm, with_l) names the strata (see
+    _CheckTables.strata), and x and z are column rows (name, index...).
 
-    The checks of a block share the stratum shares and the z table, and their
-    x and joint tables lie side by side in one np.bincount each, at most
-    CHECK_BLOCK_ELEMENTS entries at a time; an x table already scored under
-    the same strata is read instead. Every bin adds its own check's units in
-    unit order, so each deviation is that of a table of its own. The witness
-    search runs once, over the winning check."""
+    Each check is a table of its own: its bins stratum * nx + x are formed
+    once, give P(x | s) unless the same strata have scored that row, then
+    become (stratum * nx + x) * nz + z for the joint table, one np.bincount
+    of the shares in unit order. The witness search runs once, over the
+    winning check."""
     worst, winner = 0.0, None
-    for by, tags, x_rows, x, z_row in blocks:
+    for tag, by, x_row, z_row in checks:
         st = t.strata(*by)
-        x_levels, z_levels = t.levels(x_rows[0][0]), t.levels(z_row[0])
-        n, ns, nx, nz = st.s.size, st.n_strata, len(x_levels), len(z_levels)
-        if n == 0:
+        if st.s.size == 0:
             continue   # an empty arm: nothing to test
+        x_levels, z_levels = t.levels(x_row[0]), t.levels(z_row[0])
+        ns, nx, nz = st.n_strata, len(x_levels), len(z_levels)
+        xc = t.codes(x_row[0])[x_row[1:]]
+        if st.units is not None:
+            xc = xc[st.units]
         zc = t.column(by[0], z_row)
-        pz = t.tables.get((by, z_row))
-        if pz is None:
-            pz = t.tables[by, z_row] = np.bincount(st.s * nz + zc, weights=st.share,
-                                                   minlength=ns * nz).reshape(ns, nz)
-        known = [t.tables.get((by, row)) for row in x_rows]
-        scored = all(table is not None for table in known)
-        px = np.stack(known) if scored else np.empty((len(tags), ns, nx))
-        joint = np.empty((len(tags), ns, nx, nz))
-        s_x, size = st.s * nx, max(1, CHECK_BLOCK_ELEMENTS // n)
-        for lo in range(0, len(tags), size):
-            xc = x[lo:lo + size] if st.units is None else x[lo:lo + size][:, st.units]
-            k = xc.shape[0]
-            sx = xc + s_x   # bins of (check, stratum, x)
-            del xc
-            if k > 1:
-                sx += np.arange(k)[:, None] * (ns * nx)
-            shares = st.share if k == 1 else st.share[None].repeat(k, axis=0).ravel()
-            if not scored:
-                px[lo:lo + k] = np.bincount(sx.ravel(), weights=shares,
-                                            minlength=k * ns * nx).reshape(k, ns, nx)
-            sx *= nz
-            sx += zc
-            joint[lo:lo + k] = np.bincount(sx.ravel(), weights=shares,
-                                           minlength=k * ns * nx * nz).reshape(k, ns, nx, nz)
-            del sx, shares
-        if not scored:
-            t.tables.update(zip(((by, row) for row in x_rows), px))
-        px, pz = px[..., None], pz[:, None, :]
+        bins = st.s * nx + xc
+        px = t.marginal(by, x_row, lambda: bins)[:, :, None]
+        pz = t.marginal(by, z_row, lambda: st.s * nz + zc)[:, None, :]
+        bins *= nz
+        bins += zc
+        joint = np.bincount(bins, weights=st.share, minlength=ns * nx * nz).reshape(ns, nx, nz)
+        # a value absent from a stratum has no units there, so its marginal
+        # and its joint cells are 0.0 and deviate by 0.0
         dev = np.abs(joint - px * pz)
-        dev[(px == 0.0) | (pz == 0.0)] = 0.0   # values absent from the stratum
-        top = dev.reshape(len(tags), -1).max(axis=1)
-        i = int(np.argmax(top))
-        if top[i] > worst:
-            worst = float(top[i])
-            winner = (st, tags[i], x[i] if st.units is None else x[i][st.units], zc, dev[i],
-                      x_levels, z_levels)
+        top = float(dev.max())
+        if top > worst:
+            worst, winner = top, (st, tag, xc, zc, dev, x_levels, z_levels)
     if winner is None:
         return 0.0, ""
     st, tag, xc, zc, dev, x_levels, z_levels = winner
@@ -380,11 +357,11 @@ def _first_seen(codes: np.ndarray, k: int, absent: int) -> np.ndarray:
 
 def check_assumption(model: Model, which: str) -> AssumptionVerdict:
     """Exact factorization (or positivity) test of one assumption over the
-    model's full counterfactual joint. The independence checks of an
-    assumption are scored as one block (one per arm for A2 and A7), and the
-    witness names the first check, in the order listed here, that attains
-    the largest deviation. Within check_all_assumptions it reads that call's
-    tables; otherwise it builds what it reads itself."""
+    model's full counterfactual joint. Each independence check of an
+    assumption is scored as a table of its own, and the witness names the
+    first check, in the order listed here, that attains the largest
+    deviation. Within check_all_assumptions it reads that call's tables;
+    otherwise it builds what it reads itself."""
     if which not in ASSUMPTIONS:
         raise DomainError(f"unknown assumption {which!r}; expected one of {ASSUMPTIONS}")
     t = _TABLES.get()
@@ -394,32 +371,26 @@ def check_assumption(model: Model, which: str) -> AssumptionVerdict:
         return _check_positivity(t)
     p = t.p
     a_star, a = arms = model.exposure_levels
-    levels, k = p.m_levels, len(p.m_levels)
-    y = t.codes("y_cf")
-
-    def y_rows(*ap):   # the rows Y(a', m) of the arms ap
-        return [("y_cf", p.arm(x), j) for x in ap for j in range(k)]
-
+    levels = p.m_levels
     if which == "A1":
         # Y(a', m) independent of the factual exposure given C
-        blocks = [((None, False), [f"Y({ap},{m}) vs A" for ap in arms for m in levels],
-                   y_rows(*arms), y.reshape(-1, len(p)), ("a",))]
+        checks = [(f"Y({ap},{m}) vs A", (None, False), ("y_cf", p.arm(ap), j), ("a",))
+                  for ap in arms for j, m in enumerate(levels)]
     elif which == "A3":
-        blocks = [((None, False), [f"M({ap}) vs A" for ap in arms], [("m_cf", 0), ("m_cf", 1)],
-                   t.codes("m_cf"), ("a",))]
+        checks = [(f"M({ap}) vs A", (None, False), ("m_cf", p.arm(ap)), ("a",)) for ap in arms]
     elif which == "A4":
         # the cross-world independence: Y(a, m) vs M(a*) given C
-        blocks = [((None, False), [f"Y({a},{m}) vs M({a_star})" for m in levels], y_rows(a),
-                   y[p.arm(a)], ("m_cf", p.arm(a_star)))]
+        checks = [(f"Y({a},{m}) vs M({a_star})", (None, False), ("y_cf", p.arm(a), j),
+                   ("m_cf", p.arm(a_star))) for j, m in enumerate(levels)]
     else:
         # A2: Y(a', m) independent of the factual mediator given C within arm
         # a'; A7 the same given (C, L), which coincides with A2 when there is
         # no induced confounder
         given_l = "L, " if which == "A7" else ""
         by_l = which == "A7" and model.has_l
-        blocks = [((ap, by_l), [f"Y({ap},{m}) vs M | {given_l}A={ap}" for m in levels],
-                   y_rows(ap), y[p.arm(ap)], ("m",)) for ap in arms]
-    worst, witness = _search(t, blocks)
+        checks = [(f"Y({ap},{m}) vs M | {given_l}A={ap}", (ap, by_l), ("y_cf", p.arm(ap), j),
+                   ("m",)) for ap in arms for j, m in enumerate(levels)]
+    worst, witness = _search(t, checks)
     return AssumptionVerdict(which, worst <= INDEPENDENCE_TOL, worst, witness)
 
 

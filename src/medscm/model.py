@@ -100,7 +100,9 @@ class Structure:
     them and structures built apart never do. Nothing is checked when a
     structure is built, so a malformed model still builds and validate lists
     its faults. The lookups assume a model _require_valid accepts, as every
-    reader checks first; a lookup that raises is not cached and raises again.
+    reader checks first, but the role lookups of A, M and Y refuse a
+    structure without one with validate's list; a lookup that raises is not
+    cached and raises again.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -211,21 +213,30 @@ class Structure:
         names = self._roles.get(role, ())
         return names[0] if names else None
 
+    def _required(self, role: str) -> str:
+        """The variable of a role every valid model has; where there is none,
+        DomainError("invalid model: [...]") with the structure's findings on
+        its roles, which validate lists."""
+        name = self._single(role)
+        if name is None:
+            raise DomainError(f"invalid model: {self._findings[0]}")
+        return name
+
     @cached_property
     def covariate_names(self) -> tuple[str, ...]:
         return self._roles.get(ROLE_COVARIATE, ())
 
     @cached_property
     def exposure_name(self) -> str:
-        return self._single(ROLE_EXPOSURE)
+        return self._required(ROLE_EXPOSURE)
 
     @cached_property
     def mediator_name(self) -> str:
-        return self._single(ROLE_MEDIATOR)
+        return self._required(ROLE_MEDIATOR)
 
     @cached_property
     def outcome_name(self) -> str:
-        return self._single(ROLE_OUTCOME)
+        return self._required(ROLE_OUTCOME)
 
     @cached_property
     def induced_name(self) -> str | None:
@@ -859,7 +870,7 @@ def _validate_separable_determinism(s: Structure) -> list[str]:
         if name is None:
             continue
         t = s.table_for(name)
-        if t.parents != (s.exposure_name,):
+        if t.parents != (s._single(ROLE_EXPOSURE),):
             out.append(f"separable component {name} must have the exposure as sole parent")
             continue
         for (pv, _e), value in t.table.items():

@@ -147,12 +147,29 @@ def test_every_reader_refuses_an_invalid_model_with_validates_list(case):
         assert str(err.value) == f"invalid model: {violations}", name
 
 
+@pytest.mark.parametrize("role, lookups", [("A", ["exposure_name"]),
+                                           ("M", ["mediator_name", "m_support", "labels"]),
+                                           ("Y", ["outcome_name"])])
+def test_a_lookup_of_a_missing_role_refuses_with_validates_list(role, lookups):
+    bad = _with_variable(_t1(), role, role="C")
+    violations = [f"exactly one variable must have role {role}, found 0"]
+    assert M.validate(bad) == violations
+    for name in lookups:
+        for _ in range(2):   # a lookup that raises is not cached
+            with pytest.raises(M.DomainError) as err:
+                getattr(bad, name)
+            assert str(err.value) == f"invalid model: {violations}", name
+
+
 def test_validate_is_made_once_per_model(monkeypatch):
     calls = []
     real = model._validate_structure
     monkeypatch.setattr(model, "_validate_structure", lambda s: calls.append(s) or real(s))
     scm = M.random_scm(4, "confounded", with_c=True)
     fresh = Scm.of(scm.variables, scm.noise, scm.tables, scm.exposure_levels)
+    # the role lookups of a valid model make no findings
+    assert (fresh.exposure_name, fresh.mediator_name, fresh.outcome_name) == ("A", "M", "Y")
+    assert fresh.m_support and fresh.labels and calls == [scm.structure]
     for _ in range(3):
         assert M.validate(fresh) == []
     M.effect_report(fresh)

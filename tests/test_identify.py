@@ -297,16 +297,14 @@ CHECK_MODELS = st.one_of(
 
 
 @settings(deadline=None, max_examples=40)
-@given(model=CHECK_MODELS, one_per_block=st.booleans())
-def test_independence_checks_match_scalar_reference(model, one_per_block):
-    budget = 1 if one_per_block else identify.CHECK_BLOCK_ELEMENTS
-    with mock.patch.object(identify, "CHECK_BLOCK_ELEMENTS", budget):
-        for which in ("A1", "A2", "A3", "A4", "A7"):
-            verdict = M.check_assumption(model, which)
-            worst, witness = _reference_checks(model, which)
-            assert verdict.worst_violation.hex() == worst.hex(), which
-            assert verdict.holds == (worst <= identify.INDEPENDENCE_TOL), which
-            assert verdict.witness == witness, which
+@given(model=CHECK_MODELS)
+def test_independence_checks_match_scalar_reference(model):
+    for which in ("A1", "A2", "A3", "A4", "A7"):
+        verdict = M.check_assumption(model, which)
+        worst, witness = _reference_checks(model, which)
+        assert verdict.worst_violation.hex() == worst.hex(), which
+        assert verdict.holds == (worst <= identify.INDEPENDENCE_TOL), which
+        assert verdict.witness == witness, which
 
 
 def test_empty_arm_checks_hold_vacuously_within_it():
@@ -393,12 +391,10 @@ def _fields(verdict):
 
 
 @settings(deadline=None, max_examples=30)
-@given(model=CHECK_MODELS, one_per_block=st.booleans())
-def test_all_checks_equal_the_checks_one_at_a_time(model, one_per_block):
-    budget = 1 if one_per_block else identify.CHECK_BLOCK_ELEMENTS
-    with mock.patch.object(identify, "CHECK_BLOCK_ELEMENTS", budget):
-        together = M.check_all_assumptions(model)
-        alone = [M.check_assumption(model, which) for which in identify.ASSUMPTIONS]
+@given(model=CHECK_MODELS)
+def test_all_checks_equal_the_checks_one_at_a_time(model):
+    together = M.check_all_assumptions(model)
+    alone = [M.check_assumption(model, which) for which in identify.ASSUMPTIONS]
     assert [_fields(v) for v in together] == [_fields(v) for v in alone]
 
 
@@ -414,7 +410,8 @@ def test_all_checks_call_check_assumption_once_each_in_order():
 # the traced peak of check_all_assumptions on a 16/5/5/5 confounded model
 # (10,368 units) scored in 65,536-entry blocks without shared check tables,
 # 1,517,272 bytes, plus 128 KiB for allocator and library differences; with
-# the shared tables and 8,192-entry blocks it peaks near 0.9 MB
+# the shared tables and each check scored as a table of its own it peaks
+# near 1.05 MB
 CHECKS_PEAK_BYTES = 1_517_272 + 128 * 1024
 
 
@@ -452,22 +449,22 @@ def _bincounts_per_check(run):
 
 
 def test_the_checks_share_their_tables():
-    """Alone, each check counts its shares, z table, x tables and joint
-    tables (A2 and A7 once per arm); together, A3 reads A1's shares and z
-    table, A4 A1's x tables and A3's table of M(a*), and A7 without an
-    induced confounder A2's shares, z and x tables. A6 counts cell masses,
-    one table of stratum, arm and cell masses, and the levels each mediator
-    column takes."""
-    for model, a7_alone, a7_together in ((M.random_scm(3, "confounded", with_c=True), 8, 8),
-                                         (M.random_scm(3, "basic", with_c=True), 8, 2)):
+    """Alone, each assumption counts its shares and z table (A2 and A7 once
+    per arm), then each of its checks an x table and a joint table; together,
+    A3 reads A1's shares and z table, A4 A1's x tables and A3's table of
+    M(a*), and A7 without an induced confounder A2's shares, z and x tables.
+    A6 counts cell masses, one table of stratum, arm and cell masses, and
+    the levels each mediator column takes."""
+    for model, a7_alone, a7_together in ((M.random_scm(3, "confounded", with_c=True), 12, 12),
+                                         (M.random_scm(3, "basic", with_c=True), 12, 4)):
         def alone():
             for which in identify.ASSUMPTIONS:
                 identify.check_assumption(model, which)
 
-        assert _bincounts_per_check(alone) == {"A1": 4, "A2": 8, "A3": 4, "A4": 4, "A6": 5,
+        assert _bincounts_per_check(alone) == {"A1": 10, "A2": 12, "A3": 6, "A4": 6, "A6": 5,
                                                "A7": a7_alone}
         assert _bincounts_per_check(lambda: M.check_all_assumptions(model)) == {
-            "A1": 4, "A2": 8, "A3": 2, "A4": 1, "A6": 5, "A7": a7_together}
+            "A1": 10, "A2": 12, "A3": 4, "A4": 2, "A6": 5, "A7": a7_together}
 
 
 class _Failure(Exception):
