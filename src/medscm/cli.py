@@ -12,9 +12,8 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import sys
-from collections.abc import Iterable
+from collections.abc import Mapping
 
 from . import criteria, effects, identify, sample
 from .engine import observational_law
@@ -55,18 +54,18 @@ def _read_model(args) -> Model:
         return scm_from_json(fh.read())
 
 
-def _add_family_args(parser: argparse.ArgumentParser, families: Iterable[str]) -> None:
-    """One flag per parameter name of the families; each family reads its own."""
+def _add_family_args(parser: argparse.ArgumentParser, owners: Mapping) -> None:
+    """One flag per parameter name of the owners, families or theorems; each reads its own."""
     takers: dict[str, list[tuple[str, criteria.Param]]] = {}
-    for family in families:
-        for p in criteria.FAMILIES[family].params:
-            takers.setdefault(p.name, []).append((family, p))
+    for owner, spec in owners.items():
+        for p in spec.params:
+            takers.setdefault(p.name, []).append((owner, p))
     for name, declared in takers.items():
         first = declared[0][1]
         parser.add_argument(
             f"--{name}", type=first.type, choices=first.choices or None, default=None,
-            help="; ".join(f"{family}: {p.help} (default {p.default_text})"
-                           for family, p in declared),
+            help="; ".join(f"{owner}: {p.help} (default {p.default_text})"
+                           for owner, p in declared),
         )
     parser.set_defaults(family_params=tuple(takers))
 
@@ -159,10 +158,9 @@ def _cmd_criteria(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     tid = args.theorem.upper()
-    explicit = _given(args, [*args.family_params, "m"])
+    explicit = _given(args, args.family_params)
     if explicit:
-        record = criteria.reproduce(tid, explicit)
-        _print_rows(record.rows(), args.output_format)
+        _print_rows(criteria.reproduce(tid, explicit).rows(), args.output_format)
         return 0
     grid = criteria.default_grid(tid)
     worst = 0.0
@@ -197,7 +195,7 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
                 axes[name] = criteria._grid(float(pieces[0]), float(pieces[1]), int(pieces[2]))
         except ValueError as exc:
             raise DomainError(f"bad grid axis {part!r}: {exc}") from None
-    return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
+    return criteria._product(**axes)
 
 
 def _cmd_sweep(args) -> int:
@@ -277,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
                        description="With no parameter, run the theorem's default grid. A "
                        "point must give every parameter its closed form reads; of the "
                        "defaults below only t2's pi0 and --m apply.")
-    theorems = criteria.THEOREM_FAMILIES
+    theorems = criteria.THEOREMS
     p.add_argument("theorem", choices=[*theorems, *map(str.lower, theorems)])
-    _add_family_args(p, dict.fromkeys(theorems.values()))
-    p.add_argument("--m", type=float, default=None, help="PE: mediator level (default 0)")
+    families = {t.family: criteria.FAMILIES[t.family] for t in theorems.values()}
+    _add_family_args(p, families | theorems)
     _add_format_arg(p)
     p.set_defaults(fn=_cmd_reproduce)
 

@@ -2,11 +2,13 @@
 
 The sharp null, sharper null, and monotonicity statuses are decided over
 every positive-probability unit of the engine's profile columns; criterion
-verdicts then compare any effect value against the status of its premises. The
-reproduce operation cross-checks enumerated contrasts against closed forms
-for the built-in counterexample families. FAMILIES is the one registry of
-those families and the seeded generators: each family's parameters, with
-their types, defaults and help, and its builder.
+verdicts then compare any effect value against the status of its premises.
+Two registries drive the rest. FAMILIES holds the counterexample families
+and the seeded generators: each family's parameters, with their types,
+defaults and help, and its builder. THEOREMS holds what reproduce checks of
+each theorem: its family, the parameters its closed form reads, the closed
+form, the one contrast it enumerates, the statuses the construction
+promises, its default grid and any parameter of its own (PE's m).
 """
 
 from __future__ import annotations
@@ -211,8 +213,6 @@ def m_always_affects_y_check(model: Model) -> bool:
 # Theorem reproduction records
 # ---------------------------------------------------------------------------
 
-# the theorems reproduce and default_grid take, and the family each builds on
-THEOREM_FAMILIES = {"T1": "t1", "T2": "t2", "T3": "t3", "S1": "t1", "PE": "pe"}
 BOUNDARY_MARGIN = 1e-6
 INTERIOR_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
@@ -248,85 +248,37 @@ def _near_boundary(*values: float) -> bool:
     return any(min(v, 1.0 - v) < BOUNDARY_MARGIN for v in values)
 
 
-def _t2_closed_form(pi1: float, pi2: float, beta: float) -> float:
-    # The three-level-L family's randomized indirect contrast d*p, expanded:
-    # the mediator's effect d = 1 - pi1 times the shift in its law
-    # p = pi1*(2*beta-1) + pi2 (see model.thm2_counterexample).
-    return pi1 * (1.0 - pi1) * (2.0 * beta - 1.0) + (1.0 - pi1) * pi2
+def _theorem(theorem_id: str) -> tuple[str, Theorem]:
+    tid = theorem_id.upper()
+    if tid not in THEOREMS:
+        raise DomainError(f"unknown theorem id {tid!r}; expected one of " + ", ".join(THEOREMS))
+    return tid, THEOREMS[tid]
 
 
 def reproduce(theorem_id: str, params: Mapping[str, float]) -> ReproductionRecord:
     """Build the family instance at params, compare the enumerated contrast
     against its closed form, and check the statuses the construction promises.
     Disagreement raises ReproductionError."""
-    tid = theorem_id.upper()
-    params = dict(params)
+    tid, theorem = _theorem(theorem_id)
+    point = dict(params)
+    values = {q.name: q.default for q in theorem.params} | point   # own defaults, then given
     try:
-        return _reproduce(tid, params)
+        read = {name: values[name] for name in theorem.reads}
     except KeyError as exc:
         raise DomainError(f"{tid}: missing parameter {exc.args[0]!r}") from exc
-
-
-def _reproduce(tid: str, params: dict) -> "ReproductionRecord":
-    if tid == "T1":
-        pi, beta = params["pi"], params["beta"]
-        model = _theorem_model(tid, params)
-        closed = pi * (1.0 - pi) * (2.0 * beta - 1.0)
-        enumerated = effects.randomized_effects(model)[0]
-        effect_name = "nie_r"
-        tol = BOUNDARY_TOL if _near_boundary(pi, beta) else INTERIOR_TOL
-        status = null_status(model)
-        _expect(status.sharp_null and status.sharper_null, tid, "sharp and sharper nulls must hold")
-    elif tid == "T2":
-        pi1, pi2, beta = params["pi1"], params["pi2"], params["beta"]
-        model = _theorem_model(tid, params)
-        closed = _t2_closed_form(pi1, pi2, beta)
-        enumerated = effects.randomized_effects(model)[0]
-        effect_name = "nie_r"
-        tol = BOUNDARY_TOL if _near_boundary(params["pi0"], pi1, pi2, beta) else INTERIOR_TOL
-        status = null_status(model)
-        expected_mono = MONO_NONDECREASING if pi2 > 0.0 else MONO_BOTH
-        _expect(status.monotonicity == expected_mono, tid, f"monotonicity must be {expected_mono}")
-    elif tid == "T3":
-        pi, gamma = params["pi"], params["gamma"]
-        betas = (params["beta1"], params["beta2"], params["beta3"], params["beta4"])
-        model = _theorem_model(tid, params)
-        b1, b2, b3, b4 = betas
-        closed = ((1.0 - pi) * b4 - pi * b1) * (b3 - b2)
-        enumerated = effects.randomized_effects(model)[0]
-        effect_name = "nie_r"
-        tol = BOUNDARY_TOL if _near_boundary(pi, gamma, *betas) else INTERIOR_TOL
-        status = null_status(model)
-        _expect(status.sharp_null and status.sharper_null, tid, "sharp and sharper nulls must hold")
-        if all(b > 0.0 for b in betas):
-            a4 = identify.check_assumption(model, "A4")
-            _expect(not a4.holds, tid, "the cross-world independence must fail at interior points")
-    elif tid == "S1":
-        pi, beta = params["pi"], params["beta"]
-        model = _theorem_model(tid, params)
-        closed = beta - 0.5
-        enumerated = effects.l_conditioned_randomized_effects(model)[0]
-        effect_name = "nie_r_L"
-        tol = BOUNDARY_TOL if _near_boundary(pi, beta) else INTERIOR_TOL
-        status = null_status(model)
-        _expect(status.sharp_null, tid, "the sharp null must hold")
-    elif tid == "PE":
-        p, m = params["p"], params.get("m", 0)
-        if m not in (0, 1):
-            raise DomainError(f"PE: the mediator level m must be 0 or 1, got {m!r}")
-        m = int(m)
-        model = _theorem_model(tid, {k: v for k, v in params.items() if k != "m"})
-        closed = p - m
-        report = effects.effect_report(model)
-        enumerated = report.pe[m]
-        effect_name = f"pe({m})"
-        tol = BOUNDARY_TOL if _near_boundary(p) else INTERIOR_TOL
-        status = null_status(model)
-        _expect(status.sharp_null and status.sharper_null, tid, "sharp and sharper nulls must hold")
-        _expect(abs(report.nie) <= tol, tid, "the natural indirect contrast must vanish")
-    else:
-        raise DomainError(f"unknown theorem id {tid!r}; expected T1, T2, T3, S1, or PE")
-
+    own = {q.name: q.check(tid, values[q.name]) for q in theorem.params}
+    family = FAMILIES[theorem.family]
+    resolved = family.resolve({k: v for k, v in point.items() if k not in own})
+    point.update(resolved)
+    model = family.build(**resolved)
+    closed = theorem.closed_form(**read)
+    enumerated = theorem.contrast(model, **own)
+    tol = BOUNDARY_TOL if _near_boundary(*resolved.values()) else INTERIOR_TOL
+    status = null_status(model)
+    for promise in theorem.promises:
+        kept, claim = promise(model, status, point, tol)
+        if not kept:
+            raise ReproductionError(f"{tid}: {claim}")
     difference = abs(closed - enumerated)
     if difference > tol:
         raise ReproductionError(
@@ -334,13 +286,8 @@ def _reproduce(tid: str, params: dict) -> "ReproductionRecord":
             f"differ by {difference:.3e} > {tol}"
         )
     return ReproductionRecord(
-        tid, params, effect_name, closed, enumerated, difference, tol, status
+        tid, point, theorem.effect.format(**own), closed, enumerated, difference, tol, status
     )
-
-
-def _expect(condition: bool, tid: str, message: str) -> None:
-    if not condition:
-        raise ReproductionError(f"{tid}: {message}")
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
@@ -351,62 +298,32 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def _product(**axes: Iterable) -> list[dict]:
+    """Every point of the grid with these axes, the last varying fastest."""
+    return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
+
+
 def default_grid(theorem_id: str) -> list[dict[str, float]]:
     """Parameter grids used by the command-line smoke run of reproduce."""
-    tid = theorem_id.upper()
-    if tid == "T1":
-        return [
-            {"pi": pi, "beta": beta}
-            for pi in _grid(0.05, 0.95, 21)
-            for beta in _grid(0.05, 0.95, 21)
-        ]
-    if tid == "T2":
-        out = []
-        for pi1 in _grid(0.1, 0.7, 7):
-            for pi2 in _grid(0.05, 0.25, 5):
-                for beta in _grid(0.1, 0.9, 5):
-                    out.append({"pi1": pi1, "pi2": pi2, "beta": beta})
-        return out
-    if tid == "T3":
-        out = []
-        for pi in (0.1, 0.3, 0.5):
-            for b1 in (0.1, 0.25):
-                for b2 in (0.1, 0.3):
-                    for b3 in (0.1, 0.3):
-                        b4 = 1.0 - b1 - b2 - b3
-                        for gamma in (0.3, 0.7):
-                            out.append(
-                                {
-                                    "pi": pi,
-                                    "beta1": b1,
-                                    "beta2": b2,
-                                    "beta3": b3,
-                                    "beta4": b4,
-                                    "gamma": gamma,
-                                }
-                            )
-        return out
-    if tid == "S1":
-        return [{"pi": pi, "beta": beta} for pi in (0.2, 0.5, 0.8) for beta in _grid(0.05, 0.95, 19)]
-    if tid == "PE":
-        return [{"p": p, "m": m} for p in _grid(0.1, 0.9, 9) for m in (0, 1)]
-    raise DomainError(f"unknown theorem id {theorem_id!r}")
+    return _theorem(theorem_id)[1].grid()
 
 
 # ---------------------------------------------------------------------------
-# The family registry
+# The family and theorem registries
 # ---------------------------------------------------------------------------
 
 
 class Param(NamedTuple):
-    """One family parameter. default is a value, or a function of the
-    family's other parameters whose docstring shows the derivation."""
+    """One parameter of a family or theorem. default is a value, or a function of
+    the family's other parameters whose docstring shows the derivation; levels,
+    if any, are the only values a float parameter takes, as integers."""
 
     name: str
     type: type   # float, int or str
     default: object
     help: str
     choices: tuple[str, ...] = ()
+    levels: tuple[int, ...] = ()
 
     @property
     def default_text(self) -> str:
@@ -416,13 +333,15 @@ class Param(NamedTuple):
         """value as this parameter takes it; DomainError if it is outside its type."""
         if self.choices:
             ok, expected = value in self.choices, "one of " + ", ".join(self.choices)
+        elif self.levels:
+            ok, expected = value in self.levels, " or ".join(map(str, self.levels))
         else:
             ok = isinstance(value, numbers.Real) and math.isfinite(value) and (
                 self.type is float or value == int(value))
             expected = "a finite number" if self.type is float else "an integer"
         if not ok:
             raise DomainError(f"{family}: {self.name} must be {expected}, got {value!r}")
-        return int(value) if self.type is int else value
+        return int(value) if self.type is int or self.levels else value
 
 
 class Family(NamedTuple):
@@ -493,13 +412,89 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
 )}
 
 
-def _theorem_model(tid: str, params: dict) -> Model:
-    """The model of the theorem's family at params; params gains any default
-    the family derived (t2's pi0), after the given entries."""
-    family = FAMILIES[THEOREM_FAMILIES[tid]]
-    resolved = family.resolve(params)
-    params.update(resolved)
-    return family.build(**resolved)
+class Theorem(NamedTuple):
+    """A counterexample that reproduce checks: the parameters its closed form
+    reads, in the order a missing one is reported; the one contrast it
+    enumerates and its name, formatted with the theorem's own params; and
+    promises, each (model, status, point, tol) -> (kept, claim), checked in
+    order before the closed form is compared."""
+
+    family: str   # by name in FAMILIES
+    reads: tuple[str, ...]
+    closed_form: Callable[..., float]
+    effect: str
+    contrast: Callable[..., float]   # of the model and the theorem's own parameters
+    promises: tuple[Callable[..., tuple[bool, str]], ...]
+    grid: Callable[[], list[dict[str, float]]]
+    params: tuple[Param, ...] = ()
+
+
+def _nulls_hold(model: Model, status: NullStatus, point: Mapping, tol: float) -> tuple[bool, str]:
+    return status.sharp_null and status.sharper_null, "sharp and sharper nulls must hold"
+
+
+def _t2_monotone(model: Model, status: NullStatus, point: Mapping, tol: float) -> tuple[bool, str]:
+    expected = MONO_NONDECREASING if point["pi2"] > 0.0 else MONO_BOTH
+    return status.monotonicity == expected, f"monotonicity must be {expected}"
+
+
+def _t3_a4_fails(model: Model, status: NullStatus, point: Mapping, tol: float) -> tuple[bool, str]:
+    interior = all(point[b] > 0.0 for b in ("beta1", "beta2", "beta3", "beta4"))
+    return (not interior or not identify.check_assumption(model, "A4").holds,
+            "the cross-world independence must fail at interior points")
+
+
+def _nie_r(model: Model) -> float:
+    return effects.randomized_effects(model)[0]
+
+
+THEOREMS: dict[str, Theorem] = {
+    "T1": Theorem(
+        family="t1", reads=("pi", "beta"),
+        closed_form=lambda pi, beta: pi * (1.0 - pi) * (2.0 * beta - 1.0),
+        effect="nie_r", contrast=_nie_r, promises=(_nulls_hold,),
+        grid=lambda: _product(pi=_grid(0.05, 0.95, 21), beta=_grid(0.05, 0.95, 21)),
+    ),
+    "T2": Theorem(
+        family="t2", reads=("pi1", "pi2", "beta"),
+        # The three-level-L family's randomized indirect contrast d*p, expanded:
+        # the mediator's effect d = 1 - pi1 times the shift in its law
+        # p = pi1*(2*beta-1) + pi2 (see model.thm2_counterexample).
+        closed_form=lambda pi1, pi2, beta: (
+            pi1 * (1.0 - pi1) * (2.0 * beta - 1.0) + (1.0 - pi1) * pi2),
+        effect="nie_r", contrast=_nie_r, promises=(_t2_monotone,),
+        grid=lambda: _product(pi1=_grid(0.1, 0.7, 7), pi2=_grid(0.05, 0.25, 5),
+                              beta=_grid(0.1, 0.9, 5)),
+    ),
+    "T3": Theorem(
+        family="t3", reads=("pi", "gamma", "beta1", "beta2", "beta3", "beta4"),
+        closed_form=lambda pi, gamma, beta1, beta2, beta3, beta4: (
+            ((1.0 - pi) * beta4 - pi * beta1) * (beta3 - beta2)),
+        effect="nie_r", contrast=_nie_r, promises=(_nulls_hold, _t3_a4_fails),
+        grid=lambda: [{**p, "beta4": 1.0 - p["beta1"] - p["beta2"] - p["beta3"], "gamma": gamma}
+                      for p in _product(pi=(0.1, 0.3, 0.5), beta1=(0.1, 0.25), beta2=(0.1, 0.3),
+                                        beta3=(0.1, 0.3)) for gamma in (0.3, 0.7)],
+    ),
+    "S1": Theorem(
+        family="t1", reads=("pi", "beta"),
+        closed_form=lambda pi, beta: beta - 0.5,
+        effect="nie_r_L", contrast=lambda model: effects.l_conditioned_randomized_effects(model)[0],
+        promises=(lambda model, status, *_: (status.sharp_null, "the sharp null must hold"),),
+        grid=lambda: _product(pi=(0.2, 0.5, 0.8), beta=_grid(0.05, 0.95, 19)),
+    ),
+    "PE": Theorem(
+        family="pe", reads=("p", "m"),
+        closed_form=lambda p, m: p - m,
+        effect="pe({m})",
+        contrast=lambda model, m: (
+            effects.total_effect(model) - effects.controlled_direct_effect(model, m)),
+        promises=(_nulls_hold, lambda model, status, point, tol: (
+            abs(effects.natural_effects(model)[0]) <= tol,
+            "the natural indirect contrast must vanish")),
+        grid=lambda: _product(p=_grid(0.1, 0.9, 9), m=(0, 1)),
+        params=(Param("m", float, 0, "mediator level", levels=(0, 1)),),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

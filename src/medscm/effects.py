@@ -244,6 +244,3 @@ def _check_report(report: EffectReport) -> None:
         raise InternalConsistencyError("te != nie + nde beyond tolerance")
     if abs(report.te_r - report.nie_r - report.nde_r) > DECOMPOSITION_TOL:
         raise InternalConsistencyError("te_r != nie_r + nde_r beyond tolerance")
-    for m, v in report.pe.items():
-        if abs(v - (report.te - report.cde[m])) > DECOMPOSITION_TOL:
-            raise InternalConsistencyError(f"pe({m}) != te - cde({m}) beyond tolerance")

@@ -100,9 +100,9 @@ class Structure:
     them and structures built apart never do. Nothing is checked when a
     structure is built, so a malformed model still builds and validate lists
     its faults. The lookups assume a model _require_valid accepts, as every
-    reader checks first, but the role lookups of A, M and Y refuse a
-    structure without one with validate's list; a lookup that raises is not
-    cached and raises again.
+    reader checks first, but the role lookups of A, M and Y, and
+    topo_order, refuse a structure without one with validate's list; a
+    lookup that raises is not cached and raises again.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -219,7 +219,7 @@ class Structure:
         its roles, which validate lists."""
         name = self._single(role)
         if name is None:
-            raise DomainError(f"invalid model: {self._findings[0]}")
+            raise DomainError(f"invalid model: {_role_findings(self)}")
         return name
 
     @cached_property
@@ -266,6 +266,8 @@ class Structure:
     @cached_property
     def topo_order(self) -> tuple[str, ...]:
         """Covariates first (mutually topo-sorted), then A, N, O, L, M, Y."""
+        for role in (ROLE_EXPOSURE, ROLE_MEDIATOR, ROLE_OUTCOME):
+            self._required(role)   # without one the covariate sort would misname the fault
         cov = list(self.covariate_names)
         ordered: list[str] = []
         pending = list(cov)
@@ -748,15 +750,13 @@ def validate(model: Model) -> list[str]:
     return list(model.violations)
 
 
-def _validate_structure(s: Structure) -> tuple[list[str], list[str], list[str]]:
-    """A structural model's findings that read no masses, in validate's
-    order: (variables, head, tail), the variables and roles, which end the
-    list when they fail, then those before the masses and those after."""
-    out: list[str] = []
+def _role_findings(s: Structure) -> list[str]:
+    """validate's findings on a structure's variables and roles: they read no
+    lookup, so topo_order, which _validate_structure reads, can refuse with them."""
     names = [v.name for v in s.variables]
     if len(set(names)) != len(names):
-        return ["duplicate variable names"], [], []
-
+        return ["duplicate variable names"]
+    out: list[str] = []
     for v in s.variables:
         if not v.support:
             out.append(f"variable {v.name}: empty support")
@@ -777,14 +777,21 @@ def _validate_structure(s: Structure) -> tuple[list[str], list[str], list[str]]:
         out.append("at most one separable-component pair is supported")
     if role_counts[ROLE_SEP_MEDIATOR_PATH] and role_counts[ROLE_INDUCED]:
         out.append("separable-component and induced-confounder variables cannot coexist")
+    return out
+
+
+def _validate_structure(s: Structure) -> tuple[list[str], list[str], list[str]]:
+    """A structural model's findings that read no masses, in validate's
+    order: (variables, head, tail), the variables and roles, which end the
+    list when they fail, then those before the masses and those after."""
+    out = _role_findings(s)
     if out:
         return out, [], []
-
     noise_names = [name for name, _ in s.noise]
     head = ["duplicate noise names"] if len(set(noise_names)) != len(noise_names) else []
 
     table_vars = [t.variable for t in s.tables]
-    if sorted(table_vars) != sorted(names):
+    if sorted(table_vars) != sorted(v.name for v in s.variables):
         return [], head, ["structural tables do not cover the variables exactly once each"]
     used_noise = [t.noise for t in s.tables]
     if sorted(used_noise) != sorted(noise_names):
@@ -924,6 +931,8 @@ def _require_valid(model: Model, context: str | None = None) -> Model:
 
 
 def scm_to_dict(scm: Scm) -> dict:
+    if not isinstance(scm, Scm):   # a counterfactual joint has no structural tables
+        raise DomainError(f"{type(scm).__name__}: model files hold only structural (Scm) models")
     return {
         "variables": [
             {"name": v.name, "support": list(v.support), "role": v.role}

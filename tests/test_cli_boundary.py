@@ -509,9 +509,9 @@ def argvs(draw) -> tuple[str, list[str]]:
         tol = draw(st.sampled_from([[], ["--tol", "0.01"], ["--tol", "nan"]]))
         return command, ["sweep", family, "--grid", grid, "--effect", effect, *tol]
     if command == "reproduce":
-        theorem = draw(st.sampled_from([*criteria.THEOREM_FAMILIES, "s1", "T9"]))
+        theorem = draw(st.sampled_from([*criteria.THEOREMS, "s1", "T9"]))
         # a grid point to perturb: with no flags reproduce runs a whole grid
-        tid = theorem.upper() if theorem.upper() in criteria.THEOREM_FAMILIES else "T1"
+        tid = theorem.upper() if theorem.upper() in criteria.THEOREMS else "T1"
         point = draw(st.sampled_from(criteria.default_grid(tid)[::7]))
         flags = [s for k, v in point.items() for s in (f"--{k}", repr(v))]
         return command, ["reproduce", theorem, *flags, *_flags(draw, None)]

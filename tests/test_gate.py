@@ -2,7 +2,9 @@
 
 validate's list, made once per model, is what every reader of a model
 refuses it with; and no module but model.py tests the model type, so each
-reader serves both model types through the methods they share.
+reader serves both model types through the methods they share. Likewise no
+module compares a theorem id outside criteria.THEOREMS, so each theorem is
+one row of that table.
 """
 
 import ast
@@ -12,8 +14,8 @@ import pathlib
 import pytest
 
 import medscm as M
-from medscm import model
-from medscm.model import NoiseSpec, Scm, StructuralTable, VariableSpec
+from medscm import criteria, model
+from medscm.model import FfrcistgSpec, NoiseSpec, Scm, StructuralTable, Structure, VariableSpec
 
 
 def _t1():
@@ -77,6 +79,28 @@ def _separable_not_a_copy():
     return _with_table(scm, "N", table={k: 1 - v for k, v in scm.table_for("N").table.items()})
 
 
+def _plus(scm, *variables):
+    """scm with variables added and its tables kept: a fault in the roles
+    ends validate's list before the tables are read."""
+    return Scm.of(scm.variables + variables, scm.noise, scm.tables, scm.exposure_levels)
+
+
+def _joint(m_support=None, exposure_levels=None, atoms=None, masses=None):
+    """t3's counterfactual joint with the given parts in place of its own."""
+    spec = M.thm3_counterexample(0.1, (0.1, 0.2, 0.4, 0.3), 0.5)
+    s = spec.structure
+    return FfrcistgSpec(
+        Structure.of_joint(s.m_support if m_support is None else m_support,
+                           s.exposure_levels if exposure_levels is None else exposure_levels,
+                           s.atoms if atoms is None else atoms),
+        spec.masses if masses is None else masses)
+
+
+def _separable_n_without_parent():
+    scm = M.random_separable_scm(5)
+    return _with_table(scm, "N", parents=(), table={((), 0): 0})
+
+
 def _pe_levels(levels):
     pe = M.pe_counterexample(0.5)
     return Scm.of(pe.variables, pe.noise, pe.tables, levels)
@@ -123,6 +147,31 @@ INVALID = {
                     [TABLE_M + "value 7 at ((0, 1), 1) outside support"]),
     "M parent unknown": (lambda: _with_table(_t1(), "M", parents=("A", "Q")),
                          [TABLE_M + "unknown parent Q"]),
+    "L support ()": (lambda: _with_variable(_t1(), "L", support=()),
+                     ["variable L: empty support"]),
+    "two L variables": (lambda: _plus(_t1(), VariableSpec("L2", (0, 1), "L")),
+                        ["at most one induced-confounder variable is supported"]),
+    "N without O": (lambda: _with_variable(M.random_separable_scm(5), "O", role="C"),
+                    ["separable-component variables must appear as an N/O pair"]),
+    "two N/O pairs": (lambda: _plus(M.random_separable_scm(5), VariableSpec("N2", (0, 1), "N"),
+                                    VariableSpec("O2", (0, 1), "O")),
+                      ["at most one separable-component pair is supported"]),
+    "separable with L": (lambda: _plus(M.random_separable_scm(5), VariableSpec("L", (0, 1), "L")),
+                         ["separable-component and induced-confounder variables cannot coexist"]),
+    "Y table missing": (lambda: Scm.of(_t1().variables, _t1().noise, _t1().tables[:-1], (0, 1)),
+                        ["structural tables do not cover the variables exactly once each"]),
+    "N without parent": (_separable_n_without_parent,
+                         ["separable component N must have the exposure as sole parent"]),
+    "joint exposure levels (1, 1)": (lambda: _joint(exposure_levels=(1, 1)),
+                                     ["exposure levels a* and a must differ"]),
+    "joint M support (0, 0)": (lambda: _joint(m_support=(0, 0)),
+                               ["mediator support must be non-empty and duplicate-free"]),
+    "joint M support ()": (lambda: _joint(m_support=()),
+                           ["mediator support must be non-empty and duplicate-free",
+                            "atoms must assign all 3 counterfactual coordinates"]),
+    "joint without atoms": (lambda: _joint(atoms=(), masses=()), ["joint pmf is empty"]),
+    "joint atoms one short": (lambda: _joint(atoms=tuple(a[:-1] for a in _joint().structure.atoms)),
+                              ["atoms must assign all 7 counterfactual coordinates"]),
 }
 
 READERS = {
@@ -147,9 +196,9 @@ def test_every_reader_refuses_an_invalid_model_with_validates_list(case):
         assert str(err.value) == f"invalid model: {violations}", name
 
 
-@pytest.mark.parametrize("role, lookups", [("A", ["exposure_name"]),
-                                           ("M", ["mediator_name", "m_support", "labels"]),
-                                           ("Y", ["outcome_name"])])
+@pytest.mark.parametrize("role, lookups", [("A", ["exposure_name", "topo_order"]),
+                                           ("M", ["mediator_name", "m_support", "labels", "topo_order"]),
+                                           ("Y", ["outcome_name", "topo_order"])])
 def test_a_lookup_of_a_missing_role_refuses_with_validates_list(role, lookups):
     bad = _with_variable(_t1(), role, role="C")
     violations = [f"exactly one variable must have role {role}, found 0"]
@@ -203,3 +252,56 @@ def test_no_module_but_model_tests_the_model_type():
     found = {path.name: lines for path in sorted(package.glob("*.py"))
              if path.name != "model.py" and (lines := _model_type_tests(path.read_text()))}
     assert found == {}
+
+
+def _theorem_id_tests(source: str) -> list[int]:
+    """Lines of source that compare a theorem id, by a name tid or
+    theorem_id or by a theorem id's literal, outside the THEOREMS table; the
+    table itself may be named in a comparison (tid not in THEOREMS)."""
+    ids, id_names = set(criteria.THEOREMS), {"tid", "theorem_id"}
+    tree = ast.parse(source)
+    table = {id(n) for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and "THEOREMS" in {t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                                and isinstance(t.ctx, ast.Store)}
+             for n in ast.walk(node.value)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or id(node) in table:
+            continue
+        parts = [n for operand in (node.left, *node.comparators) for n in ast.walk(operand)]
+        names = {n.id if isinstance(n, ast.Name) else n.attr for n in parts
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        literals = {n.value for n in parts if isinstance(n, ast.Constant)}
+        if literals & ids or (names & id_names and "THEOREMS" not in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_compares_a_theorem_id_outside_the_registry():
+    planted = ('THEOREMS = {"T1": 1 if x == "T2" else 2}\n'
+               'def f(tid, theorem_id):\n'
+               '    if tid == "PE":\n        pass\n'
+               '    return theorem_id.upper() in ("S1", "T3") or tid not in THEOREMS\n'
+               'g = lambda t: t.tid != other\n')
+    assert _theorem_id_tests(planted) == [3, 5, 6]
+    package = pathlib.Path(M.__file__).parent
+    found = {path.name: lines for path in sorted(package.glob("*.py"))
+             if (lines := _theorem_id_tests(path.read_text()))}
+    assert found == {}
+
+
+@pytest.mark.parametrize("generate, shape, says", [
+    (M.random_scm, "separable", "unsupported random shape 'separable'"),
+    (M.random_additive_scm, "separable", "unsupported additive shape 'separable'"),
+])
+def test_a_generator_refuses_a_shape_it_cannot_build(generate, shape, says):
+    with pytest.raises(M.DomainError, match=says):
+        generate(0, shape)
+
+
+def test_a_model_file_holds_only_a_structural_model():
+    joint = _joint()
+    with pytest.raises(M.DomainError, match=r"model files hold only structural \(Scm\) models"):
+        M.scm_to_json(joint)
+    with pytest.raises(M.DomainError, match="^FfrcistgSpec: model files hold only"):
+        model.scm_to_dict(joint)
