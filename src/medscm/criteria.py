@@ -3,17 +3,17 @@
 The sharp null, sharper null, and monotonicity statuses are decided over
 every positive-probability unit of the engine's profile columns; criterion
 verdicts then compare any effect value against the status of its premises.
-Two registries drive the rest. FAMILIES holds the counterexample families
-and the seeded generators: each family's parameters, with their types,
-defaults and help, and its builder. THEOREMS holds what reproduce checks of
-each theorem: its family, the parameters its closed form reads, the closed
-form, the one contrast it enumerates, the statuses the construction
-promises, its default grid and any parameter of its own (PE's m).
+FAMILIES holds the counterexample families and seeded generators: their
+parameters, with types, defaults and help, and builders. THEOREMS holds what
+reproduce checks of each theorem: its family, closed form, one contrast,
+promised statuses, default grid and own parameters (PE's m).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import itertools
 import math
 import numbers
@@ -255,6 +255,12 @@ def _theorem(theorem_id: str) -> tuple[str, Theorem]:
     return tid, THEOREMS[tid]
 
 
+@functools.cache
+def _reads(closed_form: Callable[..., float]) -> tuple[str, ...]:
+    """The parameters a closed form reads, in the order a missing one is reported."""
+    return tuple(inspect.signature(closed_form).parameters)
+
+
 def reproduce(theorem_id: str, params: Mapping[str, float]) -> ReproductionRecord:
     """Build the family instance at params, compare the enumerated contrast
     against its closed form, and check the statuses the construction promises.
@@ -263,7 +269,7 @@ def reproduce(theorem_id: str, params: Mapping[str, float]) -> ReproductionRecor
     point = dict(params)
     values = {q.name: q.default for q in theorem.params} | point   # own defaults, then given
     try:
-        read = {name: values[name] for name in theorem.reads}
+        read = {name: values[name] for name in _reads(theorem.closed_form)}
     except KeyError as exc:
         raise DomainError(f"{tid}: missing parameter {exc.args[0]!r}") from exc
     own = {q.name: q.check(tid, values[q.name]) for q in theorem.params}
@@ -413,14 +419,12 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
 
 
 class Theorem(NamedTuple):
-    """A counterexample that reproduce checks: the parameters its closed form
-    reads, in the order a missing one is reported; the one contrast it
-    enumerates and its name, formatted with the theorem's own params; and
-    promises, each (model, status, point, tol) -> (kept, claim), checked in
-    order before the closed form is compared."""
+    """A counterexample that reproduce checks: its closed form, whose arguments
+    it reads; the one contrast it enumerates and its name, formatted with the
+    theorem's own params; and promises, each (model, status, point, tol) ->
+    (kept, claim), checked in order before the closed form is compared."""
 
     family: str   # by name in FAMILIES
-    reads: tuple[str, ...]
     closed_form: Callable[..., float]
     effect: str
     contrast: Callable[..., float]   # of the model and the theorem's own parameters
@@ -450,13 +454,13 @@ def _nie_r(model: Model) -> float:
 
 THEOREMS: dict[str, Theorem] = {
     "T1": Theorem(
-        family="t1", reads=("pi", "beta"),
+        family="t1",
         closed_form=lambda pi, beta: pi * (1.0 - pi) * (2.0 * beta - 1.0),
         effect="nie_r", contrast=_nie_r, promises=(_nulls_hold,),
         grid=lambda: _product(pi=_grid(0.05, 0.95, 21), beta=_grid(0.05, 0.95, 21)),
     ),
     "T2": Theorem(
-        family="t2", reads=("pi1", "pi2", "beta"),
+        family="t2",
         # The three-level-L family's randomized indirect contrast d*p, expanded:
         # the mediator's effect d = 1 - pi1 times the shift in its law
         # p = pi1*(2*beta-1) + pi2 (see model.thm2_counterexample).
@@ -467,7 +471,7 @@ THEOREMS: dict[str, Theorem] = {
                               beta=_grid(0.1, 0.9, 5)),
     ),
     "T3": Theorem(
-        family="t3", reads=("pi", "gamma", "beta1", "beta2", "beta3", "beta4"),
+        family="t3",
         closed_form=lambda pi, gamma, beta1, beta2, beta3, beta4: (
             ((1.0 - pi) * beta4 - pi * beta1) * (beta3 - beta2)),
         effect="nie_r", contrast=_nie_r, promises=(_nulls_hold, _t3_a4_fails),
@@ -476,14 +480,14 @@ THEOREMS: dict[str, Theorem] = {
                                         beta3=(0.1, 0.3)) for gamma in (0.3, 0.7)],
     ),
     "S1": Theorem(
-        family="t1", reads=("pi", "beta"),
+        family="t1",
         closed_form=lambda pi, beta: beta - 0.5,
         effect="nie_r_L", contrast=lambda model: effects.l_conditioned_randomized_effects(model)[0],
         promises=(lambda model, status, *_: (status.sharp_null, "the sharp null must hold"),),
         grid=lambda: _product(pi=(0.2, 0.5, 0.8), beta=_grid(0.05, 0.95, 19)),
     ),
     "PE": Theorem(
-        family="pe", reads=("p", "m"),
+        family="pe",
         closed_form=lambda p, m: p - m,
         effect="pe({m})",
         contrast=lambda model, m: (

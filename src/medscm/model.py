@@ -219,7 +219,7 @@ class Structure:
         its roles, which validate lists."""
         name = self._single(role)
         if name is None:
-            raise DomainError(f"invalid model: {_role_findings(self)}")
+            raise DomainError(f"invalid model: {self._findings[0]}")
         return name
 
     @cached_property
@@ -750,13 +750,15 @@ def validate(model: Model) -> list[str]:
     return list(model.violations)
 
 
-def _role_findings(s: Structure) -> list[str]:
-    """validate's findings on a structure's variables and roles: they read no
-    lookup, so topo_order, which _validate_structure reads, can refuse with them."""
+def _validate_structure(s: Structure) -> tuple[list[str], list[str], list[str]]:
+    """A structural model's findings that read no masses, in validate's
+    order: (variables, head, tail), the variables and roles, which end the
+    list when they fail, then those before the masses and those after."""
+    out: list[str] = []
     names = [v.name for v in s.variables]
     if len(set(names)) != len(names):
-        return ["duplicate variable names"]
-    out: list[str] = []
+        return ["duplicate variable names"], [], []
+
     for v in s.variables:
         if not v.support:
             out.append(f"variable {v.name}: empty support")
@@ -777,21 +779,14 @@ def _role_findings(s: Structure) -> list[str]:
         out.append("at most one separable-component pair is supported")
     if role_counts[ROLE_SEP_MEDIATOR_PATH] and role_counts[ROLE_INDUCED]:
         out.append("separable-component and induced-confounder variables cannot coexist")
-    return out
-
-
-def _validate_structure(s: Structure) -> tuple[list[str], list[str], list[str]]:
-    """A structural model's findings that read no masses, in validate's
-    order: (variables, head, tail), the variables and roles, which end the
-    list when they fail, then those before the masses and those after."""
-    out = _role_findings(s)
     if out:
         return out, [], []
+
     noise_names = [name for name, _ in s.noise]
     head = ["duplicate noise names"] if len(set(noise_names)) != len(noise_names) else []
 
     table_vars = [t.variable for t in s.tables]
-    if sorted(table_vars) != sorted(v.name for v in s.variables):
+    if sorted(table_vars) != sorted(names):
         return [], head, ["structural tables do not cover the variables exactly once each"]
     used_noise = [t.noise for t in s.tables]
     if sorted(used_noise) != sorted(noise_names):
