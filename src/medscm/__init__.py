@@ -45,7 +45,6 @@ from .errors import (
     DegenerateStratumError,
     DomainError,
     EnumerationSizeError,
-    InternalConsistencyError,
     MedscmError,
     ReproductionError,
     ShapeError,

@@ -41,7 +41,21 @@ MONO_NONDECREASING = "nondecreasing"
 MONO_BOTH = "both"
 MONO_NEITHER = "neither"
 
-CRITERIA = ("sharp-null", "sharper-null", "monotonicity")
+# the bound an effect keeps under each monotonicity status (neither is no premise)
+_MONOTONE = {
+    MONO_NONINCREASING: lambda value, tol: value <= tol,
+    MONO_NONDECREASING: lambda value, tol: value >= -tol,
+    MONO_BOTH: lambda value, tol: abs(value) <= tol,
+    MONO_NEITHER: lambda value, tol: True,
+}
+
+# each criterion's rule: (status, value, tol) -> (premise holds, value consistent)
+CRITERIA = {
+    "sharp-null": lambda status, value, tol: (status.sharp_null, abs(value) <= tol),
+    "sharper-null": lambda status, value, tol: (status.sharper_null, abs(value) <= tol),
+    "monotonicity": lambda status, value, tol: (
+        status.monotonicity != MONO_NEITHER, _MONOTONE[status.monotonicity](value, tol)),
+}
 
 
 @dataclass(frozen=True)
@@ -152,22 +166,8 @@ def _effect_verdicts(
 ) -> list[CriterionVerdict]:
     """One effect's verdict under each of the three criteria, in CRITERIA order."""
     out: list[CriterionVerdict] = []
-    for criterion in CRITERIA:
-        if criterion == "sharp-null":
-            premise = status.sharp_null
-            consistent = abs(value) <= tol
-        elif criterion == "sharper-null":
-            premise = status.sharper_null
-            consistent = abs(value) <= tol
-        else:
-            if status.monotonicity == MONO_NONINCREASING:
-                premise, consistent = True, value <= tol
-            elif status.monotonicity == MONO_NONDECREASING:
-                premise, consistent = True, value >= -tol
-            elif status.monotonicity == MONO_BOTH:
-                premise, consistent = True, abs(value) <= tol
-            else:
-                premise, consistent = False, True
+    for criterion, rule in CRITERIA.items():
+        premise, consistent = rule(status, value, tol)
         satisfied = consistent if premise else True
         out.append(
             CriterionVerdict(

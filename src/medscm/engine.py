@@ -11,10 +11,10 @@ at a time and are the reference the columns are tested against.
 
 The sums over units are vectorised but keep the scalar order: grouped sums
 use np.bincount, which adds each group's terms in unit order; population sums
-use unit_sum, a running sum; sums over mediator levels and strata run in the
-same order as the per-unit loops they replace. Results are bitwise identical
-from run to run, and on Python 3.11 to those loops (later versions compensate
-the built-in sum the loops used).
+use running_sum; sums over mediator levels and strata run in the same order
+as the per-unit loops they replace. Results are bitwise identical from run to
+run, and on Python 3.11 to those loops (later versions compensate the
+built-in sum the loops used).
 
 The exact effects take a block of weight rows over one structure's columns,
 one row per model of that structure (the points of a family grid); a model
@@ -234,13 +234,6 @@ class Profiles:
         shared_once for keep)."""
         l = self.l if a_draw is None else self.l_cf[self.arm(a_draw)]
         return self.shared_once(("cl", a_draw), lambda: group_ids(self.stratum, l), keep)
-
-
-def unit_sum(terms: np.ndarray) -> np.ndarray:
-    """Sums of per-unit terms over the last axis in unit order (np.sum would
-    reassociate): one per row of a (P, units) block of terms. A copy, which
-    does not hold the running sums alive."""
-    return terms.cumsum(axis=-1)[..., -1].copy()
 
 
 def group_ids(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

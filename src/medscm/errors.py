@@ -46,9 +46,3 @@ class ReproductionError(MedscmError):
     """Closed-form and enumerated values disagree beyond tolerance."""
 
     exit_code = 6
-
-
-class InternalConsistencyError(MedscmError):
-    """An identity that must hold by construction failed; signals a bug."""
-
-    exit_code = 7

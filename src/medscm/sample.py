@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -196,8 +197,6 @@ def empirical_law(ds: Dataset, exposure_levels: tuple[int, int] | None = None) -
 # Plug-in estimation with percentile bootstrap
 # ---------------------------------------------------------------------------
 
-_PARAMETRIC = {"psi_cde", "psi_pe"}
-
 # one block of bootstrap replicates holds mass tables of at most
 # PROFILE_BYTE_BUDGET / BOOT_TABLE_FACTOR bytes, which leaves room within the
 # budget for the marginal tables the functionals build from them
@@ -210,14 +209,21 @@ def _functional(estimand: str, m: int | None):
         raise DomainError(
             f"unknown estimand {estimand!r}; expected one of {sorted(identify.FUNCTIONALS)}"
         )
-    if estimand not in _PARAMETRIC:
+    fn = identify.FUNCTIONALS[estimand]
+    if not _takes_m(fn):
         if m is not None:
+            takers = sorted(name for name, f in identify.FUNCTIONALS.items() if _takes_m(f))
             raise DomainError(f"estimand {estimand} takes no mediator level m; "
-                              f"only {' and '.join(sorted(_PARAMETRIC))} do")
-        return identify.FUNCTIONALS[estimand], ()
+                              f"only {' and '.join(takers)} do")
+        return fn, ()
     if m is None:
         raise DomainError(f"estimand {estimand} requires a mediator level m")
-    return identify.FUNCTIONALS[estimand], (m,)
+    return fn, (m,)
+
+
+def _takes_m(fn) -> bool:
+    """Whether a functional takes a mediator level m after the law."""
+    return "m" in inspect.signature(fn).parameters
 
 
 def _score_batch(fn, law: ObservedLaw, args: tuple) -> np.ndarray:

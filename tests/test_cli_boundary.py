@@ -36,7 +36,7 @@ def assert_domain_error(capsys, *argv, says: str):
 
 @pytest.mark.parametrize("cls", [
     errors.DomainError, errors.ShapeError, errors.EnumerationSizeError,
-    errors.ReproductionError, errors.InternalConsistencyError, OSError, ValueError,
+    errors.ReproductionError, OSError, ValueError,
 ])
 def test_each_error_class_exits_with_its_code(cls, monkeypatch, capsys):
     def fail(model):
@@ -52,9 +52,8 @@ def test_error_exit_codes():
     assert {cls.__name__: cls.exit_code for cls in (
         errors.DomainError, errors.ShapeError, errors.DegenerateStratumError,
         errors.EnumerationSizeError, errors.ReproductionError,
-        errors.InternalConsistencyError,
     )} == {"DomainError": 3, "ShapeError": 3, "DegenerateStratumError": 4,
-           "EnumerationSizeError": 5, "ReproductionError": 6, "InternalConsistencyError": 7}
+           "EnumerationSizeError": 5, "ReproductionError": 6}
     assert errors.PARSE_EXIT_CODE == 8
 
 

@@ -1,10 +1,13 @@
 import gc
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medscm as M
+from medscm import model
+from medscm.cli import main
 from medscm.model import Scm, StructuralTable
 
 
@@ -205,9 +208,6 @@ def test_report_rows_and_serialization():
     assert names[:6] == ["te", "nde", "nie", "te_r", "nde_r", "nie_r"]
     assert "nie_r_L" in names and "cde(0)" in names and "pe(1)" in names
     assert report.value("nie_r") == report.nie_r
-    csv_text = report.to_csv()
-    assert csv_text.splitlines()[0] == "effect,value"
-    assert any(line.startswith("nie_r,") for line in csv_text.splitlines())
     with pytest.raises(KeyError):
         report.value("nope")
 
@@ -240,3 +240,31 @@ def test_effect_reports_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def scaled_outcome_doc(seed, factor):
+    """The model file of a confounded random model with Y's levels times factor."""
+    doc = model.scm_to_dict(M.random_scm(seed, "confounded", with_c=True, y_levels=3))
+    (y,) = (v for v in doc["variables"] if v["name"] == "Y")
+    y["support"] = [level * factor for level in y["support"]]
+    (table,) = (t for t in doc["tables"] if t["variable"] == "Y")
+    for row in table["rows"]:
+        row["value"] *= factor
+    return doc
+
+
+@pytest.mark.parametrize("seed, factor", [(20, 1000), (1, 10_000), (2, 10_000), (3, 10_000)])
+def test_large_outcome_levels_report_and_exit_0(seed, factor, tmp_path):
+    # te = nie + nde and te_r = nie_r + nde_r regroup the same means, so on
+    # large outcome levels they differ by rounding well above 1e-12
+    doc = scaled_outcome_doc(seed, factor)
+    scm = model.scm_from_dict(doc)
+    assert M.validate(scm) == []
+    report = M.effect_report(scm)
+    tol = 1e-12 * max(1.0, abs(report.te))
+    assert abs(report.te - report.nie - report.nde) <= tol
+    assert abs(report.te_r - report.nie_r - report.nde_r) <= tol
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["effects", str(path)]) == 0
+    assert main(["criteria", str(path)]) == 0
