@@ -36,6 +36,12 @@ from .model import (
 
 NULL_TOL = 1e-9
 
+
+def _check_tol(tol: float) -> None:
+    """A tolerance is a finite number >= 0: nan, -1 or inf would flip verdicts."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
+
 MONO_NONINCREASING = "nonincreasing"
 MONO_NONDECREASING = "nondecreasing"
 MONO_BOTH = "both"
@@ -157,6 +163,7 @@ def criterion_verdicts(
 ) -> list[CriterionVerdict]:
     """Render, for every effect in the report, its verdict under each of the
     three criteria given the model's null status."""
+    _check_tol(tol)
     status = null_status(model)
     return [v for name, value in report.rows() for v in _effect_verdicts(name, value, status, tol)]
 
@@ -185,6 +192,7 @@ def _effect_verdicts(
 def no_interaction_check(model: Model, tol: float = NULL_TOL) -> bool:
     """True iff the exposure-mediator mean interaction on the outcome is zero
     within every positive-probability stratum of (M(a*), C)."""
+    _check_tol(tol)
     p = engine.profiles(model)
     a_star, a = model.exposure_levels
     stratum, first = engine.group_ids(p.m_cf[p.arm(a_star)], p.stratum)
@@ -549,6 +557,7 @@ def evaluate_point(
     """Build the family instance at point and record the chosen effect, the
     criteria its value refutes (in CRITERIA order; none is no refutation)
     and the model's null status."""
+    _check_tol(tol)
     model = _build(family, point)
     value = _effect_value(effects.effect_report(model), effect)
     return _violation(point, effect, value, null_status(model), tol)
@@ -565,6 +574,7 @@ def evaluate_points(
     evaluated one at a time, in order, so the error raised is the first one
     the per-point loop meets; if that loop meets none, the batch's own error
     is raised."""
+    _check_tol(tol)
     points = list(points)
     try:
         return _evaluate_batch(family, points, effect, tol)

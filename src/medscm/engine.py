@@ -5,8 +5,8 @@ criterion checks) is a finite weighted sum over the units produced here, so
 this module is the single source of ground truth.
 
 profiles() holds every counterfactual coordinate of every unit as numpy
-columns (Profiles), filled by the model's vectorised solver (Scm.grid or
-FfrcistgSpec.grid). enumerate_units, evaluate and nested_outcome work one unit
+columns (Profiles), filled by the model's grid from each unit's positions in
+its mass factors. enumerate_units, evaluate and nested_outcome work one unit
 at a time and are the reference the columns are tested against.
 
 The sums over units are vectorised but keep the scalar order: grouped sums
@@ -349,7 +349,7 @@ def _counterfactual_columns(model: Model, units: np.ndarray) -> dict:
     # Y: factual, Y(a', m) arm-major, then Y under do(M=m) only
     rows[y_name] = ([_FACTUAL] + [(ap, m) for ap in arms for m in levels]
                     + [(None, m) for m in levels])
-    solved = model.grid(units, rows)
+    solved = model.grid(np.unravel_index(units, tuple(map(len, model._factors))), rows)
     n, k = units.size, len(levels)
     m_block, y_block = solved[m_name], solved[y_name]
     y_cf = y_block[1:1 + 2 * k].reshape(2, k, n)

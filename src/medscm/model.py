@@ -153,13 +153,6 @@ class Structure:
         return {v: position[t.noise] for v, t in self._by_variable.items()}
 
     @cached_property
-    def weight_gather(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(position among the noise terms, levels) of each variable's noise
-        in topological order, the order of the noise product."""
-        at = self.noise_position
-        return tuple((at[v], self.noise[at[v]][1]) for v in self.topo_order)
-
-    @cached_property
     def supports(self) -> dict[str, tuple[int, ...]]:
         """Each variable's sorted support: the values its positions index."""
         return {v.name: tuple(sorted(v.support)) for v in self.variables}
@@ -195,12 +188,26 @@ class Structure:
 
     def positions(self, name: str, noise: np.ndarray | int, parents: Sequence) -> np.ndarray:
         """Positions in name's sorted support of its table's values at noise
-        positions and its parents' positions (in table order); Scm.grid and
-        Scm.draw evaluate every table this way."""
+        positions and its parents' positions (in table order); Scm.grid
+        evaluates every table this way."""
         strides, lookup = self._lookups[name]
         for position, stride in zip(parents, strides):
             noise = noise + position * stride
         return lookup[noise]
+
+    @cached_property
+    def grid_tables(self) -> tuple[dict, dict]:
+        """Scm.grid's tables, by variable: its sorted support as an array,
+        None where it is 0..k-1 and positions are values; and whether it
+        lies downstream of do(A) and of do(M)."""
+        a_name, m_name = self.exposure_name, self.mediator_name
+        values, moved = {}, {}
+        for name in self.topo_order:
+            support, parents = self.supports[name], self.table_for(name).parents
+            values[name] = None if support == tuple(range(len(support))) else np.asarray(support)
+            moved[name] = (name == a_name or any(moved[p][0] for p in parents),
+                           name == m_name or any(moved[p][1] for p in parents))
+        return values, moved
 
     @cached_property
     def _roles(self) -> dict[str, tuple[str, ...]]:
@@ -317,7 +324,10 @@ class Structure:
 
 
 class _Lookups:
-    """A model's lookups, each read off its structure, and its violations."""
+    """A model's lookups, read off its structure, its violations and the
+    evaluation both types share, from what each states: _factors (the mass
+    vectors whose outer product, the last varying fastest, is its unit grid),
+    units/solve (the one-unit reference) and grid (their vectorised twin)."""
 
     structure: Structure
     variables = property(attrgetter("structure.variables"))
@@ -344,6 +354,43 @@ class _Lookups:
         """Every invariant the model violates, in validate's order, made once
         per model: validate and _require_valid read it."""
         return tuple(self._violations())
+
+    @property
+    def grid_size(self) -> int:
+        """Number of units, zero-mass ones included."""
+        return math.prod(map(len, self._factors))
+
+    def noise_weight(self) -> np.ndarray:
+        """Mass of every unit in the order of units(), zero-mass ones
+        included: the outer product of the factors, the same left-to-right
+        products, so the positive ones are bitwise equal to the scalar
+        weights."""
+        _require_valid(self)
+        weight = np.ones(1)
+        for factor in self._factors:
+            weight = np.multiply.outer(weight, factor).ravel()
+        return weight
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, ...]:
+        return tuple(map(_cdf_edges, self._factors))
+
+    def draw(self, uniforms: np.ndarray, out: np.ndarray) -> None:
+        """Rows of the observational law into out, one per row of uniforms,
+        both (rows, variables) in topological order: factor j's position is
+        the inverse CDF of uniform column j, held in out's own memory (grid
+        never returns a view of its positions), and grid gives the values."""
+        _require_valid(self)
+        n, edges = len(out), self._edges
+        positions = out.reshape(-1)[: len(edges) * n].reshape(len(edges), n)
+        for j, cdf in enumerate(edges):   # a one-level factor's position is 0
+            if cdf.size > 1:
+                _inverse_cdf(cdf, uniforms[:, j].copy(), positions[j])
+            else:
+                positions[j] = 0
+        solved = self.grid(positions, dict.fromkeys(self.topo_order, [(None, None)]))
+        for j, row in enumerate(solved.values()):   # in topological order, as asked
+            out[:, j] = row[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,14 +428,14 @@ class Scm(_Lookups):
             return mismatch + variables
         return head + [v for n in self.noise for v in _mass_violations(n)] + tail
 
-    # -- evaluation ---------------------------------------------------------
-    # units/solve evaluate one unit at a time and are the reference; grid is
-    # their vectorised twin over every unit at once, in the same unit order.
+    # -- evaluation (_Lookups) ------------------------------------------------
 
-    @property
-    def grid_size(self) -> int:
-        """Number of joint noise configurations, zero-mass ones included."""
-        return math.prod(len(n.pmf) for n in self.noise)
+    @cached_property
+    def _factors(self) -> tuple[tuple[float, ...], ...]:
+        """Each variable's noise law, its masses in level order, variables in
+        topological order."""
+        return tuple(tuple(n.pmf[lv] for lv in n.levels())
+                     for n in map(self.noise_for, self.topo_order))
 
     def units(self, cap: int) -> list[tuple[dict[str, int], float]]:
         """Positive-mass joint noise configurations with product weights, in
@@ -426,92 +473,36 @@ class Scm(_Lookups):
             assignment[name] = t.value(pv, noise[t.noise])
         return assignment
 
-    def noise_weight(self) -> np.ndarray:
-        """Mass of every joint noise configuration in the order of units(),
-        zero-mass ones included: the same left-to-right products, so the
-        positive ones are bitwise equal to the scalar weights."""
-        _require_valid(self)
-        weight = np.ones(1)
-        for i, levels in self.structure.weight_gather:
-            pmf = self.noise[i].pmf
-            weight = np.multiply.outer(weight, [pmf[lv] for lv in levels]).ravel()
-        return weight
+    def grid(self, positions: Sequence[np.ndarray],
+             rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
+        """Values of the variables named in rows at the units' noise
+        positions (one array per factor), one row per regime listed for the
+        variable; an intervened variable takes its fixed level. Each table is
+        evaluated in position space (Structure.positions), once per distinct
+        regime of the interventions upstream of it: the covariates once, A,
+        L and M once per exposure arm."""
+        structure, order = self.structure, self.topo_order
+        values, moved = structure.grid_tables
+        a_name, m_name = structure.exposure_name, structure.mediator_name
+        noise = {name: p if len(factor) > 1 else 0   # plain ints while every term is fixed
+                 for name, p, factor in zip(order, positions, self._factors)}
+        solved: dict[tuple, np.ndarray | int] = {}   # by variable and the regime upstream of it
+        under: dict[Regime, dict] = {}   # positions under each regime, by variable
 
-    def grid(self, units: np.ndarray, rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
-        """Values of the variables named in rows over the noise configurations
-        units (flat positions in noise_weight()), one row per regime listed
-        for the variable; an intervened variable takes its fixed level.
+        def value(name, regime):
+            here = under.setdefault(regime, {})
+            for v in order[len(here) : order.index(name) + 1]:   # parents before children
+                on_a, on_m = moved[v]
+                at = v, regime[0] if on_a else None, regime[1] if on_m else None
+                if at not in solved:
+                    fixed = regime[0] if v == a_name else regime[1] if v == m_name else None
+                    parents = [here[p] for p in structure.table_for(v).parents]
+                    solved[at] = (structure.positions(v, noise[v], parents) if fixed is None
+                                  else structure.supports[v].index(fixed))
+                here[v] = solved[at]
+            return here[name] if values[name] is None else values[name][here[name]]
 
-        Each table is evaluated in position space (Structure.positions), as
-        in draw. A variable is solved once per distinct regime of the
-        interventions upstream of it, so the covariates are solved once and
-        A, L and M once per exposure arm.
-        """
-        order = self.topo_order
-        a_name, m_name = self.exposure_name, self.mediator_name
-        structure = self.structure
-        supports = structure.supports
-        index = {name: {v: i for i, v in enumerate(sup)} for name, sup in supports.items()}
-        noise_pos: dict[str, np.ndarray | int] = {}
-        flat = units
-        for name in reversed(order):   # the last variable's noise varies fastest
-            size = len(self.noise_for(name).pmf)
-            flat, position = np.divmod(flat, size)
-            noise_pos[name] = position if size > 1 else 0   # plain ints while every term is fixed
-        moved: dict[str, tuple[bool, bool]] = {}   # downstream of do(A), of do(M)
-        for name in order:
-            parents = self.table_for(name).parents
-            moved[name] = (name == a_name or any(moved[p][0] for p in parents),
-                           name == m_name or any(moved[p][1] for p in parents))
-        solved: dict[tuple, np.ndarray | int] = {}
-
-        def key(name: str, regime: Regime) -> tuple:
-            on_a, on_m = moved[name]
-            return name, regime[0] if on_a else None, regime[1] if on_m else None
-
-        def solve(name: str, regime: Regime):
-            """Positions of name under regime, its parents already solved."""
-            fixed = regime[0] if name == a_name else regime[1] if name == m_name else None
-            if fixed is not None:
-                return index[name][fixed]
-            parents = [solved[key(p, regime)] for p in self.table_for(name).parents]
-            return structure.positions(name, noise_pos[name], parents)
-
-        out = {}
-        for name, regimes in rows.items():
-            values = np.asarray(supports[name])
-            out[name] = np.empty((len(regimes), units.size), dtype=np.int64)
-            for i, regime in enumerate(regimes):
-                for v in order[: order.index(name) + 1]:   # parents before children
-                    at = key(v, regime)
-                    if at not in solved:
-                        solved[at] = solve(v, regime)
-                out[name][i] = values[solved[at]]
-        return out
-
-    @cached_property
-    def _draw_plan(self) -> tuple[tuple[str, np.ndarray, np.ndarray | None], ...]:
-        # per variable, in topological order: its noise's CDF edges and its
-        # support, None where the support is 0..k-1 and positions are values
-        plan = []
-        for name in self.topo_order:
-            pmf, support = self.noise_for(name).pmf, self.structure.supports[name]
-            plan.append((name, _cdf_edges([pmf[lv] for lv in sorted(pmf)]),
-                         None if support == tuple(range(len(support))) else np.asarray(support)))
-        return tuple(plan)
-
-    def draw(self, uniforms: np.ndarray, out: np.ndarray) -> None:
-        """Rows of the observational law into out, one per row of uniforms,
-        both (rows, variables) in topological order: each variable's noise
-        position is the inverse CDF of its uniform, its value its table's
-        there (Structure.positions)."""
-        _require_valid(self)
-        structure, position = self.structure, {}
-        for j, (name, edges, support) in enumerate(self._draw_plan):
-            idx = _inverse_cdf(edges, uniforms[:, j].copy())
-            parents = [position[p] for p in self.table_for(name).parents]
-            position[name] = structure.positions(name, idx, parents)
-            out[:, j] = position[name] if support is None else support[position[name]]
+        return _rows(rows, value, len(positions[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,11 +536,12 @@ class FfrcistgSpec(_Lookups):
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    # -- evaluation (the same interface as Scm) ------------------------------
+    # -- evaluation (_Lookups) ------------------------------------------------
 
     @property
-    def grid_size(self) -> int:
-        return len(self.masses)
+    def _factors(self) -> tuple[tuple[float, ...]]:
+        """The atoms' masses: the joint is one factor."""
+        return (self.masses,)
 
     def units(self, cap: int) -> list[tuple[dict[str, int], float]]:
         """Positive-mass atoms as label -> value maps; the atoms are the
@@ -569,44 +561,24 @@ class FfrcistgSpec(_Lookups):
         m_val = fixed.get("M", atom[f"M({a_val})"])
         return {"A": a_val, "M": m_val, "Y": atom[f"Y({a_val},{m_val})"]}
 
-    def noise_weight(self) -> np.ndarray:
-        """Mass of every atom in the order of units(), zero-mass ones included."""
-        _require_valid(self)
-        return np.array(self.masses, dtype=float)
-
-    def grid(self, units: np.ndarray, rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
-        """A, M and Y over the atoms units (positions in noise_weight()), one
-        row per regime listed for the variable, as Scm.grid gives them."""
-        cols = self.structure.atom_table[units]
-        at = np.arange(units.size)
+    def grid(self, positions: Sequence[np.ndarray],
+             rows: Mapping[str, Sequence[Regime]]) -> dict[str, np.ndarray]:
+        """A, M and Y over the atoms at positions (one array, the one
+        factor's), one row per regime listed for the variable, as Scm.grid
+        gives them; each reads only the coordinates its regime needs."""
+        (atoms,) = positions
+        table = self.structure.atom_table
         arms, levels = self.exposure_levels, self.m_support
-        worlds: dict[Regime, dict] = {}
 
+        @cache
         def world(a_fix: int | None, m_fix: int | None) -> dict:
-            a = cols[:, 0] if a_fix is None else a_fix
+            a = table[atoms, 0] if a_fix is None else a_fix
             arm = level_positions(a, arms)
-            m = cols[at, 1 + arm] if m_fix is None else m_fix
-            y = cols[at, 1 + len(arms) + arm * len(levels) + level_positions(m, levels)]
+            m = table[atoms, 1 + arm] if m_fix is None else m_fix
+            y = table[atoms, 1 + len(arms) + arm * len(levels) + level_positions(m, levels)]
             return {"A": a, "M": m, "Y": y}
 
-        out = {}
-        for name, regimes in rows.items():
-            out[name] = np.empty((len(regimes), units.size), dtype=np.int64)
-            for i, regime in enumerate(regimes):
-                if regime not in worlds:
-                    worlds[regime] = world(*regime)
-                out[name][i] = worlds[regime][name]
-        return out
-
-    def draw(self, uniforms: np.ndarray, out: np.ndarray) -> None:
-        """Rows of the observational law into out, as Scm.draw: each row's
-        atom is the inverse CDF of its first uniform over the masses, its
-        A, M(A) and Y(A, M(A)) read off by grid at the factual regime."""
-        _require_valid(self)
-        atoms = _inverse_cdf(_cdf_edges(self.masses), uniforms[:, 0].copy())
-        solved = self.grid(atoms, {name: [(None, None)] for name in self.topo_order})
-        for j, name in enumerate(self.topo_order):
-            out[:, j] = solved[name][0]
+        return _rows(rows, lambda name, regime: world(*regime)[name], atoms.size)
 
     def _violations(self) -> list[str]:
         # the levels, one finite non-negative mass per atom summing to 1,
@@ -658,6 +630,21 @@ def level_positions(values, levels: tuple[int, ...]):
     return pos
 
 
+def _rows(rows: Mapping[str, Sequence[Regime]], value: Callable, n: int) -> dict[str, np.ndarray]:
+    """grid's result: each variable's value(name, regime) under each regime
+    listed for it, as a (regimes, n) int64 block; a lone regime's array is
+    its row itself, not a copy."""
+    out = {}
+    for name, regimes in rows.items():
+        if len(regimes) == 1 and np.ndim(row := value(name, regimes[0])):
+            out[name] = row[None]
+            continue
+        out[name] = np.empty((len(regimes), n), dtype=np.int64)
+        for i, regime in enumerate(regimes):
+            out[name][i] = value(name, regime)
+    return out
+
+
 def _cdf_edges(masses) -> np.ndarray:
     """The CDF of masses without its last entry, padded with inf to a power
     of two longer than it: the edges _inverse_cdf searches."""
@@ -666,15 +653,13 @@ def _cdf_edges(masses) -> np.ndarray:
     return np.concatenate([cum[:-1], np.full(size - cum.size + 1, np.inf)])
 
 
-def _inverse_cdf(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The position of each uniform u among the masses: how many edges lie
-    at or below it. The edges are nondecreasing, so those form a prefix, and
-    a branchless binary search finds its length, one comparison pass per
-    halving."""
+def _inverse_cdf(edges: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The position of each uniform u among the masses, into out if given:
+    how many edges lie at or below it. The edges are nondecreasing, so those
+    form a prefix, and a branchless binary search finds its length, one
+    comparison pass per halving."""
     step = edges.size // 2
-    if not step:
-        return np.zeros(u.size, dtype=np.int64)
-    idx = (u >= edges[step - 1]) * step
+    idx = np.multiply(u >= edges[step - 1], step, out=out)   # one mass: step 0, its edge inf
     while step := step // 2:
         idx += (u >= edges.take(idx + step - 1)) * step
     return idx

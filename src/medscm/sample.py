@@ -91,7 +91,7 @@ def _integer(name: str, value, bits: int | None = None) -> int:
 
 def draw_samples(model: Model, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. rows from the observational law of a model of either
-    type, by its draw method; a model validate rejects is a DomainError.
+    type, by the draw both share; a model validate rejects is a DomainError.
 
     Row k consumes the k-th block of a Philox counter-based stream keyed by
     seed, so the output is reproducible and independent of any chunking;

@@ -76,6 +76,17 @@ def test_sweep_rejects_bad_grids_and_effects(argv, says, capsys):
     assert_domain_error(capsys, "sweep", *argv, says=says)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "inf"])
+def test_a_tolerance_not_finite_and_nonnegative_exits_3(tol, capsys):
+    # criteria t1 --tol nan printed "nie / sharp-null 0 refutes" and exited 0;
+    # --tol 0 still runs
+    says = f"tol must be a finite number >= 0, got {float(tol)!r}"
+    for argv in (["criteria", "t1"], ["sweep", "t1", "--grid", "pi=0.5,beta=0.5"]):
+        assert_domain_error(capsys, *argv, f"--tol={tol}", says=says)
+        code, out, err = run(capsys, *argv, "--tol", "0")
+        assert (code, err) == (0, "") and out
+
+
 def test_sweep_missing_axis_takes_the_registry_default(capsys):
     code, out, _ = run(capsys, "sweep", "t1", "--grid", "pi=0.5|0.6")
     _, explicit, _ = run(capsys, "sweep", "t1", "--grid", "pi=0.5|0.6,beta=0.9:0.9:1")

@@ -168,6 +168,24 @@ def test_no_interaction_check():
                 assert abs(v - report.nie) <= 1e-10
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -float("inf"), float("inf")])
+def test_a_tolerance_not_finite_and_nonnegative_is_refused(tol):
+    # such a tolerance flipped verdicts: at nan no_interaction_check said True
+    # where the default tolerance says False, and -1 made nie_r = 0 refute;
+    # a zero tolerance is still one
+    model = M.random_scm(0, "basic")
+    report = M.effect_report(model)
+    t1 = {"pi": 0.5, "beta": 0.5}
+    for call, at_zero in ((lambda t: M.no_interaction_check(model, t), False),
+                          (lambda t: len(criteria.criterion_verdicts(model, report, t)), 3 * len(report.rows())),
+                          (lambda t: criteria.evaluate_point("t1", t1, "nie_r", t).criteria_refuted, ()),
+                          (lambda t: len(criteria.evaluate_points("t1", [t1], "nie_r", t)), 1),
+                          (lambda t: M.search_violations("t1", [t1], "nie_r", t), [])):
+        with pytest.raises(M.DomainError, match=r"tol must be a finite number >= 0, got "):
+            call(tol)
+        assert call(0) == at_zero
+
+
 def test_m_always_affects_y_check():
     # the mediator feeds through an xor, so it moves the outcome for every unit
     assert M.m_always_affects_y_check(M.random_null_mediator_scm(2))

@@ -563,12 +563,18 @@ def test_drawn_rows_do_not_depend_on_the_block(block, monkeypatch):
     assert np.array_equal(M.draw_samples(scm, n, seed=5).rows, rows)
 
 
-def test_drawing_holds_the_rows_and_one_block():
-    scm = M.thm1_counterexample(0.5, 0.9)
-    M.draw_samples(scm, 10, seed=1)   # the structure's lookups, built once
+@pytest.mark.parametrize("make", [
+    lambda: M.thm1_counterexample(0.5, 0.9),
+    lambda: T3,
+    lambda: M.random_scm(2001, "confounded", with_c=True, c_levels=4, l_levels=3,
+                         m_levels=3, y_levels=4),
+], ids=["t1", "t3", "random_4_3_3_4"])
+def test_drawing_holds_the_rows_and_one_block(make):
+    model = make()
+    M.draw_samples(model, 10, seed=1)   # the structure's lookups, built once
     tracemalloc.start()
     try:
-        ds = M.draw_samples(scm, 10**5, seed=1)
+        ds = M.draw_samples(model, 10**5, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
