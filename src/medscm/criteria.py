@@ -36,12 +36,6 @@ from .model import (
 
 NULL_TOL = 1e-9
 
-
-def _check_tol(tol: float) -> None:
-    """A tolerance is a finite number >= 0: nan, -1 or inf would flip verdicts."""
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
-        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
-
 MONO_NONINCREASING = "nonincreasing"
 MONO_NONDECREASING = "nondecreasing"
 MONO_BOTH = "both"
@@ -62,6 +56,12 @@ CRITERIA = {
     "monotonicity": lambda status, value, tol: (
         status.monotonicity != MONO_NEITHER, _MONOTONE[status.monotonicity](value, tol)),
 }
+
+
+def _check_tol(tol: float) -> None:
+    """A tolerance is a finite number >= 0: nan, -1 or inf would flip verdicts."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)

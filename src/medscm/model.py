@@ -432,10 +432,12 @@ class Scm(_Lookups):
 
     @cached_property
     def _factors(self) -> tuple[tuple[float, ...], ...]:
-        """Each variable's noise law, its masses in level order, variables in
-        topological order."""
-        return tuple(tuple(n.pmf[lv] for lv in n.levels())
-                     for n in map(self.noise_for, self.topo_order))
+        """Each variable's noise law, its masses in the structure's level
+        order (validate holds it to the law's), variables in topological
+        order."""
+        noise = self.structure.noise
+        return tuple(tuple(map(self.noise[i].pmf.__getitem__, noise[i][1]))
+                     for i in map(self.structure.noise_position.__getitem__, self.topo_order))
 
     def units(self, cap: int) -> list[tuple[dict[str, int], float]]:
         """Positive-mass joint noise configurations with product weights, in
