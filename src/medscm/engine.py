@@ -349,7 +349,7 @@ def _counterfactual_columns(model: Model, units: np.ndarray) -> dict:
     # Y: factual, Y(a', m) arm-major, then Y under do(M=m) only
     rows[y_name] = ([_FACTUAL] + [(ap, m) for ap in arms for m in levels]
                     + [(None, m) for m in levels])
-    solved = model.grid(np.unravel_index(units, tuple(map(len, model._factors))), rows)
+    solved = model.grid(model.unit_positions(units), rows)
     n, k = units.size, len(levels)
     m_block, y_block = solved[m_name], solved[y_name]
     y_cf = y_block[1:1 + 2 * k].reshape(2, k, n)

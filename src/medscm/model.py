@@ -196,18 +196,22 @@ class Structure:
         return lookup[noise]
 
     @cached_property
-    def grid_tables(self) -> tuple[dict, dict]:
-        """Scm.grid's tables, by variable: its sorted support as an array,
-        None where it is 0..k-1 and positions are values; and whether it
-        lies downstream of do(A) and of do(M)."""
+    def layout(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], dict, dict]:
+        """An Scm's evaluation tables: each variable's (position among the
+        noise terms, levels), in topological order, the order of its factors;
+        and by variable, its sorted support as an array (None where it is
+        0..k-1 and positions are values) and whether it lies downstream of
+        do(A) and of do(M)."""
         a_name, m_name = self.exposure_name, self.mediator_name
-        values, moved = {}, {}
+        at = self.noise_position
+        gather, values, moved = [], {}, {}
         for name in self.topo_order:
             support, parents = self.supports[name], self.table_for(name).parents
+            gather.append((at[name], self.noise[at[name]][1]))
             values[name] = None if support == tuple(range(len(support))) else np.asarray(support)
             moved[name] = (name == a_name or any(moved[p][0] for p in parents),
                            name == m_name or any(moved[p][1] for p in parents))
-        return values, moved
+        return tuple(gather), values, moved
 
     @cached_property
     def _roles(self) -> dict[str, tuple[str, ...]]:
@@ -371,6 +375,11 @@ class _Lookups:
             weight = np.multiply.outer(weight, factor).ravel()
         return weight
 
+    def unit_positions(self, units: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each unit's position in every factor, from its flat position in
+        noise_weight(): the factors' mixed radix, the last fastest."""
+        return np.unravel_index(units, tuple(map(len, self._factors)))
+
     @cached_property
     def _edges(self) -> tuple[np.ndarray, ...]:
         return tuple(map(_cdf_edges, self._factors))
@@ -383,11 +392,8 @@ class _Lookups:
         _require_valid(self)
         n, edges = len(out), self._edges
         positions = out.reshape(-1)[: len(edges) * n].reshape(len(edges), n)
-        for j, cdf in enumerate(edges):   # a one-level factor's position is 0
-            if cdf.size > 1:
-                _inverse_cdf(cdf, uniforms[:, j].copy(), positions[j])
-            else:
-                positions[j] = 0
+        for j, cdf in enumerate(edges):
+            _inverse_cdf(cdf, uniforms[:, j].copy(), positions[j])
         solved = self.grid(positions, dict.fromkeys(self.topo_order, [(None, None)]))
         for j, row in enumerate(solved.values()):   # in topological order, as asked
             out[:, j] = row[0]
@@ -430,14 +436,13 @@ class Scm(_Lookups):
 
     # -- evaluation (_Lookups) ------------------------------------------------
 
-    @cached_property
-    def _factors(self) -> tuple[tuple[float, ...], ...]:
+    @property
+    def _factors(self) -> tuple[list[float], ...]:
         """Each variable's noise law, its masses in the structure's level
         order (validate holds it to the law's), variables in topological
         order."""
-        noise = self.structure.noise
-        return tuple(tuple(map(self.noise[i].pmf.__getitem__, noise[i][1]))
-                     for i in map(self.structure.noise_position.__getitem__, self.topo_order))
+        gather, _, _ = self.structure.layout
+        return tuple([self.noise[i].pmf[lv] for lv in levels] for i, levels in gather)
 
     def units(self, cap: int) -> list[tuple[dict[str, int], float]]:
         """Positive-mass joint noise configurations with product weights, in
@@ -484,10 +489,10 @@ class Scm(_Lookups):
         regime of the interventions upstream of it: the covariates once, A,
         L and M once per exposure arm."""
         structure, order = self.structure, self.topo_order
-        values, moved = structure.grid_tables
+        gather, values, moved = structure.layout
         a_name, m_name = structure.exposure_name, structure.mediator_name
-        noise = {name: p if len(factor) > 1 else 0   # plain ints while every term is fixed
-                 for name, p, factor in zip(order, positions, self._factors)}
+        noise = {name: p if len(levels) > 1 else 0   # plain ints while every term is fixed
+                 for name, p, (_, levels) in zip(order, positions, gather)}
         solved: dict[tuple, np.ndarray | int] = {}   # by variable and the regime upstream of it
         under: dict[Regime, dict] = {}   # positions under each regime, by variable
 

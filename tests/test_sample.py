@@ -581,6 +581,46 @@ def test_drawing_holds_the_rows_and_one_block(make):
     assert peak < ds.rows.nbytes + 2**20
 
 
+def _identity_roots() -> Scm:
+    # C = eps_C and A = eps_A over 0..k-1: each one's value row is its
+    # noise position row, and A's positions lie after C's in the draw
+    b, c = (0, 1), (0, 1, 2)
+    variables = (M.VariableSpec("C", c, "C"), M.VariableSpec("A", b, "A"),
+                 M.VariableSpec("M", b, "M"), M.VariableSpec("Y", b, "Y"))
+    noise = (M.NoiseSpec("eps_C", {0: 0.2, 1: 0.3, 2: 0.5}), M.NoiseSpec("eps_A", {0: 0.4, 1: 0.6}),
+             M.NoiseSpec("eps_M", {0: 0.3, 1: 0.7}), M.NoiseSpec("eps_Y", {0: 0.5, 1: 0.5}))
+    tables = (M.model._table("C", (), (), c, lambda e: e),
+              M.model._table("A", (), (), b, lambda e: e),
+              M.model._table("M", ("C", "A"), (c, b), b, lambda cc, a, e: (cc + a + e) % 2),
+              M.model._table("Y", ("C", "A", "M"), (c, b, b), b, lambda cc, a, m, e: (a * m + e) % 2))
+    return Scm.of(variables, noise, tables, (0, 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: M.thm1_counterexample(0.5, 0.9),
+    lambda: T3,
+    lambda: M.random_scm(2001, "confounded", with_c=True, c_levels=4, l_levels=3,
+                         m_levels=3, y_levels=4),
+    _identity_roots,
+], ids=["t1", "t3", "random_4_3_3_4", "identity_roots"])
+def test_draw_is_grid_at_positions_held_apart(make):
+    # draw keeps each factor's positions in out's own memory, which is safe
+    # only while grid returns no view of them: the reference finds the same
+    # positions (the clipped searchsorted of each factor's CDF) in arrays of
+    # their own and reads grid at the factual regime
+    model = make()
+    n = 3000
+    u = np.random.default_rng(4).random((n, len(model.topo_order)))
+    out = np.empty(u.shape, dtype=np.int64)
+    model.draw(u, out)
+    positions = []
+    for j, factor in enumerate(model._factors):
+        cum = np.cumsum(factor)
+        positions.append(np.minimum(np.searchsorted(cum, u[:, j], side="right"), cum.size - 1))
+    ref = model.grid(positions, dict.fromkeys(model.topo_order, [(None, None)]))
+    assert np.array_equal(out, np.column_stack([ref[v][0] for v in model.topo_order]))
+
+
 def _replicate_tables(ds, mp, n_boot, seed=0, estimand="psi_nie_r_L"):
     """The estimate and each bootstrap replicate's mass table, in order."""
     tables = []
