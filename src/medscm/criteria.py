@@ -163,7 +163,6 @@ def criterion_verdicts(
 ) -> list[CriterionVerdict]:
     """Render, for every effect in the report, its verdict under each of the
     three criteria given the model's null status."""
-    _check_tol(tol)
     status = null_status(model)
     return [v for name, value in report.rows() for v in _effect_verdicts(name, value, status, tol)]
 
@@ -172,6 +171,7 @@ def _effect_verdicts(
     name: str, value: float, status: NullStatus, tol: float
 ) -> list[CriterionVerdict]:
     """One effect's verdict under each of the three criteria, in CRITERIA order."""
+    _check_tol(tol)
     out: list[CriterionVerdict] = []
     for criterion, rule in CRITERIA.items():
         premise, consistent = rule(status, value, tol)
@@ -557,7 +557,6 @@ def evaluate_point(
     """Build the family instance at point and record the chosen effect, the
     criteria its value refutes (in CRITERIA order; none is no refutation)
     and the model's null status."""
-    _check_tol(tol)
     model = _build(family, point)
     value = _effect_value(effects.effect_report(model), effect)
     return _violation(point, effect, value, null_status(model), tol)

@@ -449,13 +449,8 @@ class Scm(_Lookups):
         the canonical order: the product of each variable's noise levels,
         variables in topological order."""
         _require_valid(self)
-        size = 1
-        for n in self.noise:
-            size *= len(n.pmf)
-            if size > cap:
-                raise EnumerationSizeError(
-                    f"noise product space exceeds cap ({size} > {cap})"
-                )
+        if self.grid_size > cap:
+            raise EnumerationSizeError(f"noise product space exceeds cap ({self.grid_size} > {cap})")
         specs = [self.noise_for(name) for name in self.topo_order]
         names = [s.name for s in specs]
         out = []
